@@ -46,6 +46,8 @@ from .partition import (
 from .quadrature import QuadratureError
 from .vector import (
     vector_best_l1_fit,
+    vector_bound_optimized_interpolant,
+    vector_bound_uniform_interpolant,
     vector_build_distribution,
     vector_interpolant,
     vector_knot_density,
@@ -92,6 +94,8 @@ __all__ = [
     "per_interval_errors",
     "uniform_partition",
     "vector_best_l1_fit",
+    "vector_bound_optimized_interpolant",
+    "vector_bound_uniform_interpolant",
     "vector_build_distribution",
     "vector_interpolant",
     "vector_knot_density",

@@ -19,7 +19,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional ``jit`` extra
     HAVE_NUMBA = False
 
 USE_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -179,7 +179,7 @@ def _fit_function(cfg: RunConfig, f: TargetFunction, p: Partition):
     g, report = fit.best_l1_fit(f, p)
     if not report.converged:
         raise NumericalFailure(
-            f"L1 fit did not converge (gradient norm {report.final_gradient_norm:.3e})"
+            f"L1 fit did not converge (optimality residual {report.optimality_residual:.3e})"
         )
     return g, report
 
@@ -249,16 +249,7 @@ def cmd_fit(args) -> int:
         "partition": {"kind": cfg.partition_kind, "n_segments": n},
         "fit": {
             "kind": cfg.fit_kind,
-            "report": None
-            if report is None
-            else {
-                "iterations": report.iterations,
-                "final_cost": report.final_cost,
-                "final_gradient_norm": report.final_gradient_norm,
-                "converged": report.converged,
-                "function_evals": report.function_evals,
-                "stage_function_evals": list(report.stage_function_evals),
-            },
+            "report": None if report is None else asdict(report),
         },
         "knots": [float(x) for x in p.knots],
         "ordinates": [float(v) for v in g.ordinates],
@@ -274,24 +265,30 @@ def _load_model(path: str):
             model = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read model {path!r}: {exc}") from exc
-    if model.get("kind") != "polylin-model" or model.get("schema") != 1:
+    if (
+        not isinstance(model, dict)
+        or model.get("kind") != "polylin-model"
+        or model.get("schema") != 1
+    ):
         raise ConfigError(f"{path!r} is not a schema-1 polylin model")
-    spec = FunctionSpec.from_description(model["function"])
-    knots = np.asarray(model["knots"], dtype=float)
-    ords = np.asarray(model["ordinates"], dtype=float)
     try:
+        spec = FunctionSpec.from_description(model["function"])
+        knots = np.asarray(model["knots"], dtype=float)
+        ords = np.asarray(model["ordinates"], dtype=float)
+        cost = float(model["cost"])
         g = PolygonalFunction(Partition(knots), ords)
-    except ValueError as exc:
-        raise ConfigError(f"malformed model arrays: {exc}") from exc
-    return model, spec, g
+    except KeyError as exc:
+        raise ConfigError(f"model {path!r} has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed model {path!r}: {exc}") from exc
+    return spec, g, cost
 
 
 def cmd_error(args) -> int:
     if args.model is not None:
-        model, spec, g = _load_model(args.model)
+        spec, g, stored = _load_model(args.model)
         f = spec.resolve()
         measured = analysis.l1_distance(f, g)
-        stored = float(model["cost"])
         rows = [
             {
                 "function": spec.name,
@@ -412,10 +409,9 @@ def _experiment_rows(name: str, n_values) -> list[dict]:
             if not rep.converged:
                 raise NumericalFailure(
                     f"L1 fit on the {where} partition at N={n} did not converge "
-                    f"(gradient norm {rep.final_gradient_norm:.3e})"
+                    f"(optimality residual {rep.optimality_residual:.3e})"
                 )
-        err_u = analysis.l1_distance(f, best_u)
-        err_o = analysis.l1_distance(f, best_o)
+        err_u, err_o = rep_u.final_cost, rep_o.final_cost
         row = {
             "n_segments": n,
             "interp_uniform": interp_u,

@@ -2,24 +2,28 @@
 
 Three fits, in increasing cost: the interpolant (sample at the knots), the
 least-squares projection (tridiagonal normal equations), and the least
-absolute deviation fit.  The L1 cost is nonsmooth, so the latter minimizes
-a smoothed surrogate whose sign function is tanh(k * residual), sharpening
-k over a fixed schedule; each stage runs damped Newton iterations warm
-started from the previous stage, with the least-squares projection as the
-initial guess.
+absolute deviation fit.  The L1 cost of ordinates v has the exact gradient
+-integral of sign(f - g) phi_i, which is closed form once the crossings of
+f - g are known, and a tridiagonal generalized Hessian
+2 sum_r phi_i(r) phi_j(r) / |e'(r)| over the crossings r (the canonical
+points of best L1 approximation).  The fit runs Newton iterations on that
+pair, started from the least-squares projection, and stops once every
+gradient entry is at its rounding floor.
+
+``smoothed_cost`` and ``smoothed_gradient`` evaluate the tanh-smoothed
+surrogate of the same cost at a given sharpness; the fit does not use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._kernels import thomas
 from .analysis import l1_distance
 from .core import Partition, PolygonalFunction, TargetFunction, from_samples
-from .quadrature import QuadratureError, default_tolerance, integrate_segments
+from .quadrature import QuadratureError, integrate_segments
 
 __all__ = [
     "FitOptions",
@@ -35,42 +39,42 @@ __all__ = [
 
 solve_tridiagonal = thomas
 
-# Hessian regularization: start at this multiple of ||H||_inf, double on
-# breakdown or non-descent, give up past this cap.
-REG_INIT = 1e-12
-REG_CAP = 1e8
-# Line search: halve at most this many times before declaring a stall.
-MAX_BACKTRACKS = 40
+# Crossings of f - g are bracketed on SAMPLES equal subintervals per
+# segment.  A settled iterate is checked again on DENSE subintervals; new
+# crossings there resume the iteration on that grid.
+SAMPLES = 32
+DENSE = 128
+# Settled once every |gradient_i| is within OPTIMALITY_TOL times the
+# integral of phi_i plus its rounding floor: a crossing r is known to
+# ROOT_ULPS ulps of f and of the ordinates over |e'(r)|, and an error delta
+# there moves gradient_i by 2 phi_i(r) delta.
+OPTIMALITY_TOL = 1e-9
+ROOT_ULPS = 8.0
+DIFF_STEP = 2.0**-20  # relative step of the difference giving f' at a crossing
+REG = 1e-12  # Hessian regularization, relative to each row's own diagonal
+MAX_LINE_STEPS = 30  # trial step lengths per Newton step (see _line_search)
+CURVATURE = 0.9
+DIP_STEPS = 45  # golden-section steps per hidden-pair search (see _hidden_pairs)
+
+EPS = float(np.finfo(float).eps)
+GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class FitOptions:
     """Knobs for the least-absolute-deviation solve.
 
-    ``k_schedule`` lists dimensionless sharpness multipliers; the effective
-    smoothing of each stage is multiplier * smoothing_k * N/(b - a), so the
-    transition width of the smoothed sign shrinks with the segment width.
-    ``max_newton_iters`` caps iterations per stage.  ``quadrature_tol`` is
-    the total integration budget (split per segment); None defers to the
-    package default (see POLYLIN_QUAD_TOL).
+    ``max_newton_iters`` caps the Newton iterations.  ``quadrature_tol`` is
+    the integration budget of the least-squares starting guess and of the
+    reported cost; None defers to the package default (see
+    POLYLIN_QUAD_TOL).  The stopping rule has no knob: it is the gradient's
+    own rounding floor.
     """
 
-    smoothing_k: float = 1.0
-    k_schedule: tuple[float, ...] = (1e2, 1e3, 1e4, 1e5)
-    param_tol: float = 1e-16
-    cost_tol: float = 1e-10
     max_newton_iters: int = 50
     quadrature_tol: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.smoothing_k > 0:
-            raise ValueError("smoothing_k must be positive")
-        ks = tuple(float(k) for k in self.k_schedule)
-        if not ks or any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValueError("k_schedule must be positive and strictly increasing")
-        object.__setattr__(self, "k_schedule", ks)
-        if not (self.param_tol > 0 and self.cost_tol > 0):
-            raise ValueError("tolerances must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
         if self.quadrature_tol is not None and not self.quadrature_tol > 0:
@@ -79,7 +83,12 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a least-absolute-deviation solve."""
+    """Outcome of a least-absolute-deviation solve.
+
+    ``optimality_residual`` is max_i |integral of sign(f - g) phi_i| /
+    integral of phi_i at the returned ordinates, from the located
+    crossings; it is 0 at the exact minimizer.
+    """
 
     iterations: int
     final_cost: float
@@ -87,6 +96,7 @@ class FitReport:
     converged: bool
     function_evals: int
     stage_function_evals: tuple[int, ...] = ()
+    optimality_residual: float = float("inf")
 
 
 def interpolant(f: TargetFunction, p: Partition) -> PolygonalFunction:
@@ -103,18 +113,9 @@ def l2_projection(f: TargetFunction, p: Partition, *, tol: float | None = None) 
     two-component quadrature pass over the segments.
     """
     _check_partition_domain(f, p)
-    if tol is None:
-        tol = default_tolerance()
-    h = p.widths
-    n = p.n_segments
-    diag = np.empty(n + 1)
-    diag[0] = h[0] / 3.0
-    diag[-1] = h[-1] / 3.0
-    if n > 1:
-        diag[1:-1] = (h[:-1] + h[1:]) / 3.0
+    knots, h = p.knots, p.widths
+    diag = _to_knots(h, h) / 3.0
     off = h / 6.0
-
-    knots = p.knots
 
     def load(x, seg):
         d = (x - knots[seg]) / h[seg]
@@ -125,114 +126,207 @@ def l2_projection(f: TargetFunction, p: Partition, *, tol: float | None = None) 
         parts = integrate_segments(load, knots, ncomp=2, abs_tol=tol)
     except QuadratureError as exc:
         raise QuadratureError(f"load-vector quadrature failed: {exc}") from exc
-    b = np.zeros(n + 1)
-    b[:-1] += parts[:, 0]
-    b[1:] += parts[:, 1]
-
-    c = thomas(off, diag, off, b)
+    c = thomas(off, diag, off, _to_knots(parts[:, 0], parts[:, 1]))
     return PolygonalFunction(p, c)
 
 
-# -- smoothed L1 machinery ---------------------------------------------------
+def _to_knots(left, right):
+    """Per-knot sums of per-segment terms on each segment's left and right hat."""
+    return np.r_[left, 0.0] + np.r_[0.0, right]
 
 
-def _softabs(eps: np.ndarray, k: float) -> np.ndarray:
-    # (1/k) log cosh(k eps), written to avoid overflow; antiderivative of tanh.
-    z = k * np.abs(eps)
-    return np.abs(eps) + (np.log1p(np.exp(-2.0 * z)) - np.log(2.0)) / k
+# -- smoothed L1 surrogate ---------------------------------------------------
 
 
-def _terms(f, p, v, k, tol, with_derivatives):
-    """Per-segment integrals of the smoothed cost and, optionally, the
-    pieces that assemble its gradient and tridiagonal Hessian."""
-    knots = p.knots
-    h = p.widths
-    n = p.n_segments
-    ncomp = 6 if with_derivatives else 1
+def _smoothed_parts(f, p, v, k, tol):
+    """Per segment: the smoothed cost and tanh(k e) against both hats."""
+    knots, h = p.knots, p.widths
+    v = np.asarray(v, dtype=float)
 
     def integrand(x, seg):
         d = (x - knots[seg]) / h[seg]
         eps = np.asarray(f.eval(x), dtype=float) - ((1.0 - d) * v[seg] + d * v[seg + 1])
-        if not with_derivatives:
-            return _softabs(eps, k)
         t = np.tanh(k * eps)
-        w = k * (1.0 - t * t)  # k sech^2(k eps)
-        return np.stack(
-            [
-                _softabs(eps, k),
-                t * (1.0 - d),
-                t * d,
-                w * (1.0 - d) ** 2,
-                w * (1.0 - d) * d,
-                w * d * d,
-            ],
-            axis=1,
-        )
+        # (1/k) log cosh(k eps), written to avoid overflow; antiderivative of tanh.
+        soft = np.abs(eps) + (np.log1p(np.exp(-2.0 * k * np.abs(eps))) - np.log(2.0)) / k
+        return np.stack([soft, t * (1.0 - d), t * d], axis=1)
 
-    # Component budgets: the cost integral keeps the full absolute tolerance
-    # for trustworthy line-search comparisons; gradient components answer to
-    # the stationarity test at ten times that, which keeps sigmoid-band
-    # rounding jitter inside budget; curvature components scale like k, only
-    # steer Newton directions, and so get a relative floor.
-    abs_floors = (0.0, 10.0 * tol, 10.0 * tol, 0.0, 0.0, 0.0)
-    rel_floors = (0.0, 0.0, 0.0, 1e-9, 1e-9, 1e-9)
-    out = integrate_segments(
-        integrand,
-        knots,
-        ncomp=ncomp,
-        abs_tol=tol,
-        abs_floor=abs_floors if with_derivatives else None,
-        rel_floor=rel_floors if with_derivatives else None,
-        resolve_floor=_structure_scale(f, p, v, k),
-    )
-    return out if with_derivatives else out.reshape(n, 1)
-
-
-def _structure_scale(f, p, v, k):
-    """Per-segment width of the sharpest feature the smoothed integrands can
-    hold: the sigmoid transition band 1/(k |residual slope|), capped by the
-    segment itself, with margin for Simpson to resolve it to rounding noise."""
-    knots = p.knots
-    h = p.widths
-    mids = knots[:-1] + 0.5 * h
-    e_lo = np.asarray(f.eval(knots[:-1]), dtype=float) - v[:-1]
-    e_mid = np.asarray(f.eval(mids), dtype=float) - 0.5 * (v[:-1] + v[1:])
-    e_hi = np.asarray(f.eval(knots[1:]), dtype=float) - v[1:]
-    slope = np.maximum(np.abs(e_mid - e_lo), np.abs(e_hi - e_mid)) / (0.5 * h)
-    band = np.full_like(h, np.inf)
-    np.divide(1.0, k * slope, out=band, where=slope > 0.0)
-    return np.minimum(h, band) / 64.0
-
-
-def _assemble(parts: np.ndarray, n: int):
-    cost = float(np.sum(parts[:, 0]))
-    g = np.zeros(n + 1)
-    g[:-1] -= parts[:, 1]
-    g[1:] -= parts[:, 2]
-    diag = np.zeros(n + 1)
-    diag[:-1] += parts[:, 3]
-    diag[1:] += parts[:, 5]
-    off = parts[:, 4].copy()
-    return cost, g, diag, off
+    return integrate_segments(integrand, knots, ncomp=3, abs_tol=tol)
 
 
 def smoothed_cost(f: TargetFunction, p: Partition, v, k: float, *, tol: float | None = None) -> float:
     """Smoothed L1 cost of ordinates v at sharpness k."""
-    v = np.asarray(v, dtype=float)
-    if tol is None:
-        tol = default_tolerance()
-    parts = _terms(f, p, v, k, tol, False)
-    return float(np.sum(parts[:, 0]))
+    return float(np.sum(_smoothed_parts(f, p, v, k, tol)[:, 0]))
 
 
 def smoothed_gradient(f: TargetFunction, p: Partition, v, k: float, *, tol: float | None = None) -> np.ndarray:
     """Gradient of the smoothed L1 cost with respect to the ordinates."""
-    v = np.asarray(v, dtype=float)
-    if tol is None:
-        tol = default_tolerance()
-    parts = _terms(f, p, v, k, tol, True)
-    _, g, _, _ = _assemble(parts, p.n_segments)
-    return g
+    parts = _smoothed_parts(f, p, v, k, tol)
+    return -_to_knots(parts[:, 1], parts[:, 2])
+
+
+# -- exact crossing-point Newton ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Crossings:
+    """The exact L1 gradient and generalized Hessian at some ordinates."""
+
+    samples: int
+    n_roots: int
+    grad: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+    residual: np.ndarray  # |grad_i| / integral of phi_i
+    settled: bool
+
+
+def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> _Crossings:
+    """Locate the sign changes of e = f - g and assemble the Newton pieces.
+
+    e is sampled at samples + 1 points per segment, and every sign change
+    is bisected down to adjacent floats.  A segment whose samples of e all
+    sit within rounding of f and of the ordinates counts as fitted: it adds
+    nothing to the gradient or the Hessian.
+    """
+    knots, h, n = p.knots, p.widths, p.n_segments
+
+    def line(x, seg, w=v):
+        d = (x - knots[seg]) / h[seg]
+        return (1.0 - d) * w[seg] + d * w[seg + 1]
+
+    def resid(x, seg):
+        return np.asarray(f.eval(x), dtype=float) - line(x, seg)
+
+    x = knots[:-1, None] + h[:, None] * (np.arange(samples + 1) / samples)
+    x[:, -1] = knots[1:]
+    rows = np.repeat(np.arange(n), samples + 1)
+    fx = np.asarray(f.eval(x.ravel()), dtype=float)
+    e = (fx - line(x.ravel(), rows)).reshape(x.shape)
+    scale = (np.abs(fx) + line(x.ravel(), rows, np.abs(v))).reshape(x.shape)
+    live = np.any(np.abs(e) > ROOT_ULPS * EPS * scale, axis=1)
+    pos = e >= 0.0
+
+    cs, ck = np.nonzero(live[:, None] & (pos[:, :-1] != pos[:, 1:]))
+    ds, dl, dm, dr = _hidden_pairs(resid, x, e, pos, live, h)
+    seg = np.concatenate([cs, ds, ds])
+    lo_pos = np.concatenate([pos[cs, ck], pos[ds, dl], ~pos[ds, dl]])
+    lo = np.concatenate([x[cs, ck], x[ds, dl], dm])
+    hi = np.concatenate([x[cs, ck + 1], dm, x[ds, dr]])
+    root = _bisect(resid, seg, lo, hi, lo_pos)
+    r = (root - knots[seg]) / h[seg]
+
+    # |e'| at each crossing from a centered difference of f kept inside the
+    # segment; the line's slope is exact.
+    a = np.maximum(root - DIFF_STEP * h[seg], knots[seg])
+    b = np.minimum(root + DIFF_STEP * h[seg], knots[seg + 1])
+    fa, fb, fr = np.split(np.asarray(f.eval(np.concatenate([a, b, root])), dtype=float), 3)
+    slope = np.abs((fb - fa) / (b - a) - (v[seg + 1] - v[seg]) / h[seg])
+    slope = np.maximum(slope, ROOT_ULPS * EPS * (np.abs(fa) + np.abs(fb)) / (b - a))
+
+    def at_roots(left, right):
+        return _to_knots(np.bincount(seg, left, minlength=n), np.bincount(seg, right, minlength=n))
+
+    # sign(e) on a segment is its sign at the left knot, flipped at each
+    # crossing; integrate it against both hats between the crossings.
+    start = np.where(live, np.where(pos[:, 0], 0.5, -0.5), 0.0) * h
+    flip = np.where(lo_pos, -1.0, 1.0) * h[seg]
+    grad = -_to_knots(start, start) - at_roots(flip * (1.0 - r) ** 2, flip * (1.0 - r * r))
+    w = 2.0 / slope
+    diag = at_roots(w * (1.0 - r) ** 2, w * r * r)
+    off = np.bincount(seg, w * r * (1.0 - r), minlength=n)
+    delta = ROOT_ULPS * EPS * (np.abs(fr) + line(root, seg, np.abs(v))) / slope + 2.0 * EPS * np.abs(root)
+    floor = at_roots(2.0 * (1.0 - r) * delta, 2.0 * r * delta)
+    mass = _to_knots(0.5 * h, 0.5 * h)
+
+    # An ordinate moved by more than the largest residual on its hat flips
+    # every sign there.  This diagonal floor keeps a row whose crossings sit
+    # at its hat's edges, or that has none, from taking such a step; it
+    # fades with the gradient, so the local rate is kept.
+    emax = np.max(np.abs(e), axis=1)
+    reach = np.maximum(np.r_[emax, 0.0], np.r_[0.0, emax])
+    diag = np.maximum(diag, np.divide(np.abs(grad), reach, out=np.zeros(n + 1), where=reach > 0.0))
+    diag[diag == 0.0] = 1.0
+    settled = bool(np.all(np.abs(grad) <= OPTIMALITY_TOL * mass + floor))
+    return _Crossings(samples, seg.size, grad, diag, off, np.abs(grad) / mass, settled)
+
+
+def _hidden_pairs(resid, x, e, pos, live, h):
+    """Crossing pairs closer together than the sample spacing.
+
+    Such a pair hides in a dip of |e| between samples of one sign.  A
+    golden-section search for the extremum of each dip stops where it finds
+    the other sign.  DIP_STEPS steps shrink a dip's bracket (at most h / 16) below
+    2.4e-11 h; a pair that escapes them is narrower still and moves a
+    gradient entry by less than OPTIMALITY_TOL / 10 of its hat's integral.
+    Returns, per pair: segment, sample index left of it, a point of the
+    other sign, sample index right of it.
+    """
+    mag = np.abs(e)
+    dip = np.repeat(live[:, None], e.shape[1], axis=1)
+    dip[:, 1:] &= (pos[:, 1:] == pos[:, :-1]) & (mag[:, 1:] < mag[:, :-1])
+    dip[:, :-1] &= (pos[:, :-1] == pos[:, 1:]) & (mag[:, :-1] <= mag[:, 1:])
+    seg, k = np.nonzero(dip)
+    left, right = np.maximum(k - 1, 0), np.minimum(k + 1, e.shape[1] - 1)
+    a, b = x[seg, left], x[seg, right]
+    toward = np.where(pos[seg, k], 1.0, -1.0)
+    toward, both = np.concatenate([toward, toward]), np.concatenate([seg, seg])
+    point = np.full(seg.size, np.nan)
+    for _ in range(DIP_STEPS):
+        going = np.isnan(point)
+        if not np.any(going):
+            break
+        c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+        ec, ed = np.split(toward * resid(np.concatenate([c, d]), both), 2)
+        lower = ec < ed
+        point = np.where(going & (np.minimum(ec, ed) < 0.0), np.where(lower, c, d), point)
+        a, b = np.where(lower, a, c), np.where(lower, d, b)
+    found = ~np.isnan(point)
+    return seg[found], left[found], point[found], right[found]
+
+
+def _bisect(resid, seg, lo, hi, lo_pos):
+    """Shrink every bracket [lo, hi] of a sign change to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        split = (mid > lo) & (mid < hi)
+        if not np.any(split):
+            return mid
+        same = (resid(mid, seg) >= 0.0) == lo_pos
+        lo = np.where(split & same, mid, lo)
+        hi = np.where(split & ~same, mid, hi)
+
+
+def _line_search(f, p, v, step, state):
+    """Step length along a Newton direction, from gradients alone.
+
+    The cost is convex along the line, so its slope grad(v + alpha s) . s
+    rises with alpha, and a length where it is still negative lowered the
+    cost.  Such a length is accepted at alpha = 1, or once the slope has
+    shrunk to CURVATURE times its start; so is one that settles or lowers
+    the gradient norm.  Otherwise a safeguarded secant on the slope moves
+    alpha.  Returns (state, alpha, evaluations); state is None on failure.
+    """
+    d0 = float(np.dot(state.grad, step))
+    merit = float(np.linalg.norm(state.residual))
+    lo, d_lo, hi, d_hi, alpha = 0.0, d0, 1.0, 0.0, 1.0
+    for used in range(1, MAX_LINE_STEPS + 1):
+        trial = _crossings(f, p, v + alpha * step, state.samples)
+        slope = float(np.dot(trial.grad, step))
+        if (
+            trial.settled
+            or np.linalg.norm(trial.residual) < (1.0 - 1e-4 * alpha) * merit
+            or (slope <= 0.0 and (alpha == 1.0 or slope >= CURVATURE * d0))
+        ):
+            return trial, alpha, used
+        # A rejected full step has a positive slope, so hi moves first.
+        if slope < CURVATURE * d0:
+            lo, d_lo = alpha, slope
+        else:
+            hi, d_hi = alpha, slope
+        guess = lo + (hi - lo) * d_lo / (d_lo - d_hi)
+        alpha = min(max(guess, 0.9 * lo + 0.1 * hi), 0.1 * lo + 0.9 * hi)
+    return None, 0.0, MAX_LINE_STEPS
 
 
 def best_l1_fit(
@@ -240,118 +334,53 @@ def best_l1_fit(
 ) -> tuple[PolygonalFunction, FitReport]:
     """Least-absolute-deviation polygonal fit on a fixed partition.
 
-    Returns the fitted function and a report; ``converged`` means the final
-    smoothed gradient's infinity norm reached cost_tol.  Divergence does not
-    raise: the best iterate found is returned with converged=False.
+    Returns the fitted function and a report; ``converged`` means every
+    entry of the exact L1 gradient reached its rounding floor and denser
+    sampling found no further crossings.  Divergence does not raise: the
+    last iterate is returned with converged=False.
     """
     _check_partition_domain(f, p)
     if opts is None:
         opts = FitOptions()
-    tol = opts.quadrature_tol if opts.quadrature_tol is not None else default_tolerance()
-    n = p.n_segments
-    span = p.b - p.a
+    tol = opts.quadrature_tol
     v = l2_projection(f, p, tol=tol).ordinates.copy()
-
-    total_evals = 0
-    total_iters = 0
-    stage_evals: list[int] = []
-    grad_norm = np.inf
-    converged = False
-
-    g = np.zeros(n + 1)
-    for mult in opts.k_schedule:
-        k = mult * opts.smoothing_k * n / span
-        evals = 0
-
-        cost, g, diag, off = _assemble(_terms(f, p, v, k, tol, True), n)
-        evals += 1
-        converged = False
-        for _ in range(opts.max_newton_iters):
-            grad_norm = float(np.max(np.abs(g)))
-            if grad_norm <= opts.cost_tol:
-                converged = True
+    state = _crossings(f, p, v, SAMPLES)
+    evals, iterations, converged = 1, 0, False
+    while True:
+        if state.settled:
+            check = state if state.samples == DENSE else _crossings(f, p, v, DENSE)
+            evals += check is not state
+            converged = check.n_roots == state.n_roots
+            if converged:
                 break
+            state = check
+            continue
+        if iterations == opts.max_newton_iters:
+            break
+        try:
+            step = thomas(state.off, state.diag * (1.0 + REG), state.off, -state.grad)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        iterations += 1
+        trial, alpha, used = _line_search(f, p, v, step, state)
+        evals += used
+        if trial is None:
+            break
+        v, state = v + alpha * step, trial
 
-            step = _newton_step(g, diag, off)
-            if step is None:
-                break
-            total_iters += 1
-            gTs = float(np.dot(g, step))
-
-            # Full Newton step first (gradient and Hessian come along for
-            # free); on rejection backtrack with cost-only evaluations.
-            v_try = v + step
-            full = _assemble(_terms(f, p, v_try, k, tol, True), n)
-            cost_try, g_try, diag_try, off_try = full
-            evals += 1
-            slack = 1e-14 * abs(cost)
-            if cost_try <= cost + 1e-4 * gTs + slack:
-                moved = float(np.max(np.abs(step)))
-            else:
-                alpha = 0.5
-                accepted = False
-                for _bt in range(MAX_BACKTRACKS):
-                    v_try = v + alpha * step
-                    cost_try = float(np.sum(_terms(f, p, v_try, k, tol, False)))
-                    evals += 1
-                    if cost_try <= cost + 1e-4 * alpha * gTs + slack:
-                        accepted = True
-                        break
-                    alpha *= 0.5
-                if not accepted:
-                    # Steeply nonquadratic region: keep the full step anyway
-                    # if it at least shrinks the gradient, else give up.
-                    if float(np.max(np.abs(full[1]))) < grad_norm:
-                        v = v + step
-                        cost, g, diag, off = full
-                        continue
-                    break
-                moved = float(np.max(np.abs(alpha * step)))
-                cost_try, g_try, diag_try, off_try = _assemble(_terms(f, p, v_try, k, tol, True), n)
-                evals += 1
-
-            v, cost, g, diag, off = v_try, cost_try, g_try, diag_try, off_try
-            if moved <= opts.param_tol:
-                grad_norm = float(np.max(np.abs(g)))
-                converged = grad_norm <= opts.cost_tol
-                break
-        else:
-            grad_norm = float(np.max(np.abs(g)))
-            converged = grad_norm <= opts.cost_tol
-
-        total_evals += evals
-        stage_evals.append(evals)
-
-    grad_norm = float(np.max(np.abs(g)))
     result = PolygonalFunction(p, v)
-    final_cost = l1_distance(f, result, tol=tol)
     report = FitReport(
-        iterations=total_iters,
-        final_cost=final_cost,
-        final_gradient_norm=grad_norm,
+        iterations=iterations,
+        final_cost=l1_distance(f, result, tol=tol),
+        final_gradient_norm=float(np.max(np.abs(state.grad))),
         converged=converged,
-        function_evals=total_evals,
-        stage_function_evals=tuple(stage_evals),
+        function_evals=evals,
+        stage_function_evals=(evals,),
+        optimality_residual=float(np.max(state.residual)),
     )
     return result, report
-
-
-def _newton_step(g, diag, off):
-    """Solve (H + lam I) s = -g with escalating regularization; None if hopeless."""
-    scale = float(np.max(np.abs(diag)) + np.max(np.abs(off), initial=0.0))
-    if scale == 0.0:
-        return None
-    lam = REG_INIT * scale
-    while lam <= REG_CAP * scale:
-        try:
-            s = thomas(off, diag + lam, off, -g)
-        except np.linalg.LinAlgError:
-            lam *= 2.0
-            continue
-        if np.all(np.isfinite(s)) and float(np.dot(g, s)) < 0.0:
-            return s
-        lam *= 2.0
-    return None
 
 
 def best_l1_segment(
@@ -368,8 +397,6 @@ def best_l1_segment(
     lo, hi = f.domain
     if x_lo < lo or x_hi > hi:
         raise ValueError(f"segment [{x_lo}, {x_hi}] outside the target domain [{lo}, {hi}]")
-    if tol is None:
-        tol = default_tolerance()
     h = x_hi - x_lo
     q1 = x_lo + 0.25 * h
     q2 = x_lo + 0.75 * h

@@ -29,7 +29,7 @@ class QuadratureError(RuntimeError):
 
 # Rounding floor: no panel is asked to beat ~1000 ulps of its own value
 # scale, which is where Richardson differences drown in cancellation noise
-# for large-magnitude integrands (e.g. sharpness-scaled weights).
+# for large-magnitude integrands (e.g. steep sigmoid ramps).
 NOISE_EPS = 2e-13
 # Refinement abort: fail loudly rather than exhaust memory.
 PANEL_CAP = 4_000_000
@@ -68,8 +68,6 @@ def integrate_segments(
     ncomp: int = 1,
     abs_tol: float | None = None,
     rel_tol: float = 0.0,
-    abs_floor=None,
-    rel_floor=None,
     resolve_floor=None,
     absolute: bool = False,
     min_levels: int = 2,
@@ -86,15 +84,6 @@ def integrate_segments(
     tagged with destination indices.  The absolute error is budgeted across
     panels in proportion to width, so the summed error is below
     max(abs_tol, rel_tol * |total|).
-
-    ``abs_floor`` and ``rel_floor`` optionally give one nonnegative number
-    per component, loosening that component's acceptance without touching
-    the others: abs_floor[c] raises component c's absolute tolerance above
-    ``abs_tol``, and rel_floor[c] accepts a panel's component c once its
-    error drops below rel_floor[c] * |panel integral|.  Use them for
-    components whose magnitude grows with a sharpness parameter and that
-    are only needed to modest accuracy, so the shared absolute budget does
-    not force them into cancellation-noise-limited refinement.
 
     ``resolve_floor`` declares the caller's finest structure scale: a width
     (scalar, or one per segment) below which the integrand is known to be
@@ -113,20 +102,6 @@ def integrate_segments(
         abs_tol = default_tolerance()
     if absolute and ncomp != 1:
         raise ValueError("absolute integration is scalar only")
-    floors = None
-    if rel_floor is not None:
-        floors = np.asarray(rel_floor, dtype=float).reshape(1, -1)
-        if floors.size != ncomp or np.any(floors < 0.0):
-            raise ValueError("rel_floor needs one nonnegative entry per component")
-        if not np.any(floors > 0.0):
-            floors = None
-    abs_floors = None
-    if abs_floor is not None:
-        abs_floors = np.asarray(abs_floor, dtype=float).reshape(1, -1)
-        if abs_floors.size != ncomp or np.any(abs_floors < 0.0):
-            raise ValueError("abs_floor needs one nonnegative entry per component")
-        if not np.any(abs_floors > 0.0):
-            abs_floors = None
     res_floor = None
     if resolve_floor is not None:
         res_floor = np.asarray(resolve_floor, dtype=float)
@@ -202,8 +177,6 @@ def integrate_segments(
             tol_line = max(abs_tol, rel_tol * abs(estimate))
         w = hi - lo
         thr = (tol_line / total_width) * w[:, None]
-        if abs_floors is not None:
-            thr = np.maximum(thr, (abs_floors / total_width) * w[:, None])
         # The budget is raised by a rounding floor: Richardson differences
         # below NOISE_EPS times the sampled value scale are cancellation
         # noise, and chasing them refines forever without gaining a digit.
@@ -211,8 +184,6 @@ def integrate_segments(
         for arr in (f_lm, f_mid, f_rm, f_hi):
             vmax = np.maximum(vmax, np.abs(arr))
         limit = np.maximum(thr, NOISE_EPS * vmax * w[:, None])
-        if floors is not None:
-            limit = np.maximum(limit, floors * np.abs(S2))
         ok = np.all(np.abs(err) <= limit, axis=1)
 
         if absolute:
@@ -264,14 +235,9 @@ def integrate_segments(
         S = np.concatenate([S_l[bad], S_r[bad]])
 
     # Residuals are judged per component against that component's own
-    # allowance, so a harmless relative-floor remainder in one component
-    # cannot masquerade as a failure of the absolute-budget components.
+    # allowance.
     scale = np.sum(np.abs(totals), axis=0)
     allow = np.maximum(abs_tol, rel_tol * scale)
-    if abs_floors is not None:
-        allow = np.maximum(allow, abs_floors[0])
-    if floors is not None:
-        allow = np.maximum(allow, floors[0] * scale)
     if np.any(leftover > 10.0 * allow):
         c = int(np.argmax(leftover / allow))
         raise QuadratureError(

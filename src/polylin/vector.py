@@ -144,16 +144,22 @@ def _vector_curvature_integrals(F: VectorTargetFunction, a: float, b: float):
 
 def vector_bound_uniform_interpolant(F: VectorTargetFunction, a: float, b: float, n: int) -> float:
     """Heuristic vector bound: scalar uniform formula with summed curvature."""
-    _check_interval(F, a, b)
+    _check_bound_args(F, a, b, n)
     curv, _ = _vector_curvature_integrals(F, a, b)
     return (b - a) ** 2 / (12.0 * n * n) * curv
 
 
 def vector_bound_optimized_interpolant(F: VectorTargetFunction, a: float, b: float, n: int) -> float:
     """Heuristic vector bound: scalar equalized formula with the combined density."""
-    _check_interval(F, a, b)
+    _check_bound_args(F, a, b, n)
     _, dens = _vector_curvature_integrals(F, a, b)
     return dens**3 / (12.0 * n * n)
+
+
+def _check_bound_args(F: VectorTargetFunction, a: float, b: float, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need at least one segment, got {n}")
+    _check_interval(F, a, b)
 
 
 def _check_interval(F: VectorTargetFunction, a: float, b: float) -> None:

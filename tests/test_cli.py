@@ -212,6 +212,61 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "at least" in err
 
 
+def _write_model(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    code, _out, _err = run(
+        capsys, "fit", "--function", "gaussian", "--segments", "4", "--out", str(path)
+    )
+    assert code == 0
+    return path, json.loads(path.read_text())
+
+
+def test_model_top_level_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    code, _out, err = run(capsys, "error", "--model", str(path))
+    assert code == 2 and "schema-1" in err
+
+
+@pytest.mark.parametrize("field", ["function", "knots", "ordinates", "cost"])
+def test_model_missing_field_exits_2(tmp_path, capsys, field):
+    path, model = _write_model(tmp_path, capsys)
+    del model[field]
+    path.write_text(json.dumps(model))
+    code, _out, err = run(capsys, "error", "--model", str(path))
+    assert code == 2 and field in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("function", "gaussian"),
+        ("knots", "0 1 2"),
+        ("ordinates", {"a": 1}),
+        ("cost", "cheap"),
+    ],
+)
+def test_model_mistyped_field_exits_2(tmp_path, capsys, field, value):
+    path, model = _write_model(tmp_path, capsys)
+    model[field] = value
+    path.write_text(json.dumps(model))
+    code, _out, err = run(capsys, "error", "--model", str(path))
+    assert code == 2 and "malformed" in err
+
+
+def test_reproduce_gaussian08_within_bounds(capsys):
+    code, out, err = run(capsys, "reproduce", "gaussian08", "--n-values", "63")
+    assert code == 0, err
+    row = {k: float(v) for k, v in rows_of(out)[0].items()}
+    for where in ("uniform", "optimized"):
+        assert row[f"best_l1_{where}"] <= row[f"interp_{where}"]
+        for measured, bound in (
+            (f"interp_{where}", f"bound_{where}_interpolant"),
+            (f"best_l1_{where}", f"bound_{where}_best_l1"),
+        ):
+            assert 1.0 / 1.1 <= row[measured] / row[bound] <= 1.1, (measured, bound)
+
+
 def test_unconverged_fit_exits_3(capsys, monkeypatch):
     report = FitReport(
         iterations=1,

@@ -1,5 +1,7 @@
 """Interpolation, least-squares projection, least-absolute-deviation fit."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,24 +18,14 @@ from polylin.fit import (
     smoothed_gradient,
     solve_tridiagonal,
 )
-from polylin.functions import gaussian
-from polylin.partition import uniform_partition
+from polylin.functions import chirp, gaussian
+from polylin.partition import optimized_partition, uniform_partition
 from polylin.quadrature import integrate
 
 
 def test_fit_options_validation():
     opts = FitOptions()
-    assert opts.k_schedule == (100.0, 1000.0, 10000.0, 100000.0)
-    with pytest.raises(ValueError):
-        FitOptions(smoothing_k=0.0)
-    with pytest.raises(ValueError):
-        FitOptions(k_schedule=())
-    with pytest.raises(ValueError):
-        FitOptions(k_schedule=(100.0, 100.0))
-    with pytest.raises(ValueError):
-        FitOptions(k_schedule=(1000.0, 100.0))
-    with pytest.raises(ValueError):
-        FitOptions(cost_tol=0.0)
+    assert opts.max_newton_iters == 50 and opts.quadrature_tol is None
     with pytest.raises(ValueError):
         FitOptions(max_newton_iters=0)
     with pytest.raises(ValueError):
@@ -151,6 +143,98 @@ def test_fit_recovers_polygonal_target():
     assert np.max(np.abs(g.ordinates - target.ordinates)) <= 1e-6
 
 
+def test_polygonal_target_converges_without_warnings():
+    cases = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(0.2, 1.8, 4)), [2.0]])
+        target = PolygonalFunction(Partition(knots), rng.standard_normal(6))
+        cases.append((as_target(target), target.partition, target.ordinates))
+    line = linear(slope=-3.0, intercept=0.4)
+    p = uniform_partition(0.0, 1.0, 7)
+    cases.append((line, p, line.eval(p.knots)))
+    for f, p, expected in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, report = best_l1_fit(f, p)
+        assert report.converged
+        assert report.optimality_residual == 0.0
+        assert np.max(np.abs(g.ordinates - expected)) <= 1e-12
+
+
+def _midpoint_optimality(f, g, cells):
+    """max_i |sum of sign(f - g) phi_i dx| / integral of phi_i on a uniform
+    midpoint grid of ``cells`` cells per segment, and the grid's own error
+    bound.  The rule is exact for phi_i on cells where the sign holds; a
+    cell holding a sign change is off by at most twice its width.  Each
+    segment counts the changes between its midpoints plus one, for a change
+    in an end cell that no midpoint pair sees."""
+    p = g.partition
+    knots, v, h = p.knots, g.ordinates, p.widths
+    t = (np.arange(cells) + 0.5) / cells
+    x = knots[:-1, None] + h[:, None] * t
+    s = np.sign(np.asarray(f.eval(x), dtype=float) - ((1.0 - t) * v[:-1, None] + t * v[1:, None]))
+    dx = (h / cells)[:, None]
+    moments = np.zeros(knots.size)
+    moments[:-1] += np.sum(s * (1.0 - t) * dx, axis=1)
+    moments[1:] += np.sum(s * t * dx, axis=1)
+    flips = np.count_nonzero(s[:, 1:] != s[:, :-1], axis=1) + 1
+    slack = np.zeros(knots.size)
+    slack[:-1] += 2.0 * flips * dx[:, 0]
+    slack[1:] += 2.0 * flips * dx[:, 0]
+    mass = np.zeros(knots.size)
+    mass[:-1] += 0.5 * h
+    mass[1:] += 0.5 * h
+    return np.abs(moments) / mass, slack / mass
+
+
+@pytest.mark.parametrize(
+    "name, n, layout",
+    [
+        ("gaussian", 63, "uniform"),
+        ("gaussian", 63, "optimized"),
+        ("chirp", 8, "uniform"),
+        ("chirp", 8, "optimized"),
+    ],
+)
+def test_fit_meets_optimality_on_an_independent_grid(name, n, layout):
+    f = gaussian() if name == "gaussian" else chirp()
+    a, b = f.domain
+    p = uniform_partition(a, b, n) if layout == "uniform" else optimized_partition(f, a, b, n)
+    g, report = best_l1_fit(f, p)
+    assert report.converged
+    assert report.optimality_residual <= 1e-6
+    residual, bound = _midpoint_optimality(f, g, 1 << 14)
+    assert np.all(residual <= bound + 1e-6), np.max(residual - bound)
+    # The interpolant's sign pattern is far from balanced on the same grid.
+    off, off_bound = _midpoint_optimality(f, interpolant(f, p), 1 << 14)
+    assert np.max(off - off_bound) > 0.1
+
+
+@pytest.mark.parametrize(
+    "name, interval, n",
+    [
+        ("gaussian", (0.0, 4.0), 63),
+        ("chirp", (0.0, 1.0), 31),
+        ("gaussian", (0.0, 8.0), 63),
+        ("chirp", (0.0, 1.0), 511),
+    ],
+)
+def test_experiment_fits_reach_optimality(name, interval, n):
+    f = gaussian(interval) if name == "gaussian" else chirp(interval)
+    a, b = interval
+    for p in (uniform_partition(a, b, n), optimized_partition(f, a, b, n)):
+        g, report = best_l1_fit(f, p)
+        assert report.converged
+        assert report.optimality_residual <= 1e-6
+        assert report.function_evals == sum(report.stage_function_evals)
+
+
+def test_sweep_fits_reach_optimality(gaussian_sweep):
+    for key, row in gaussian_sweep["rows"].items():
+        assert row["report"].optimality_residual <= 1e-6, key
+
+
 def test_fit_improves_on_projection_and_interpolation():
     f = gaussian()
     p = uniform_partition(0.0, 4.0, 31)
@@ -167,12 +251,14 @@ def test_fit_improves_on_projection_and_interpolation():
 def test_unconverged_fit_reports_honestly():
     f = gaussian()
     p = uniform_partition(0.0, 4.0, 9)
-    opts = FitOptions(k_schedule=(100000.0,), max_newton_iters=1)
+    opts = FitOptions(max_newton_iters=1)
     g, report = best_l1_fit(f, p, opts)
     assert not report.converged
+    assert report.iterations == 1
     assert np.all(np.isfinite(g.ordinates))
     assert np.isfinite(report.final_gradient_norm)
     assert np.isfinite(report.final_cost)
+    assert 1e-6 < report.optimality_residual < 1.0
 
 
 def test_smoothed_gradient_matches_finite_differences():

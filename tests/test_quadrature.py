@@ -126,10 +126,6 @@ def test_argument_validation():
         integrate_segments(lambda x, seg: x)
     with pytest.raises(ValueError):
         integrate_segments(lambda x, seg: x, edges, ncomp=2, absolute=True)
-    with pytest.raises(ValueError, match="rel_floor"):
-        integrate_segments(lambda x, seg: x, edges, rel_floor=(1e-9, 1e-9))
-    with pytest.raises(ValueError, match="abs_floor"):
-        integrate_segments(lambda x, seg: x, edges, abs_floor=(-1.0,))
     with pytest.raises(ValueError, match="resolve_floor"):
         integrate_segments(lambda x, seg: x, edges, resolve_floor=-0.1)
     with pytest.raises(ValueError, match="hi < lo"):

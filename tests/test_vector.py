@@ -119,6 +119,24 @@ def test_vector_bounds_reduce_and_add():
     assert vector_bound_optimized_interpolant(double, 0.0, 4.0, 63) <= vector_bound_uniform_interpolant(double, 0.0, 4.0, 63)
 
 
+def test_vector_bounds_reject_empty_partitions(monkeypatch):
+    import polylin
+    from polylin import quadrature
+
+    assert "vector_bound_uniform_interpolant" in polylin.__all__
+    assert "vector_bound_optimized_interpolant" in polylin.__all__
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the segment count was checked")
+
+    monkeypatch.setattr(quadrature, "integrate_segments", no_quadrature)
+    F = VectorTargetFunction(components=(gaussian(), quadratic((0.0, 4.0))))
+    for bound in (vector_bound_uniform_interpolant, vector_bound_optimized_interpolant):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="at least one segment"):
+                bound(F, 0.0, 4.0, n)
+
+
 def test_vector_distance_validates_lengths():
     F = VectorTargetFunction(components=(quadratic(), cubic()))
     p = uniform_partition(0.0, 1.0, 2)
