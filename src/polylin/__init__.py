@@ -12,10 +12,12 @@ from .analysis import (
     bound_optimized_interpolant,
     bound_uniform_interpolant,
     error_bound,
+    error_bounds,
     l1_distance,
     min_segments_for_tolerance,
     partition_gain,
     per_interval_errors,
+    segment_counts,
 )
 from .core import (
     Partition,
@@ -79,6 +81,7 @@ __all__ = [
     "bound_uniform_interpolant",
     "build_distribution",
     "error_bound",
+    "error_bounds",
     "evaluate",
     "evaluate_batch",
     "from_samples",
@@ -92,6 +95,7 @@ __all__ = [
     "optimized_partition",
     "partition_gain",
     "per_interval_errors",
+    "segment_counts",
     "uniform_partition",
     "vector_best_l1_fit",
     "vector_bound_optimized_interpolant",

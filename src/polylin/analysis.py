@@ -13,6 +13,13 @@ segment's curvature is nearly constant, but while segments are too wide to
 resolve the curvature the measured error can land on either side.  On the
 chirp sin(10 pi x^2) over [0, 1], equalized, measured/estimate is 1.071 at
 N=12 and 0.676 at N=8, against 0.990 to 0.996 from N=31 up.
+
+Every bound and every planned segment count comes from one pair of
+curvature integrals, of |f''| and of |f''|^(1/3).  For a vector target the
+component curvatures are summed first (see ``polylin.partition``), and a
+scalar target is the one-component case.  ``error_bounds`` and
+``segment_counts`` evaluate the pair once and return all four kinds; the
+per-kind functions and the vector bounds read their value from them.
 """
 
 from __future__ import annotations
@@ -22,8 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PolygonalFunction, TargetFunction
-from .partition import LinearTargetError, _density_accuracy, knot_density
+from .core import PolygonalFunction, TargetFunction, VectorTargetFunction
+from .partition import (
+    LinearTargetError,
+    _check_interval,
+    _components,
+    _density_accuracy,
+    _second_derivatives,
+    knot_density,
+)
 from .quadrature import default_tolerance, integrate_segments
 
 __all__ = [
@@ -31,9 +45,11 @@ __all__ = [
     "BEST_L1_FACTOR",
     "l1_distance",
     "per_interval_errors",
+    "error_bounds",
     "error_bound",
     "bound_uniform_interpolant",
     "bound_optimized_interpolant",
+    "segment_counts",
     "min_segments_for_tolerance",
     "partition_gain",
 ]
@@ -91,14 +107,20 @@ def l1_distance(f: TargetFunction, g: PolygonalFunction, *, tol: float | None = 
     return float(np.sum(per_interval_errors(f, g, tol=tol)))
 
 
-def _curvature_integrals(f: TargetFunction, a: float, b: float, tol: float):
-    """(integral of |f''|, integral of |f''|^(1/3)) over [a, b]."""
+def _curvature_integrals(f: TargetFunction | VectorTargetFunction, a: float, b: float):
+    """(integral of the summed |f_j''|, integral of the knot density) over [a, b].
+
+    The first integral bisects wherever any f_j'' changes sign.
+    """
+    _check_interval(f, a, b)
     edges = np.linspace(a, b, 65)
-    rel, floor = _density_accuracy(f.second_derivative_kind == "numeric", a, b)
+    tol = default_tolerance()
+    rel, floor = _density_accuracy(f, a, b)
     rel = max(rel, 1e-10)
     total_abs = integrate_segments(
-        lambda x, _s: np.asarray(f.d2(x), dtype=float),
+        lambda x, _s: np.stack(_second_derivatives(f, x), axis=1),
         edges,
+        ncomp=len(_components(f)),
         abs_tol=tol,
         rel_tol=rel,
         resolve_floor=floor,
@@ -114,6 +136,30 @@ def _curvature_integrals(f: TargetFunction, a: float, b: float, tol: float):
     return float(np.sum(total_abs)), float(np.sum(total_density))
 
 
+def error_bounds(
+    f: TargetFunction | VectorTargetFunction, a: float, b: float, n: int
+) -> dict[str, BoundEstimate]:
+    """A-priori L1 error estimates for N segments, one per bound kind.
+
+    The curvature integrals are evaluated once for all four kinds.  Each
+    value is the leading-order asymptotic estimate (see the module
+    docstring).
+    """
+    if n < 1:
+        raise ValueError(f"need at least one segment, got {n}")
+    curv, density = _curvature_integrals(f, a, b)
+    out = {}
+    for kind in BOUND_KINDS:
+        if kind.startswith("uniform"):
+            value = (b - a) ** 2 / (12.0 * n * n) * curv
+        else:
+            value = density**3 / (12.0 * n * n)
+        if kind.endswith("best_l1"):
+            value *= BEST_L1_FACTOR
+        out[kind] = BoundEstimate(value, kind, n, (a, b))
+    return out
+
+
 def error_bound(f: TargetFunction, a: float, b: float, n: int, kind: str) -> BoundEstimate:
     """A-priori L1 error estimate for N segments of the given approximant kind.
 
@@ -124,18 +170,7 @@ def error_bound(f: TargetFunction, a: float, b: float, n: int, kind: str) -> Bou
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}")
-    if n < 1:
-        raise ValueError(f"need at least one segment, got {n}")
-    _check_interval(f, a, b)
-    tol = default_tolerance()
-    curv, density = _curvature_integrals(f, a, b, tol)
-    if kind.startswith("uniform"):
-        value = (b - a) ** 2 / (12.0 * n * n) * curv
-    else:
-        value = density**3 / (12.0 * n * n)
-    if kind.endswith("best_l1"):
-        value *= BEST_L1_FACTOR
-    return BoundEstimate(value, kind, n, (a, b))
+    return error_bounds(f, a, b, n)[kind]
 
 
 def bound_uniform_interpolant(f: TargetFunction, a: float, b: float, n: int) -> BoundEstimate:
@@ -156,30 +191,40 @@ def bound_optimized_interpolant(f: TargetFunction, a: float, b: float, n: int) -
     return error_bound(f, a, b, n, "optimized_interpolant")
 
 
-def min_segments_for_tolerance(
-    f: TargetFunction, a: float, b: float, tolerance: float, kind: str
-) -> int:
-    """Smallest N whose bound meets the tolerance, from the real-valued root.
+def segment_counts(
+    f: TargetFunction | VectorTargetFunction, a: float, b: float, tolerance: float
+) -> dict[str, int]:
+    """Smallest N whose bound meets the tolerance, one per bound kind.
 
     The interpolant kinds solve bound(N) = tolerance for real N and round up;
     the best-L1 kinds scale the interpolant root by sqrt(3/8) first, then
-    round up.  A linear target needs a single segment.
+    round up.  A linear target needs a single segment.  The curvature
+    integrals are evaluated once for all four kinds.
     """
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    _check_interval(f, a, b)
-    tol = default_tolerance()
-    curv, density = _curvature_integrals(f, a, b, tol)
-    if kind.startswith("uniform"):
-        raw = (b - a) ** 2 * curv / 12.0
-    else:
-        raw = density**3 / 12.0
-    n_real = math.sqrt(raw / tolerance)
-    if kind.endswith("best_l1"):
-        n_real *= math.sqrt(BEST_L1_FACTOR)
-    return max(1, math.ceil(n_real))
+    curv, density = _curvature_integrals(f, a, b)
+    out = {}
+    for kind in BOUND_KINDS:
+        if kind.startswith("uniform"):
+            raw = (b - a) ** 2 * curv / 12.0
+        else:
+            raw = density**3 / 12.0
+        n_real = math.sqrt(raw / tolerance)
+        if kind.endswith("best_l1"):
+            n_real *= math.sqrt(BEST_L1_FACTOR)
+        out[kind] = max(1, math.ceil(n_real))
+    return out
+
+
+def min_segments_for_tolerance(
+    f: TargetFunction, a: float, b: float, tolerance: float, kind: str
+) -> int:
+    """Smallest N whose bound of the given kind meets the tolerance; see
+    ``segment_counts``."""
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}")
+    return segment_counts(f, a, b, tolerance)[kind]
 
 
 def partition_gain(f: TargetFunction, a: float, b: float) -> float:
@@ -189,20 +234,10 @@ def partition_gain(f: TargetFunction, a: float, b: float) -> float:
     which is 1 exactly when |f''| is constant and grows with curvature
     concentration.
     """
-    _check_interval(f, a, b)
-    tol = default_tolerance()
-    curv, density = _curvature_integrals(f, a, b, tol)
+    curv, density = _curvature_integrals(f, a, b)
     if density == 0.0 or curv == 0.0:
         raise LinearTargetError("gain undefined: |f''| integrates to zero")
     return (b - a) ** 2 * curv / density**3
-
-
-def _check_interval(f: TargetFunction, a: float, b: float) -> None:
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"invalid interval [{a}, {b}]")
-    lo, hi = f.domain
-    if a < lo or b > hi:
-        raise ValueError(f"[{a}, {b}] outside the target domain [{lo}, {hi}]")
 
 
 def _check_domains(f: TargetFunction, g: PolygonalFunction) -> None:

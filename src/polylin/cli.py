@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: partition, fit, error, plan, bench, reproduce.  Exit codes:
-0 success, 2 configuration problems, 3 numerical failures (fit did not
-converge, quadrature failure, degenerate target).  Output is CSV (default)
-or JSON, written to --out or stdout, with floats at 17 significant digits
-so identical configurations produce byte-identical files.
+0 success, 2 configuration problems (including a target with a non-finite
+sample or second derivative on the interval), 3 numerical failures (fit
+did not converge, quadrature failure, degenerate target).  Output is CSV
+(default) or JSON, written to --out or stdout, with floats at 17
+significant digits so identical configurations produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -172,16 +174,19 @@ def _build_partition(cfg: RunConfig, f: TargetFunction, n: int) -> Partition:
 
 
 def _fit_function(cfg: RunConfig, f: TargetFunction, p: Partition):
+    """(approximant, fit report or None, its L1 distance to f)."""
     if cfg.fit_kind == "interpolant":
-        return fit.interpolant(f, p), None
-    if cfg.fit_kind == "l2":
-        return fit.l2_projection(f, p), None
-    g, report = fit.best_l1_fit(f, p)
-    if not report.converged:
-        raise NumericalFailure(
-            f"L1 fit did not converge (optimality residual {report.optimality_residual:.3e})"
-        )
-    return g, report
+        g = fit.interpolant(f, p)
+    elif cfg.fit_kind == "l2":
+        g = fit.l2_projection(f, p)
+    else:
+        g, report = fit.best_l1_fit(f, p)
+        if not report.converged:
+            raise NumericalFailure(
+                f"L1 fit did not converge (optimality residual {report.optimality_residual:.3e})"
+            )
+        return g, report, report.final_cost
+    return g, None, analysis.l1_distance(f, g)
 
 
 class NumericalFailure(Exception):
@@ -240,8 +245,7 @@ def cmd_fit(args) -> int:
     f = cfg.function.resolve()
     n = _segment_count(cfg, f)
     p = _build_partition(cfg, f, n)
-    g, report = _fit_function(cfg, f, p)
-    cost = analysis.l1_distance(f, g)
+    g, report, cost = _fit_function(cfg, f, p)
     model = {
         "schema": 1,
         "kind": "polylin-model",
@@ -307,8 +311,7 @@ def cmd_error(args) -> int:
     f = cfg.function.resolve()
     n = _segment_count(cfg, f)
     p = _build_partition(cfg, f, n)
-    g, _report = _fit_function(cfg, f, p)
-    measured = analysis.l1_distance(f, g)
+    g, _report, measured = _fit_function(cfg, f, p)
     a, b = cfg.function.interval
     row = {
         "function": cfg.function.name,
@@ -317,8 +320,8 @@ def cmd_error(args) -> int:
         "fit": cfg.fit_kind,
         "measured": measured,
     }
-    for kind in analysis.BOUND_KINDS:
-        row[f"bound_{kind}"] = analysis.error_bound(f, a, b, n, kind).value
+    for kind, bound in analysis.error_bounds(f, a, b, n).items():
+        row[f"bound_{kind}"] = bound.value
     _emit([row], cfg.format, cfg.out)
     return EXIT_OK
 
@@ -329,10 +332,10 @@ def cmd_plan(args) -> int:
         raise ConfigError("plan needs --tolerance")
     f = cfg.function.resolve()
     a, b = cfg.function.interval
-    rows = []
-    for kind in analysis.BOUND_KINDS:
-        n = analysis.min_segments_for_tolerance(f, a, b, cfg.tolerance, kind)
-        rows.append({"kind": kind, "tolerance": cfg.tolerance, "n_segments": n})
+    rows = [
+        {"kind": kind, "tolerance": cfg.tolerance, "n_segments": n}
+        for kind, n in analysis.segment_counts(f, a, b, cfg.tolerance).items()
+    ]
     _emit(rows, cfg.format, cfg.out)
     return EXIT_OK
 
@@ -419,8 +422,8 @@ def _experiment_rows(name: str, n_values) -> list[dict]:
             "best_l1_uniform": err_u,
             "best_l1_optimized": err_o,
         }
-        for kind in analysis.BOUND_KINDS:
-            row[f"bound_{kind}"] = analysis.error_bound(f, a, b, n, kind).value
+        for kind, bound in analysis.error_bounds(f, a, b, n).items():
+            row[f"bound_{kind}"] = bound.value
         row["ratio_uniform"] = err_u / interp_u
         row["ratio_optimized"] = err_o / interp_o
         rows.append(row)

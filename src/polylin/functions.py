@@ -99,7 +99,7 @@ def polynomial(coefficients, domain: tuple[float, float]) -> TargetFunction:
 # atom   := NUMBER | 'x' | 'pi' | 'e' | NAME '(' expr ')' | '(' expr ')'
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 
 
 class ExpressionError(ValueError):
@@ -201,7 +201,7 @@ class _Parser:
         if tok is None:
             raise ExpressionError("unexpected end of expression")
         if isinstance(tok, float):
-            return ("num", tok)
+            return ("num", np.float64(tok))
         if tok == "(":
             node = self.expr()
             self.expect(")")
@@ -249,7 +249,11 @@ def expression(text: str, domain: tuple[float, float]) -> TargetFunction:
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        out = _evaluate(node, x)
+        # Constants are float64, so scalar and array inputs follow the same
+        # IEEE rules (1/0 is inf, not ZeroDivisionError) without warnings;
+        # callers reject the non-finite values they cannot use.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = _evaluate(node, x)
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy() if x.ndim else out
 
     return TargetFunction.create(f, domain)

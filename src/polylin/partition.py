@@ -5,6 +5,10 @@ normalized over [a, b]: knot i sits where the cumulative normalized density
 reaches i/N.  Regions of high curvature then receive proportionally more
 knots, which (asymptotically) equalizes the approximation error that each
 segment contributes.
+
+A vector target places one partition for all its components by summing
+the component curvatures before the cube root.  A scalar target is the
+one-component case, so every function here takes either kind.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FD_REL_STEP, Partition, TargetFunction
+from .core import FD_REL_STEP, Partition, TargetFunction, VectorTargetFunction
 from .quadrature import integrate_segments
 
 __all__ = [
@@ -45,13 +49,18 @@ class LinearTargetError(ValueError):
     """The second derivative vanishes identically: every partition is exact."""
 
 
-def _density_accuracy(numeric: bool, a: float, b: float):
+def _components(f: TargetFunction | VectorTargetFunction) -> tuple[TargetFunction, ...]:
+    """The component targets; a scalar target is a one-component vector target."""
+    return f.components if isinstance(f, VectorTargetFunction) else (f,)
+
+
+def _density_accuracy(f: TargetFunction | VectorTargetFunction, a: float, b: float):
     """(rel_tol, resolve_floor) for integrals of a second-derivative-based
     density.  A difference-quotient second derivative carries rounding
     jitter around 1e-16/step^2 and resolves no structure narrower than its
     stencil, so integrals over it are held to a matching relative accuracy
-    instead of the absolute default."""
-    if not numeric:
+    instead of the absolute default; one such component sets the rule."""
+    if not any(c.second_derivative_kind == "numeric" for c in _components(f)):
         return CUMULATIVE_REL_TOL, None
     floor = min(FD_REL_STEP * max(1.0, abs(a), abs(b)), (b - a) / 256.0)
     return 1e-6, floor
@@ -66,12 +75,24 @@ def uniform_partition(a: float, b: float, n: int) -> Partition:
     return Partition(np.linspace(a, b, n + 1))
 
 
-def knot_density(f: TargetFunction, x):
-    """Local knot density |f''(x)|^(1/3)."""
-    vals = np.asarray(f.d2(x), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("second derivative is not finite on the interval")
-    return np.cbrt(np.abs(vals))
+def _second_derivatives(f: TargetFunction | VectorTargetFunction, x) -> list[np.ndarray]:
+    """f_j''(x) for every component j, checked finite."""
+    rows = []
+    for comp in _components(f):
+        vals = np.asarray(comp.d2(x), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("second derivative is not finite on the interval")
+        rows.append(vals)
+    return rows
+
+
+def knot_density(f: TargetFunction | VectorTargetFunction, x):
+    """Local knot density (sum over components of |f_j''(x)|)^(1/3)."""
+    first, *rest = _second_derivatives(f, x)
+    total = np.abs(first)
+    for row in rest:
+        total = total + np.abs(row)
+    return np.cbrt(total)
 
 
 @dataclass(frozen=True)
@@ -122,17 +143,16 @@ class KnotDistribution:
         return float(out[0]) if scalar else out
 
 
-def _distribution_from_density(
-    density: Callable,
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = CUMULATIVE_REL_TOL,
-    resolve_floor: float | None = None,
+def build_distribution(
+    f: TargetFunction | VectorTargetFunction, a: float, b: float
 ) -> KnotDistribution:
-    """Tabulate the cumulative integral of a nonnegative density over [a, b]."""
-    if not np.isfinite(a) or not np.isfinite(b) or not a < b:
-        raise ValueError(f"invalid interval [{a}, {b}]")
+    """Tabulated cumulative integral of the knot density over [a, b]."""
+    _check_interval(f, a, b)
+    rel_tol, resolve_floor = _density_accuracy(f, a, b)
+
+    def density(x):
+        return knot_density(f, x)
+
     grid = np.linspace(a, b, GRID_PANELS + 1)
     pieces = integrate_segments(
         lambda x, _s: density(x),
@@ -148,15 +168,6 @@ def _distribution_from_density(
             "knot density integrates to zero (target is linear); any partition is exact"
         )
     return KnotDistribution(grid, cumulative, normalizer, density, rel_tol, resolve_floor)
-
-
-def build_distribution(f: TargetFunction, a: float, b: float) -> KnotDistribution:
-    """Cumulative distribution of |f''|^(1/3) over [a, b]."""
-    _check_subinterval(f, a, b)
-    rel, floor = _density_accuracy(f.second_derivative_kind == "numeric", a, b)
-    return _distribution_from_density(
-        lambda x: knot_density(f, x), a, b, rel_tol=rel, resolve_floor=floor
-    )
 
 
 def invert_distribution(dist: KnotDistribution, targets: np.ndarray) -> np.ndarray:
@@ -194,7 +205,9 @@ def invert_distribution(dist: KnotDistribution, targets: np.ndarray) -> np.ndarr
     return hi
 
 
-def optimized_partition(f: TargetFunction, a: float, b: float, n: int) -> Partition:
+def optimized_partition(
+    f: TargetFunction | VectorTargetFunction, a: float, b: float, n: int
+) -> Partition:
     """Curvature-equalized partition: knot i sits at the i/N density quantile."""
     if n < 1:
         raise ValueError(f"need at least one segment, got {n}")
@@ -223,7 +236,9 @@ def _enforce_spacing(knots: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_subinterval(f: TargetFunction, a: float, b: float) -> None:
+def _check_interval(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> None:
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ValueError(f"invalid interval [{a}, {b}]")
     lo, hi = f.domain
     if a < lo or b > hi:
         raise ValueError(f"[{a}, {b}] outside the target domain [{lo}, {hi}]")

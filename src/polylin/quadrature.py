@@ -6,10 +6,13 @@ numpy array per refinement level.  Integrands may be vector valued (several
 components sharing the same sample points), and absolute-value integrands
 get sign-aware refinement: a panel whose sampled values change sign is
 bisected until the sign is resolved or the panel is negligibly narrow.
+An absolute-value integrand may have several components; their absolute
+values are summed and a sign change in any one of them forces bisection.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -93,15 +96,16 @@ def integrate_segments(
     ulp-wide panels.  Residuals are totalled per component and checked
     against each component's own allowance at the end.
 
-    With ``absolute=True`` (ncomp must be 1) the result is the integral of
-    |fun| while sign changes force bisection.
+    With ``absolute=True`` the result is the integral of the sum over
+    components of |fun|, and a sign change of any component forces
+    bisection.
 
-    Returns an (nseg,) array, or (nseg, ncomp) when ncomp > 1.
+    Returns an (nseg,) array, or (nseg, ncomp) when ncomp > 1 and not
+    ``absolute``.
     """
     if abs_tol is None:
         abs_tol = default_tolerance()
-    if absolute and ncomp != 1:
-        raise ValueError("absolute integration is scalar only")
+    nout = 1 if absolute else ncomp
     res_floor = None
     if resolve_floor is not None:
         res_floor = np.asarray(resolve_floor, dtype=float)
@@ -126,12 +130,12 @@ def integrate_segments(
     else:
         raise ValueError("pass edges or panels")
 
-    totals = np.zeros((nseg, ncomp))
+    totals = np.zeros((nseg, nout))
     # Zero-width panels contribute nothing; drop them up front.
     keep = hi > lo
     lo, hi, seg = lo[keep], hi[keep], seg[keep]
     if lo.size == 0:
-        return totals[:, 0] if ncomp == 1 else totals
+        return totals[:, 0] if nout == 1 else totals
 
     total_width = float(np.sum(hi - lo))
     kink_floor = total_width * 2.0**-40
@@ -141,12 +145,19 @@ def integrate_segments(
     f_mid = _call(fun, mid, seg, ncomp)
     f_hi = _call(fun, hi, seg, ncomp)
 
-    def simpson(w, va, vm, vb):
-        body = np.abs if absolute else (lambda z: z)
-        return (w / 6.0)[:, None] * (body(va) + 4.0 * body(vm) + body(vb))
+    def body(values):
+        """What Simpson sums: the raw values, or in absolute mode the
+        absolute values summed over the components."""
+        if not absolute:
+            return values
+        mags = np.abs(values)
+        return mags if ncomp == 1 else mags.sum(axis=1, keepdims=True)
 
-    S = simpson(hi - lo, f_lo, f_mid, f_hi)
-    leftover = np.zeros(ncomp)
+    def simpson(w, va, vm, vb):
+        return (w / 6.0)[:, None] * (va + 4.0 * vm + vb)
+
+    S = simpson(hi - lo, body(f_lo), body(f_mid), body(f_hi))
+    leftover = np.zeros(nout)
 
     for level in range(max_levels + 1):
         if lo.size == 0:
@@ -163,9 +174,11 @@ def integrate_segments(
         vals = _call(fun, pts, segs2, ncomp)
         f_lm, f_rm = vals[: lo.size], vals[lo.size :]
 
+        samples = (f_lo, f_lm, f_mid, f_rm, f_hi)
+        summed = [body(v) for v in samples]
         half = 0.5 * (hi - lo)
-        S_l = simpson(half, f_lo, f_lm, f_mid)
-        S_r = simpson(half, f_mid, f_rm, f_hi)
+        S_l = simpson(half, *summed[:3])
+        S_r = simpson(half, *summed[2:])
         S2 = S_l + S_r
         err = (S2 - S) / 15.0
 
@@ -180,22 +193,21 @@ def integrate_segments(
         # The budget is raised by a rounding floor: Richardson differences
         # below NOISE_EPS times the sampled value scale are cancellation
         # noise, and chasing them refines forever without gaining a digit.
-        vmax = np.abs(f_lo)
-        for arr in (f_lm, f_mid, f_rm, f_hi):
-            vmax = np.maximum(vmax, np.abs(arr))
+        vmax = functools.reduce(np.maximum, summed if absolute else map(np.abs, samples))
         limit = np.maximum(thr, NOISE_EPS * vmax * w[:, None])
         ok = np.all(np.abs(err) <= limit, axis=1)
 
         if absolute:
-            sgn = np.sign(np.concatenate(
-                [f_lo, f_lm, f_mid, f_rm, f_hi], axis=1))
-            changes = (sgn.max(axis=1) > 0) & (sgn.min(axis=1) < 0)
+            stacked = np.stack(samples)
+            sgn = np.sign(stacked)
+            changes = (sgn.max(axis=0) > 0) & (sgn.min(axis=0) < 0)
             # A mixed panel whose whole sampled mass sits inside its own
             # budget cannot move the total by more than that budget, so the
             # crossing need not be located; near-zero residuals otherwise
             # drag the bisection into their rounding noise.
-            changes &= vmax[:, 0] * w > thr[:, 0]
-            ok &= ~changes | (hi - lo <= kink_floor)
+            peak = vmax if ncomp == 1 else np.abs(stacked).max(axis=0)
+            changes &= peak * w[:, None] > thr
+            ok &= ~np.any(changes, axis=1) | (hi - lo <= kink_floor)
 
         if level < min_levels:
             ok &= False
@@ -218,7 +230,7 @@ def integrate_segments(
         if np.any(ok):
             contrib = S2[ok] + err[ok]
             idx = seg[ok]
-            for c in range(ncomp):
+            for c in range(nout):
                 totals[:, c] += np.bincount(idx, weights=contrib[:, c], minlength=nseg)
 
         bad = ~ok
@@ -244,7 +256,7 @@ def integrate_segments(
             f"residual error {leftover[c]:.3e} in component {c} "
             "above tolerance after refinement"
         )
-    return totals[:, 0] if ncomp == 1 else totals
+    return totals[:, 0] if nout == 1 else totals
 
 
 def integrate(fun, a: float, b: float, *, abs_tol=None, rel_tol=0.0, init_panels=8) -> float:

@@ -6,11 +6,14 @@ import pytest
 from conftest import cubic, linear, quadratic
 from polylin.analysis import (
     BEST_L1_FACTOR,
+    BOUND_KINDS,
     error_bound,
+    error_bounds,
     l1_distance,
     min_segments_for_tolerance,
     partition_gain,
     per_interval_errors,
+    segment_counts,
 )
 from polylin.core import Partition, PolygonalFunction
 from polylin.fit import interpolant
@@ -99,6 +102,20 @@ def test_planner_on_gaussian_benchmark():
     assert error_bound(f, 0.0, 4.0, 253, "uniform_interpolant").value > tol
     assert error_bound(f, 0.0, 4.0, 130, "optimized_best_l1").value <= tol
     assert error_bound(f, 0.0, 4.0, 129, "optimized_best_l1").value > tol
+
+
+def test_all_kinds_entry_points_match_per_kind_functions():
+    f = gaussian()
+    bounds = error_bounds(f, 0.0, 4.0, 63)
+    counts = segment_counts(f, 0.0, 4.0, 1e-5)
+    assert list(bounds) == list(counts) == list(BOUND_KINDS)
+    for kind in BOUND_KINDS:
+        assert bounds[kind] == error_bound(f, 0.0, 4.0, 63, kind)
+        assert counts[kind] == min_segments_for_tolerance(f, 0.0, 4.0, 1e-5, kind)
+    with pytest.raises(ValueError):
+        error_bounds(f, 0.0, 4.0, 0)
+    with pytest.raises(ValueError):
+        segment_counts(f, 0.0, 4.0, -1.0)
 
 
 def test_planner_edges():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -318,3 +319,72 @@ def test_bench_single_row_smoke(capsys):
     for r in rows:
         assert float(r["mean_ns"]) > 0.0
         assert int(r["n_evals"]) == 100000
+
+
+def test_curvature_pair_evaluated_once_per_command(capsys, monkeypatch):
+    # Every bound and planned count comes from the pair of curvature
+    # integrals; one command evaluates it once per (target, interval, N).
+    calls = []
+    original = cli.analysis._curvature_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.analysis, "_curvature_integrals", counted)
+    for argv, expected in (
+        (("plan", "--function", "gaussian", "--tolerance", "1e-5"), 1),
+        (("error", "--function", "chirp", "--segments", "31"), 1),
+        (("reproduce", "gaussian04", "--n-values", "31,63"), 2),
+    ):
+        calls.clear()
+        code, _out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(calls) == expected, (argv, calls)
+
+
+def test_nonfinite_second_derivative_exits_2(capsys):
+    where = ("--function", "expr:sqrt(x-0.5)", "--interval", "0", "1")
+    for argv, message in (
+        (("plan", *where, "--tolerance", "1e-3"), "second derivative is not finite"),
+        (("partition", *where, "--segments", "8", "--partition", "optimized"),
+         "second derivative is not finite"),
+        (("error", *where, "--segments", "8"), "non-finite sample"),
+    ):
+        code, _out, err = run(capsys, *argv)
+        assert code == 2, (argv, err)
+        assert message in err
+
+
+def test_expression_failure_writes_one_line(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "plan", "--function", "expr:1/x", "--interval", "0", "1",
+            "--tolerance", "1e-3",
+        )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("polylin: ")
+    assert [str(w.message) for w in caught] == []
+
+
+def test_l1_fit_cost_is_measured_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    original = cli.analysis.l1_distance
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.analysis, "l1_distance", counted)
+    monkeypatch.setattr(cli.fit, "l1_distance", counted)
+    path = tmp_path / "model.json"
+    code, _out, err = run(
+        capsys, "fit", "--function", "gaussian", "--segments", "15",
+        "--fit", "l1", "--out", str(path),
+    )
+    assert code == 0, err
+    assert len(calls) == 1
+    model = json.loads(path.read_text())
+    assert model["cost"] == model["fit"]["report"]["final_cost"]

@@ -1,5 +1,7 @@
 """Partition, polygonal containers, hat basis, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from polylin.core import (
     from_samples,
     hat_basis,
 )
-from polylin.functions import gaussian
+from polylin.functions import expression, gaussian
 from polylin.partition import uniform_partition
 
 # Normal density at the integers 0..4, from standard tables.
@@ -203,3 +205,12 @@ def test_vector_target_validation():
     F = VectorTargetFunction(components=(f, quadratic()))
     assert len(F) == 2
     assert F.domain == (0.0, 1.0)
+
+
+def test_expression_divides_by_zero_quietly_on_both_paths():
+    f = expression("x+1/0", (0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.eval(0.5) == np.inf
+        assert np.all(f.eval(np.array([0.25, 0.5])) == np.inf)
+        assert np.isnan(expression("sqrt(x-2)", (0.0, 1.0)).eval(0.5))

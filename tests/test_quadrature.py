@@ -26,6 +26,19 @@ def test_absolute_value_with_interior_kink():
     assert abs(integrate_abs(np.sin, 0.0, 2.0 * np.pi) - 4.0) <= 1e-11
 
 
+def test_absolute_value_sums_components_and_bisects_each_kink():
+    # |x - 0.3| + |0.6 - x| over [0, 1]: (0.09 + 0.49)/2 + (0.36 + 0.16)/2.
+    edges = np.linspace(0.0, 1.0, 4)
+    parts = integrate_segments(
+        lambda x, _s: np.stack([x - 0.3, 0.6 - x], axis=1), edges, ncomp=2, absolute=True
+    )
+    assert parts.shape == (3,)
+    assert abs(np.sum(parts) - 0.55) <= 1e-12
+    single = integrate_segments(lambda x, _s: x - 0.3, edges, absolute=True)
+    stacked = integrate_segments(lambda x, _s: (x - 0.3)[:, None], edges, ncomp=1, absolute=True)
+    assert np.array_equal(single, stacked)
+
+
 def test_segment_totals_match_per_segment_antiderivative():
     edges = np.array([0.0, 0.25, 1.0, 2.0])
     out = integrate_segments(lambda x, seg: x**2, edges)

@@ -33,12 +33,12 @@ def test_single_component_reduces_to_scalar():
     f = gaussian()
     F = VectorTargetFunction(components=(f,))
     xs = np.linspace(0.0, 4.0, 21)
-    assert np.max(np.abs(vector_knot_density(F, xs) - knot_density(f, xs))) <= 1e-14
+    assert np.array_equal(vector_knot_density(F, xs), knot_density(f, xs))
     p_vec = vector_optimized_partition(F, 0.0, 4.0, 16)
     p_scal = optimized_partition(f, 0.0, 4.0, 16)
-    assert np.max(np.abs(p_vec.knots - p_scal.knots)) <= 1e-12
+    assert np.array_equal(p_vec.knots, p_scal.knots)
     g = interpolant(f, p_scal)
-    assert abs(vector_l1_distance(F, [g]) - l1_distance(f, g)) <= 1e-13
+    assert vector_l1_distance(F, [g]) == l1_distance(f, g)
 
 
 def test_density_adds_curvature_before_the_cube_root():
@@ -114,7 +114,7 @@ def test_vector_bounds_reduce_and_add():
     single = VectorTargetFunction(components=(f,))
     double = VectorTargetFunction(components=(f, f))
     scalar = bound_uniform_interpolant(f, 0.0, 4.0, 63).value
-    assert abs(vector_bound_uniform_interpolant(single, 0.0, 4.0, 63) - scalar) <= 1e-15
+    assert vector_bound_uniform_interpolant(single, 0.0, 4.0, 63) == scalar
     assert abs(vector_bound_uniform_interpolant(double, 0.0, 4.0, 63) - 2.0 * scalar) <= 1e-14
     assert vector_bound_optimized_interpolant(double, 0.0, 4.0, 63) <= vector_bound_uniform_interpolant(double, 0.0, 4.0, 63)
 
@@ -143,3 +143,19 @@ def test_vector_distance_validates_lengths():
     gs = vector_interpolant(F, p)
     with pytest.raises(ValueError):
         vector_l1_distance(F, gs[:1])
+
+
+def test_vector_partition_keeps_knots_apart(monkeypatch):
+    # Coincident quantiles are nudged apart by the spacing guard, as for a
+    # scalar target.
+    from polylin import partition, vector
+
+    def coincident(dist, targets):
+        return np.full(np.size(targets), 0.5)
+
+    for module in (partition, vector):
+        monkeypatch.setattr(module, "invert_distribution", coincident, raising=False)
+    F = VectorTargetFunction(components=(quadratic(), cubic()))
+    p = vector_optimized_partition(F, 0.0, 1.0, 4)
+    assert p.a == 0.0 and p.b == 1.0
+    assert np.all(np.diff(p.knots) > 0.0)
