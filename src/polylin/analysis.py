@@ -147,7 +147,12 @@ def error_bounds(
     """
     if n < 1:
         raise ValueError(f"need at least one segment, got {n}")
-    curv, density = _curvature_integrals(f, a, b)
+    return _bounds_from_pair(_curvature_integrals(f, a, b), a, b, n)
+
+
+def _bounds_from_pair(pair, a: float, b: float, n: int) -> dict[str, BoundEstimate]:
+    """The four bound formulas on an evaluated pair of curvature integrals."""
+    curv, density = pair
     out = {}
     for kind in BOUND_KINDS:
         if kind.startswith("uniform"):
@@ -203,7 +208,12 @@ def segment_counts(
     """
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    curv, density = _curvature_integrals(f, a, b)
+    return _counts_from_pair(_curvature_integrals(f, a, b), a, b, tolerance)
+
+
+def _counts_from_pair(pair, a: float, b: float, tolerance: float) -> dict[str, int]:
+    """The four segment-count formulas on an evaluated pair of curvature integrals."""
+    curv, density = pair
     out = {}
     for kind in BOUND_KINDS:
         if kind.startswith("uniform"):

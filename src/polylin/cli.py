@@ -25,7 +25,7 @@ from .core import Partition, PolygonalFunction, TargetFunction
 from .evaluate import bench as bench_evaluator
 from .evaluate import make_evaluator
 from .partition import LinearTargetError
-from .quadrature import QuadratureError, default_tolerance
+from .quadrature import QuadratureError
 
 __all__ = ["FunctionSpec", "RunConfig", "main", "entry"]
 
@@ -156,14 +156,18 @@ def _build_config(args) -> RunConfig:
     )
 
 
-def _segment_count(cfg: RunConfig, f: TargetFunction) -> int:
+def _segment_count(cfg: RunConfig, f: TargetFunction, pair=None) -> int:
+    """--segments, or the count planned for --tolerance; ``pair`` is f's
+    curvature pair when the caller has evaluated it already."""
     if cfg.segments is not None:
         return cfg.segments
     if cfg.tolerance is None:
         raise ConfigError("pass --segments or --tolerance")
     kind = f"{cfg.partition_kind}_{FIT_TO_BOUND_KIND[cfg.fit_kind]}"
     a, b = cfg.function.interval
-    return analysis.min_segments_for_tolerance(f, a, b, cfg.tolerance, kind)
+    if pair is None:
+        return analysis.min_segments_for_tolerance(f, a, b, cfg.tolerance, kind)
+    return analysis._counts_from_pair(pair, a, b, cfg.tolerance)[kind]
 
 
 def _build_partition(cfg: RunConfig, f: TargetFunction, n: int) -> Partition:
@@ -309,10 +313,16 @@ def cmd_error(args) -> int:
         raise ConfigError("error needs --function (or --model)")
     cfg = _build_config(args)
     f = cfg.function.resolve()
-    n = _segment_count(cfg, f)
+    a, b = cfg.function.interval
+    # One curvature pair serves the planned count and the bounds.  With
+    # --segments it waits for the fit, so a target the fit rejects (say, a
+    # non-finite sample) reports that failure first.
+    pair = analysis._curvature_integrals(f, a, b) if cfg.tolerance is not None else None
+    n = _segment_count(cfg, f, pair)
     p = _build_partition(cfg, f, n)
     g, _report, measured = _fit_function(cfg, f, p)
-    a, b = cfg.function.interval
+    if pair is None:
+        pair = analysis._curvature_integrals(f, a, b)
     row = {
         "function": cfg.function.name,
         "n_segments": n,
@@ -320,7 +330,7 @@ def cmd_error(args) -> int:
         "fit": cfg.fit_kind,
         "measured": measured,
     }
-    for kind, bound in analysis.error_bounds(f, a, b, n).items():
+    for kind, bound in analysis._bounds_from_pair(pair, a, b, n).items():
         row[f"bound_{kind}"] = bound.value
     _emit([row], cfg.format, cfg.out)
     return EXIT_OK
@@ -400,6 +410,7 @@ def _experiment_rows(name: str, n_values) -> list[dict]:
     }[name]
     f = functions.chirp(interval) if name == "chirp" else functions.gaussian(interval)
     a, b = interval
+    pair = analysis._curvature_integrals(f, a, b)
     rows = []
     for n in n_values:
         uniform = partition.uniform_partition(a, b, n)
@@ -422,7 +433,7 @@ def _experiment_rows(name: str, n_values) -> list[dict]:
             "best_l1_uniform": err_u,
             "best_l1_optimized": err_o,
         }
-        for kind, bound in analysis.error_bounds(f, a, b, n).items():
+        for kind, bound in analysis._bounds_from_pair(pair, a, b, n).items():
             row[f"bound_{kind}"] = bound.value
         row["ratio_uniform"] = err_u / interp_u
         row["ratio_optimized"] = err_o / interp_o
@@ -516,11 +527,6 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
-    try:
-        default_tolerance()  # surfaces a malformed POLYLIN_QUAD_TOL early
-    except ValueError as exc:
-        print(f"polylin: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except (ConfigError, functions.ExpressionError) as exc:

@@ -13,6 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._kernels import eval_sorted
+
 __all__ = [
     "Partition",
     "PolygonalFunction",
@@ -230,10 +232,7 @@ def as_target(g: PolygonalFunction) -> TargetFunction:
     def eval(x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        idx = np.clip(np.searchsorted(knots, x, side="right"), 1, knots.size - 1)
-        d = (x - knots[idx - 1]) / (knots[idx] - knots[idx - 1])
-        out = (1.0 - d) * v[idx - 1] + d * v[idx]
+        out = eval_sorted(knots, v, np.atleast_1d(x))
         return float(out[0]) if scalar else out
 
     def d2(x):

@@ -3,8 +3,12 @@
 Uniform partitions locate the segment with one multiply and a floor (no
 search); general partitions binary-search the knots.  Both use the
 right-open convention [x_{i-1}, x_i), with x = x_N folded into the last
-segment.  Batch evaluation runs through the jit kernels (or their numpy
-twins, see POLYLIN_NO_NUMBA in _kernels).
+segment.  Batch evaluation runs through the numpy kernels in _kernels.
+
+Out-of-domain policy: under "error" an abscissa outside [a, b] raises
+ValueError; under "clamp" it is moved to the nearer end.  NaN lies in no
+interval, so it raises ValueError under both policies, naming its index
+in a batch.
 """
 
 from __future__ import annotations
@@ -58,11 +62,11 @@ def make_evaluator(
 
 def _domain_check_scalar(e: Evaluator, x: float) -> float:
     a, b = e.source.partition.a, e.source.partition.b
-    if x < a or x > b:
-        if e.out_of_domain == "error":
-            raise ValueError(f"x={x} outside [{a}, {b}]")
-        return min(max(x, a), b)
-    return x
+    if a <= x <= b:
+        return x
+    if e.out_of_domain == "error" or math.isnan(x):
+        raise ValueError(f"x={x} outside [{a}, {b}]")
+    return min(max(x, a), b)
 
 
 def evaluate(e: Evaluator, x: float) -> float:
@@ -87,18 +91,24 @@ def evaluate_batch(e: Evaluator, xs) -> np.ndarray:
     xs = np.ascontiguousarray(xs, dtype=float)
     a, b = e.source.partition.a, e.source.partition.b
     if e.out_of_domain == "error":
-        below = xs < a
-        above = xs > b
-        if np.any(below) or np.any(above):
-            bad = int(np.flatnonzero(below | above)[0])
-            raise ValueError(f"x={xs[bad]} at index {bad} outside [{a}, {b}]")
+        inside = (xs >= a) & (xs <= b)  # False at NaN
+        if not inside.all():
+            _reject(xs, ~inside, a, b)
     else:
+        # min propagates NaN: one pass tells whether any is present.
+        if math.isnan(xs.min(initial=np.inf)):
+            _reject(xs, np.isnan(xs), a, b)
         xs = np.clip(xs, a, b)
     knots = e.source.partition.knots
     v = e.source.ordinates
     if e.mode == "uniform_direct":
         return _kernels.eval_uniform(knots[0], knots[-1], v, xs)
     return _kernels.eval_sorted(knots, v, xs)
+
+
+def _reject(xs: np.ndarray, bad: np.ndarray, a: float, b: float):
+    i = int(np.flatnonzero(bad)[0])
+    raise ValueError(f"x={xs.flat[i]} at index {i} outside [{a}, {b}]")
 
 
 @dataclass(frozen=True)
@@ -117,9 +127,9 @@ class BenchResult:
 def bench(e: Evaluator, n_evals: int, seed: int, repetitions: int = 5) -> BenchResult:
     """Time batch evaluation over uniform-random abscissae.
 
-    Inputs are generated once up front; a warm-up pass precedes timing (it
-    also triggers jit compilation); the checksum pins the outputs so the
-    work cannot be optimized away and reruns with one seed are comparable.
+    Inputs are generated once up front and a warm-up pass precedes timing;
+    the checksum pins the outputs so the work cannot be optimized away and
+    reruns with one seed are comparable.
     """
     if n_evals < MIN_BENCH_EVALS:
         raise ValueError(f"n_evals must be at least {MIN_BENCH_EVALS}")

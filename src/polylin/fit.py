@@ -66,9 +66,9 @@ class FitOptions:
 
     ``max_newton_iters`` caps the Newton iterations.  ``quadrature_tol`` is
     the integration budget of the least-squares starting guess and of the
-    reported cost; None defers to the package default (see
-    POLYLIN_QUAD_TOL).  The stopping rule has no knob: it is the gradient's
-    own rounding floor.
+    reported cost; None takes the package default of 1e-12 (see
+    ``quadrature.default_tolerance``).  The stopping rule has no knob: it is
+    the gradient's own rounding floor.
     """
 
     max_newton_iters: int = 50

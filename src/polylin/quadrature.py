@@ -13,7 +13,6 @@ values are summed and a sign change in any one of them forces bisection.
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
@@ -36,19 +35,14 @@ class QuadratureError(RuntimeError):
 NOISE_EPS = 2e-13
 # Refinement abort: fail loudly rather than exhaust memory.
 PANEL_CAP = 4_000_000
+# Every panel is bisected at least MIN_LEVELS times before it may be
+# accepted; MAX_LEVELS bisections reach the resolution of a double.
+MIN_LEVELS = 2
+MAX_LEVELS = 52
 
 
 def default_tolerance() -> float:
-    """Absolute tolerance target; POLYLIN_QUAD_TOL overrides the built-in 1e-12."""
-    raw = os.environ.get("POLYLIN_QUAD_TOL", "").strip()
-    if raw:
-        try:
-            tol = float(raw)
-        except ValueError as exc:
-            raise ValueError(f"POLYLIN_QUAD_TOL is not a number: {raw!r}") from exc
-        if not tol > 0.0:
-            raise ValueError(f"POLYLIN_QUAD_TOL must be positive, got {tol}")
-        return tol
+    """Absolute tolerance target of every integral that is given none: 1e-12."""
     return 1e-12
 
 
@@ -73,8 +67,6 @@ def integrate_segments(
     rel_tol: float = 0.0,
     resolve_floor=None,
     absolute: bool = False,
-    min_levels: int = 2,
-    max_levels: int = 52,
 ):
     """Integrate ``fun`` over each segment, returning per-segment totals.
 
@@ -159,7 +151,7 @@ def integrate_segments(
     S = simpson(hi - lo, body(f_lo), body(f_mid), body(f_hi))
     leftover = np.zeros(nout)
 
-    for level in range(max_levels + 1):
+    for level in range(MAX_LEVELS + 1):
         if lo.size == 0:
             break
         if lo.size > PANEL_CAP:
@@ -209,7 +201,7 @@ def integrate_segments(
             changes &= peak * w[:, None] > thr
             ok &= ~np.any(changes, axis=1) | (hi - lo <= kink_floor)
 
-        if level < min_levels:
+        if level < MIN_LEVELS:
             ok &= False
 
         # A panel too narrow to split (midpoint collides with an endpoint, or
@@ -220,7 +212,7 @@ def integrate_segments(
         if res_floor is not None:
             narrow |= w <= (res_floor if res_floor.ndim == 0 else res_floor[seg])
         degenerate = (lm <= lo) | (rm >= hi) | narrow
-        if level == max_levels:
+        if level == MAX_LEVELS:
             degenerate |= True
         stuck = degenerate & ~ok
         if np.any(stuck):

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,18 +292,20 @@ def test_unconverged_fit_exits_3(capsys, monkeypatch):
     assert code == 3 and "converge" in err
 
 
-def test_quadrature_tolerance_env(capsys, monkeypatch):
-    monkeypatch.setenv("POLYLIN_QUAD_TOL", "oops")
-    code, _out, err = run(
-        capsys, "plan", "--function", "gaussian", "--tolerance", "1e-5"
+def test_environment_variables_change_nothing():
+    # polylin reads no environment variable.  Each run is a fresh
+    # interpreter, because a knob could be read at import.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "polylin.cli", "plan", "--function", "gaussian",
+            "--tolerance", "1e-5"]
+    base = {k: v for k, v in os.environ.items() if not k.startswith("POLYLIN_")}
+    base["PYTHONPATH"] = src
+    plain, knobs = (
+        subprocess.run(argv, env={**base, **extra}, capture_output=True, text=True, timeout=120)
+        for extra in ({}, {"POLYLIN_QUAD_TOL": "oops", "POLYLIN_NO_NUMBA": "1"})
     )
-    assert code == 2 and "POLYLIN_QUAD_TOL" in err
-
-    monkeypatch.setenv("POLYLIN_QUAD_TOL", "1e-10")
-    code, _out, _err = run(
-        capsys, "plan", "--function", "gaussian", "--tolerance", "1e-5"
-    )
-    assert code == 0
+    assert plain.returncode == 0 and plain.stdout, plain.stderr
+    assert (knobs.returncode, knobs.stdout) == (0, plain.stdout), knobs.stderr
 
 
 def test_bench_single_row_smoke(capsys):
@@ -323,7 +329,7 @@ def test_bench_single_row_smoke(capsys):
 
 def test_curvature_pair_evaluated_once_per_command(capsys, monkeypatch):
     # Every bound and planned count comes from the pair of curvature
-    # integrals; one command evaluates it once per (target, interval, N).
+    # integrals, which does not depend on N; one command evaluates it once.
     calls = []
     original = cli.analysis._curvature_integrals
 
@@ -335,7 +341,9 @@ def test_curvature_pair_evaluated_once_per_command(capsys, monkeypatch):
     for argv, expected in (
         (("plan", "--function", "gaussian", "--tolerance", "1e-5"), 1),
         (("error", "--function", "chirp", "--segments", "31"), 1),
-        (("reproduce", "gaussian04", "--n-values", "31,63"), 2),
+        (("error", "--function", "gaussian", "--tolerance", "1e-5", "--fit", "l2"), 1),
+        (("reproduce", "gaussian04", "--n-values", "31,63"), 1),
+        (("reproduce", "chirp", "--n-values", "8,16,31"), 1),
     ):
         calls.clear()
         code, _out, err = run(capsys, *argv)

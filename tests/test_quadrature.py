@@ -147,17 +147,8 @@ def test_argument_validation():
         )
 
 
-def test_default_tolerance_env_override(monkeypatch):
-    monkeypatch.delenv("POLYLIN_QUAD_TOL", raising=False)
+def test_default_tolerance():
     assert default_tolerance() == 1e-12
-    monkeypatch.setenv("POLYLIN_QUAD_TOL", "1e-9")
-    assert default_tolerance() == 1e-9
-    monkeypatch.setenv("POLYLIN_QUAD_TOL", "banana")
-    with pytest.raises(ValueError, match="POLYLIN_QUAD_TOL"):
-        default_tolerance()
-    monkeypatch.setenv("POLYLIN_QUAD_TOL", "-1e-9")
-    with pytest.raises(ValueError, match="positive"):
-        default_tolerance()
 
 
 def test_loose_tolerance_is_respected():
