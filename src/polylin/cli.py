@@ -102,16 +102,14 @@ class FunctionSpec:
         try:
             name = desc["name"]
             interval = tuple(float(v) for v in desc["interval"])
+            coeffs = desc.get("coefficients")
+            coeffs = tuple(float(c) for c in coeffs) if coeffs is not None else None
+            text = desc.get("expression")
+            if (name == "poly" and coeffs is None) or (name == "expr" and not isinstance(text, str)):
+                raise ValueError(f"{name} target without its definition")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed function description: {desc!r}") from exc
-        coeffs = desc.get("coefficients")
-        text = desc.get("expression")
-        return FunctionSpec(
-            name,
-            interval,
-            coefficients=tuple(coeffs) if coeffs is not None else None,
-            text=text,
-        )
+        return FunctionSpec(name, interval, coefficients=coeffs, text=text)
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,10 @@ def _difference_second_derivative(f: Callable, domain: tuple[float, float]) -> C
         x = np.atleast_1d(x)
         step = np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(x))
         center = np.clip(x, a + step, b - step)
-        out = (f(center + step) - 2.0 * f(center) + f(center - step)) / step**2
+        # Infinite samples give inf - inf; callers reject the non-finite
+        # result, so the arithmetic stays silent.
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = (f(center + step) - 2.0 * f(center) + f(center - step)) / step**2
         return float(out[0]) if scalar else out
 
     return d2

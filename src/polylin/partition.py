@@ -6,6 +6,13 @@ reaches i/N.  Regions of high curvature then receive proportionally more
 knots, which (asymptotically) equalizes the approximation error that each
 segment contributes.
 
+The cumulative density is tabulated once on a dense grid; a knot is found
+inside its table cell by Newton steps on the cumulative, whose derivative
+is the density itself, with an Illinois false-position step wherever
+Newton would leave the cell's shrinking bracket (at the cube-root cusp of
+a zero of f'', or on a flat stretch).  Each step costs one adaptive tail
+integral for all open targets at once.
+
 A vector target places one partition for all its components by summing
 the component curvatures before the cube root.  A scalar target is the
 one-component case, so every function here takes either kind.
@@ -35,7 +42,11 @@ __all__ = [
 GRID_PANELS = 4096
 # Relative accuracy of the tabulated cumulative density.
 CUMULATIVE_REL_TOL = 1e-10
-# Bisection stops when the bracket is this narrow, relative to b - a.
+# The inversion accepts a point whose normalized cumulative value is within
+# this of its target, where the density is positive ...
+ROOT_RESIDUAL_TOL = 1e-12
+# ... and otherwise stops when the bracket is this narrow, relative to
+# b - a, returning its upper end (flat stretches, noisy numeric f'').
 ROOT_ABSCISSA_TOL = 1e-12
 # Plateau slack: the inversion picks the leftmost point whose cumulative
 # value reaches the target minus this, which lands on the left edge of any
@@ -130,17 +141,19 @@ class KnotDistribution:
         if np.any(x < a) or np.any(x > b):
             raise ValueError("x outside the tabulated interval")
         idx = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, self.grid.size - 2)
-        base = self.cumulative[idx]
-        start = self.grid[idx]
+        out = np.clip(self._value_from(idx, x), 0.0, 1.0)
+        return float(out[0]) if scalar else out
+
+    def _value_from(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Normalized cumulative at x: the tabulated value at grid[idx] plus
+        the adaptive integral of the density from grid[idx] to x."""
         tail = integrate_segments(
             lambda t, _s: self.density(t),
-            panels=(start, x, np.arange(x.size), x.size),
+            panels=(self.grid[idx], x, np.arange(x.size), x.size),
             abs_tol=self.rel_tol * max(self.normalizer, np.finfo(float).tiny),
             resolve_floor=self.resolve_floor,
         )
-        out = (base + tail) / self.normalizer
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        return (self.cumulative[idx] + tail) / self.normalizer
 
 
 def build_distribution(
@@ -173,36 +186,56 @@ def build_distribution(
 def invert_distribution(dist: KnotDistribution, targets: np.ndarray) -> np.ndarray:
     """Abscissae where the normalized cumulative density crosses each target.
 
-    Bisection on the leftmost point whose value reaches target - PLATEAU_SLACK:
-    on a flat stretch of the distribution this resolves ties to the left edge.
+    Each target starts in its table cell at the false-position point and
+    iterates on the bracket: a Newton step (the density is the cumulative's
+    derivative) where it lands strictly inside, an Illinois step otherwise.
+    The root sought is the leftmost point whose value reaches
+    target - PLATEAU_SLACK, so a flat stretch resolves to its left edge.
     """
     targets = np.asarray(targets, dtype=float)
     a, b = dist.interval
-    span = b - a
     values = dist.cumulative / dist.normalizer
     want = targets - PLATEAU_SLACK
-    idx = np.clip(np.searchsorted(values, want, side="left"), 1, dist.grid.size - 1)
-    lo = dist.grid[idx - 1].copy()
-    hi = dist.grid[idx].copy()
-    base_idx = idx - 1
-    segs = np.arange(targets.size)
+    hi_idx = np.clip(np.searchsorted(values, want, side="left"), 1, dist.grid.size - 1)
+    base = hi_idx - 1
+    lo, hi = dist.grid[base], dist.grid[hi_idx]
+    g_lo, g_hi = values[base] - want, values[hi_idx] - want
+    newton = np.full(targets.size, np.nan)
+    # End of the bracket the previous round replaced: -1 low, +1 high.
+    last = np.zeros(targets.size, dtype=int)
+    out = hi.copy()
+    pos = np.arange(targets.size)  # where the open targets go in out
+    width_tol = ROOT_ABSCISSA_TOL * (b - a)
 
-    while True:
-        active = (hi - lo) > ROOT_ABSCISSA_TOL * span
-        if not np.any(active):
-            break
-        mid = np.where(active, 0.5 * (lo + hi), hi)
-        tail = integrate_segments(
-            lambda t, s: dist.density(t),
-            panels=(dist.grid[base_idx], mid, segs, targets.size),
-            abs_tol=dist.rel_tol * dist.normalizer,
-            resolve_floor=dist.resolve_floor,
-        )
-        fmid = (dist.cumulative[base_idx] + tail) / dist.normalizer
-        reached = fmid >= want
-        hi = np.where(active & reached, mid, hi)
-        lo = np.where(active & ~reached, mid, lo)
-    return hi
+    while pos.size:
+        # False position (the midpoint where rounding puts it on an end)
+        # unless the last Newton step landed strictly inside the bracket.
+        x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+        x = np.where((newton > lo) & (newton < hi), newton, x)
+        g = dist._value_from(base, x) - want
+        slope = dist.density(x) / dist.normalizer
+        up = g >= 0.0
+        # Illinois: an end kept twice running has its residual halved, so
+        # the false-position point cannot stall against it.
+        g_lo = np.where(up & (last > 0), 0.5 * g_lo, g_lo)
+        g_hi = np.where(~up & (last < 0), 0.5 * g_hi, g_hi)
+        lo, g_lo = np.where(up, lo, x), np.where(up, g_lo, g)
+        hi, g_hi = np.where(up, x, hi), np.where(up, g, g_hi)
+        last = np.where(up, 1, -1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = x - g / slope
+
+        hit = (np.abs(g) <= ROOT_RESIDUAL_TOL) & (slope > 0.0)
+        mid = 0.5 * (lo + hi)
+        # A bracket of adjacent floats cannot shrink further either.
+        closed = ~hit & ((hi - lo <= width_tol) | (mid <= lo) | (mid >= hi))
+        out[pos[hit]] = x[hit]
+        out[pos[closed]] = hi[closed]
+        keep = ~(hit | closed)
+        pos, base, want, newton, last = pos[keep], base[keep], want[keep], newton[keep], last[keep]
+        lo, hi, g_lo, g_hi = lo[keep], hi[keep], g_lo[keep], g_hi[keep]
+    return out
 
 
 def optimized_partition(
@@ -225,6 +258,10 @@ def _enforce_spacing(knots: np.ndarray) -> np.ndarray:
     span = knots[-1] - knots[0]
     eps = MIN_SPACING * span
     out = knots.copy()
+    # Either loop below changes a knot only where its own condition holds
+    # for the input, so a partition that already satisfies both skips them.
+    if not (np.any(out[1:] < out[:-1] + eps) or np.any(out[:-1] > out[1:] - eps)):
+        return out
     for i in range(1, out.size):
         if out[i] < out[i - 1] + eps:
             out[i] = out[i - 1] + eps

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, model files."""
 
+import contextlib
+import copy
 import csv
 import io
 import json
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylin import cli
 from polylin.core import PolygonalFunction
@@ -249,6 +253,9 @@ def test_model_missing_field_exits_2(tmp_path, capsys, field):
         ("knots", "0 1 2"),
         ("ordinates", {"a": 1}),
         ("cost", "cheap"),
+        # A poly or expr target needs its coefficients or its text.
+        ("function", {"name": "poly", "interval": [0.0, 4.0]}),
+        ("function", {"name": "expr", "interval": [0.0, 4.0], "expression": 2}),
     ],
 )
 def test_model_mistyped_field_exits_2(tmp_path, capsys, field, value):
@@ -396,3 +403,125 @@ def test_l1_fit_cost_is_measured_once(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
     model = json.loads(path.read_text())
     assert model["cost"] == model["fit"]["report"]["final_cost"]
+
+
+def test_infinite_samples_write_one_line(capsys):
+    # 1e400 is inf, so the difference stencil meets inf - inf; the
+    # finiteness check reports that alone, with no warning on the way.
+    where = ("--function", "expr:1e400*x^2", "--interval", "0", "1")
+    for argv in (
+        ("plan", *where, "--tolerance", "1e-3"),
+        ("partition", *where, "--segments", "8", "--partition", "optimized"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 2, (argv, err)
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("polylin: second derivative is not finite")
+
+
+def run_quiet(*argv):
+    """cli.main in-process: (exit code, stderr, messages of any warnings).
+    Unlike run, it needs no capsys, which hypothesis tests cannot share
+    across examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(list(argv))
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+def assert_clean_exit(*argv):
+    code, err, caught = run_quiet(*argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Warning" not in err and caught == [], (argv, err, caught)
+
+
+# Pieces of the expression grammar, a few near misses among them; joined
+# at random they are mostly malformed, sometimes valid.
+EXPRESSION_PIECES = (
+    "x", "e", "pi", ".", "(", ")", "+", "-", "*", "/", "^", *"0123456789",
+    "sin", "cos", "exp", "sqrt", "log", "sin(", "xx", "1e", "e-",
+)
+# Coarse settings keep each valid example to a few milliseconds.
+EXPRESSION_COMMANDS = (
+    ("plan", "--tolerance", "1e-2"),
+    ("partition", "--segments", "5", "--partition", "optimized"),
+    ("error", "--segments", "5"),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(st.sampled_from(EXPRESSION_PIECES), min_size=1, max_size=10),
+    st.sampled_from(("", " ")),
+    st.sampled_from(EXPRESSION_COMMANDS),
+)
+def test_expression_exit_codes(pieces, sep, command):
+    name, *options = command
+    assert_clean_exit(
+        name, "--function", "expr:" + sep.join(pieces), "--interval", "0", "1", *options
+    )
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    argv = ("fit", "--function", "gaussian", "--segments", "4", "--out", str(path))
+    assert run_quiet(*argv)[0] == 0
+    return json.loads(path.read_text()), path.with_name("broken.json")
+
+
+MODEL_FIELDS = (
+    ("schema",), ("kind",), ("function",), ("knots",), ("ordinates",), ("cost",),
+    ("function", "name"), ("function", "interval"), ("function", "interval", 1),
+    ("function", "coefficients"), ("function", "expression"),
+    ("knots", 2), ("ordinates", 0),
+)
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from(("", "gaussian", "poly", "expr", "x^2", "expr:x")),
+    st.lists(st.floats(-1.0, 5.0), max_size=4),
+    st.dictionaries(st.sampled_from(("name", "interval")), st.integers(0, 2), max_size=2),
+)
+MODEL_MUTATIONS = st.one_of(
+    st.tuples(st.just("delete"), st.sampled_from(MODEL_FIELDS)),
+    st.tuples(st.just("retype"), st.sampled_from(MODEL_FIELDS), JSON_VALUES),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+)
+
+
+def _mutated_text(model, mutations):
+    model = copy.deepcopy(model)
+    cut = None
+    for kind, *rest in mutations:
+        if kind == "truncate":
+            cut = rest[0]
+            continue
+        (*parents, last), *value = rest
+        try:
+            node = model
+            for key in parents:
+                node = node[key]
+            if kind == "delete":
+                del node[last]
+            else:
+                node[last] = value[0]
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or retyped the parent
+    text = json.dumps(model)
+    return text if cut is None else text[: int(cut * len(text))]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(MODEL_MUTATIONS, min_size=1, max_size=3))
+def test_broken_model_exit_codes(saved_model, mutations):
+    model, path = saved_model
+    path.write_text(_mutated_text(model, mutations))
+    assert_clean_exit("error", "--model", str(path))

@@ -1,13 +1,18 @@
 """Uniform and curvature-equalized knot placement."""
 
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cubic, linear, quadratic
+from polylin import partition
 from polylin.analysis import per_interval_errors
 from polylin.core import TargetFunction
 from polylin.fit import interpolant
-from polylin.functions import gaussian
+from polylin.functions import chirp, gaussian, poly7, polynomial
 from polylin.partition import (
     LinearTargetError,
     _enforce_spacing,
@@ -91,14 +96,44 @@ def test_cubic_knots_follow_inverse_power_law():
 
 def test_knots_invert_the_distribution():
     f = gaussian()
-    n = 31
-    p = optimized_partition(f, 0.0, 4.0, n)
     dist = build_distribution(f, 0.0, 4.0)
-    worst = max(
-        abs(dist.value(x) - i / n) for i, x in enumerate(p.knots)
-    )
-    assert worst <= 1e-10
-    assert p.a == 0.0 and p.b == 4.0
+    for n, bound in ((31, 1e-10), (4096, 1e-11)):
+        p = optimized_partition(f, 0.0, 4.0, n)
+        worst = np.max(np.abs(dist.value(p.knots) - np.arange(n + 1) / n))
+        assert worst <= bound, (n, worst)
+        assert p.a == 0.0 and p.b == 4.0
+
+
+@pytest.mark.parametrize(
+    "f, a, b", [(gaussian(), 0.0, 4.0), (chirp(), 0.0, 1.0), (poly7(), -4.0, 3.0)]
+)
+@pytest.mark.parametrize("n", [31, 4096])
+def test_inversion_round_budget(monkeypatch, f, a, b, n):
+    # Each round of the inversion is one adaptive quadrature call over the
+    # targets still open; Newton steps on the tabulated cumulative settle
+    # every target of these smooth densities within a few.
+    dist = build_distribution(f, a, b)
+    calls = []
+    original = partition.integrate_segments
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(partition, "integrate_segments", counted)
+    invert_distribution(dist, np.arange(1, n) / n)
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 64])
+def test_inversion_through_density_cusp(n):
+    # f = x^3 on [-1, 1]: the density |6x|^(1/3) has a cube-root cusp at
+    # 0, where the derivative of the cumulative vanishes.  F(x) is
+    # (1 + sign(x)|x|^(4/3))/2, so knot i sits at sign(s)|s|^(3/4) with
+    # s = 2i/N - 1; for even N one target lies on the cusp itself.
+    p = optimized_partition(polynomial((0.0, 0.0, 0.0, 1.0), (-1.0, 1.0)), -1.0, 1.0, n)
+    s = 2.0 * np.arange(n + 1) / n - 1.0
+    assert np.max(np.abs(p.knots - np.sign(s) * np.abs(s) ** 0.75)) <= 1e-9
 
 
 def test_plateau_resolves_to_left_edge():
@@ -115,6 +150,36 @@ def test_plateau_resolves_to_left_edge():
     )
     p = optimized_partition(f, 0.0, 3.0, 2)
     assert abs(p.knots[1] - 1.0) <= 1e-6
+
+
+def test_plateau_far_from_origin_terminates():
+    # At 1e6, 1e-12 (b - a) is below the float spacing, so the bracket on
+    # the flat stretch closes on adjacent floats rather than by width.
+    a = 1e6
+
+    def d2(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x < a + 0.25) | (x > a + 0.75), 2.0, 0.0)
+
+    f = TargetFunction(
+        eval=lambda x: np.asarray(x, dtype=float) ** 2,
+        second_derivative=d2,
+        domain=(a, a + 1.0),
+    )
+
+    def stuck(signum, frame):
+        raise TimeoutError("the inversion did not terminate")
+
+    # A bracket that waits to shrink below the float spacing never stops;
+    # the alarm turns that into a failure instead of a hung suite.
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(30)
+    try:
+        p = optimized_partition(f, a, a + 1.0, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert abs(p.knots[1] - (a + 0.25)) <= 1e-6
 
 
 def test_interpolation_errors_are_equalized():
@@ -140,6 +205,41 @@ def test_spacing_guard_preserves_order_and_ends():
     fixed = _enforce_spacing(knots)
     assert fixed[0] == 0.0 and fixed[-1] == 1.0
     assert np.all(np.diff(fixed) > 0.0)
+
+
+def _enforce_spacing_loops(knots):
+    """The spacing guard as two plain loops: the reference for its fast path."""
+    eps = partition.MIN_SPACING * (knots[-1] - knots[0])
+    out = knots.copy()
+    for i in range(1, out.size):
+        if out[i] < out[i - 1] + eps:
+            out[i] = out[i - 1] + eps
+    for i in range(out.size - 2, 0, -1):
+        if out[i] > out[i + 1] - eps:
+            out[i] = out[i + 1] - eps
+    out[0] = knots[0]
+    out[-1] = knots[-1]
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            # Offsets of a few MIN_SPACING put neighbours inside the guard.
+            st.integers(0, 4).map(lambda k: 0.5 + k * 0.7e-12),
+        ),
+        min_size=2,
+        max_size=40,
+    ),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+)
+def test_spacing_guard_matches_loops(points, shift, scale):
+    knots = shift + scale * np.sort(np.concatenate([[0.0, 1.0], points]))
+    fixed = _enforce_spacing(knots)
+    assert np.array_equal(fixed, _enforce_spacing_loops(knots))
 
 
 def test_optimized_partition_validation():
