@@ -30,7 +30,6 @@ from .core import (
 )
 from .evaluate import BenchResult, Evaluator, bench, evaluate, evaluate_batch, make_evaluator
 from .fit import (
-    FitOptions,
     FitReport,
     best_l1_fit,
     best_l1_segment,
@@ -64,7 +63,6 @@ __all__ = [
     "BenchResult",
     "BoundEstimate",
     "Evaluator",
-    "FitOptions",
     "FitReport",
     "KnotDistribution",
     "LinearTargetError",

@@ -90,21 +90,15 @@ def _residual(f: TargetFunction, g: PolygonalFunction):
     return fun
 
 
-def per_interval_errors(
-    f: TargetFunction, g: PolygonalFunction, *, tol: float | None = None
-) -> np.ndarray:
+def per_interval_errors(f: TargetFunction, g: PolygonalFunction) -> np.ndarray:
     """L1 error contributed by each segment of g's partition."""
-    _check_domains(f, g)
-    if tol is None:
-        tol = default_tolerance()
-    return integrate_segments(
-        _residual(f, g), g.partition.knots, abs_tol=tol, absolute=True
-    )
+    _check_interval(f, g.partition.a, g.partition.b)
+    return integrate_segments(_residual(f, g), g.partition.knots, absolute=True)
 
 
-def l1_distance(f: TargetFunction, g: PolygonalFunction, *, tol: float | None = None) -> float:
+def l1_distance(f: TargetFunction, g: PolygonalFunction) -> float:
     """Integral of |f - g| over g's interval."""
-    return float(np.sum(per_interval_errors(f, g, tol=tol)))
+    return float(np.sum(per_interval_errors(f, g)))
 
 
 def _curvature_integrals(f: TargetFunction | VectorTargetFunction, a: float, b: float):
@@ -248,12 +242,3 @@ def partition_gain(f: TargetFunction, a: float, b: float) -> float:
     if density == 0.0 or curv == 0.0:
         raise LinearTargetError("gain undefined: |f''| integrates to zero")
     return (b - a) ** 2 * curv / density**3
-
-
-def _check_domains(f: TargetFunction, g: PolygonalFunction) -> None:
-    lo, hi = f.domain
-    if g.partition.a < lo or g.partition.b > hi:
-        raise ValueError(
-            f"approximant interval [{g.partition.a}, {g.partition.b}] "
-            f"outside the target domain [{lo}, {hi}]"
-        )

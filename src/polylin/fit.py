@@ -8,10 +8,9 @@ f - g are known, and a tridiagonal generalized Hessian
 2 sum_r phi_i(r) phi_j(r) / |e'(r)| over the crossings r (the canonical
 points of best L1 approximation).  The fit runs Newton iterations on that
 pair, started from the least-squares projection, and stops once every
-gradient entry is at its rounding floor.
-
-``smoothed_cost`` and ``smoothed_gradient`` evaluate the tanh-smoothed
-surrogate of the same cost at a given sharpness; the fit does not use them.
+gradient entry is at its rounding floor.  The fit has no tuning knobs:
+the stopping rule is that floor, and every integral it takes runs at the
+package's default quadrature budget.
 """
 
 from __future__ import annotations
@@ -23,21 +22,16 @@ import numpy as np
 from ._kernels import thomas
 from .analysis import l1_distance
 from .core import Partition, PolygonalFunction, TargetFunction, from_samples
+from .partition import _check_interval
 from .quadrature import QuadratureError, integrate_segments
 
 __all__ = [
-    "FitOptions",
     "FitReport",
     "interpolant",
     "l2_projection",
     "best_l1_fit",
     "best_l1_segment",
-    "smoothed_cost",
-    "smoothed_gradient",
-    "solve_tridiagonal",
 ]
-
-solve_tridiagonal = thomas
 
 # Crossings of f - g are bracketed on SAMPLES equal subintervals per
 # segment.  A settled iterate is checked again on DENSE subintervals; new
@@ -55,30 +49,10 @@ REG = 1e-12  # Hessian regularization, relative to each row's own diagonal
 MAX_LINE_STEPS = 30  # trial step lengths per Newton step (see _line_search)
 CURVATURE = 0.9
 DIP_STEPS = 45  # golden-section steps per hidden-pair search (see _hidden_pairs)
+MAX_NEWTON_ITERS = 50  # an unsettled fit past this reports converged=False
 
 EPS = float(np.finfo(float).eps)
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Knobs for the least-absolute-deviation solve.
-
-    ``max_newton_iters`` caps the Newton iterations.  ``quadrature_tol`` is
-    the integration budget of the least-squares starting guess and of the
-    reported cost; None takes the package default of 1e-12 (see
-    ``quadrature.default_tolerance``).  The stopping rule has no knob: it is
-    the gradient's own rounding floor.
-    """
-
-    max_newton_iters: int = 50
-    quadrature_tol: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
-        if self.quadrature_tol is not None and not self.quadrature_tol > 0:
-            raise ValueError("quadrature_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,24 +69,23 @@ class FitReport:
     final_gradient_norm: float
     converged: bool
     function_evals: int
-    stage_function_evals: tuple[int, ...] = ()
     optimality_residual: float = float("inf")
 
 
 def interpolant(f: TargetFunction, p: Partition) -> PolygonalFunction:
     """Polygonal interpolant: ordinates are f at the knots."""
-    _check_partition_domain(f, p)
+    _check_interval(f, p.a, p.b)
     return from_samples(p, f)
 
 
-def l2_projection(f: TargetFunction, p: Partition, *, tol: float | None = None) -> PolygonalFunction:
+def l2_projection(f: TargetFunction, p: Partition) -> PolygonalFunction:
     """Least-squares polygonal fit via the tridiagonal normal equations.
 
     The nodal-basis Gramian has rows h/6 * [1, 4, 1] scaled by the local
     segment widths (halved at the ends); the load vector needs one
     two-component quadrature pass over the segments.
     """
-    _check_partition_domain(f, p)
+    _check_interval(f, p.a, p.b)
     knots, h = p.knots, p.widths
     diag = _to_knots(h, h) / 3.0
     off = h / 6.0
@@ -123,7 +96,7 @@ def l2_projection(f: TargetFunction, p: Partition, *, tol: float | None = None) 
         return np.stack([fx * (1.0 - d), fx * d], axis=1)
 
     try:
-        parts = integrate_segments(load, knots, ncomp=2, abs_tol=tol)
+        parts = integrate_segments(load, knots, ncomp=2)
     except QuadratureError as exc:
         raise QuadratureError(f"load-vector quadrature failed: {exc}") from exc
     c = thomas(off, diag, off, _to_knots(parts[:, 0], parts[:, 1]))
@@ -133,36 +106,6 @@ def l2_projection(f: TargetFunction, p: Partition, *, tol: float | None = None) 
 def _to_knots(left, right):
     """Per-knot sums of per-segment terms on each segment's left and right hat."""
     return np.r_[left, 0.0] + np.r_[0.0, right]
-
-
-# -- smoothed L1 surrogate ---------------------------------------------------
-
-
-def _smoothed_parts(f, p, v, k, tol):
-    """Per segment: the smoothed cost and tanh(k e) against both hats."""
-    knots, h = p.knots, p.widths
-    v = np.asarray(v, dtype=float)
-
-    def integrand(x, seg):
-        d = (x - knots[seg]) / h[seg]
-        eps = np.asarray(f.eval(x), dtype=float) - ((1.0 - d) * v[seg] + d * v[seg + 1])
-        t = np.tanh(k * eps)
-        # (1/k) log cosh(k eps), written to avoid overflow; antiderivative of tanh.
-        soft = np.abs(eps) + (np.log1p(np.exp(-2.0 * k * np.abs(eps))) - np.log(2.0)) / k
-        return np.stack([soft, t * (1.0 - d), t * d], axis=1)
-
-    return integrate_segments(integrand, knots, ncomp=3, abs_tol=tol)
-
-
-def smoothed_cost(f: TargetFunction, p: Partition, v, k: float, *, tol: float | None = None) -> float:
-    """Smoothed L1 cost of ordinates v at sharpness k."""
-    return float(np.sum(_smoothed_parts(f, p, v, k, tol)[:, 0]))
-
-
-def smoothed_gradient(f: TargetFunction, p: Partition, v, k: float, *, tol: float | None = None) -> np.ndarray:
-    """Gradient of the smoothed L1 cost with respect to the ordinates."""
-    parts = _smoothed_parts(f, p, v, k, tol)
-    return -_to_knots(parts[:, 1], parts[:, 2])
 
 
 # -- exact crossing-point Newton ---------------------------------------------
@@ -329,21 +272,16 @@ def _line_search(f, p, v, step, state):
     return None, 0.0, MAX_LINE_STEPS
 
 
-def best_l1_fit(
-    f: TargetFunction, p: Partition, opts: FitOptions | None = None
-) -> tuple[PolygonalFunction, FitReport]:
+def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, FitReport]:
     """Least-absolute-deviation polygonal fit on a fixed partition.
 
     Returns the fitted function and a report; ``converged`` means every
     entry of the exact L1 gradient reached its rounding floor and denser
-    sampling found no further crossings.  Divergence does not raise: the
-    last iterate is returned with converged=False.
+    sampling found no further crossings within MAX_NEWTON_ITERS Newton
+    iterations.  Divergence does not raise: the last iterate is returned
+    with converged=False.
     """
-    _check_partition_domain(f, p)
-    if opts is None:
-        opts = FitOptions()
-    tol = opts.quadrature_tol
-    v = l2_projection(f, p, tol=tol).ordinates.copy()
+    v = l2_projection(f, p).ordinates.copy()
     state = _crossings(f, p, v, SAMPLES)
     evals, iterations, converged = 1, 0, False
     while True:
@@ -355,7 +293,7 @@ def best_l1_fit(
                 break
             state = check
             continue
-        if iterations == opts.max_newton_iters:
+        if iterations == MAX_NEWTON_ITERS:
             break
         try:
             step = thomas(state.off, state.diag * (1.0 + REG), state.off, -state.grad)
@@ -373,30 +311,23 @@ def best_l1_fit(
     result = PolygonalFunction(p, v)
     report = FitReport(
         iterations=iterations,
-        final_cost=l1_distance(f, result, tol=tol),
+        final_cost=l1_distance(f, result),
         final_gradient_norm=float(np.max(np.abs(state.grad))),
         converged=converged,
         function_evals=evals,
-        stage_function_evals=(evals,),
         optimality_residual=float(np.max(state.residual)),
     )
     return result, report
 
 
-def best_l1_segment(
-    f: TargetFunction, x_lo: float, x_hi: float, *, tol: float | None = None
-) -> tuple[float, float, float]:
+def best_l1_segment(f: TargetFunction, x_lo: float, x_hi: float) -> tuple[float, float, float]:
     """Best L1 line on one segment, by interpolating f at the quarter points.
 
     For f with one sign of curvature on the segment, the optimal line meets f
     at x_lo + h/4 and x_lo + 3h/4.  Returns the endpoint displacements from f
     (line minus f at each end) and the resulting L1 error.
     """
-    if not x_hi > x_lo:
-        raise ValueError(f"degenerate segment [{x_lo}, {x_hi}]")
-    lo, hi = f.domain
-    if x_lo < lo or x_hi > hi:
-        raise ValueError(f"segment [{x_lo}, {x_hi}] outside the target domain [{lo}, {hi}]")
+    _check_interval(f, x_lo, x_hi)
     h = x_hi - x_lo
     q1 = x_lo + 0.25 * h
     q2 = x_lo + 0.75 * h
@@ -412,13 +343,6 @@ def best_l1_segment(
     err = integrate_segments(
         lambda x, _s: np.asarray(f.eval(x), dtype=float) - line(x),
         np.linspace(x_lo, x_hi, 9),
-        abs_tol=tol,
         absolute=True,
     )
     return dy_lo, dy_hi, float(np.sum(err))
-
-
-def _check_partition_domain(f: TargetFunction, p: Partition) -> None:
-    lo, hi = f.domain
-    if p.a < lo or p.b > hi:
-        raise ValueError(f"partition [{p.a}, {p.b}] outside the target domain [{lo}, {hi}]")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .analysis import error_bounds, l1_distance
 from .core import Partition, PolygonalFunction, VectorTargetFunction, from_samples
-from .fit import FitOptions, FitReport, best_l1_fit
+from .fit import FitReport, best_l1_fit
 from .partition import KnotDistribution, build_distribution, knot_density, optimized_partition
 
 __all__ = [
@@ -48,14 +48,12 @@ def vector_optimized_partition(F: VectorTargetFunction, a: float, b: float, n: i
     return optimized_partition(F, a, b, n)
 
 
-def vector_l1_distance(
-    F: VectorTargetFunction, gs, *, tol: float | None = None
-) -> float:
+def vector_l1_distance(F: VectorTargetFunction, gs) -> float:
     """Sum of component L1 distances; gs pairs with F componentwise."""
     gs = list(gs)
     if len(gs) != len(F.components):
         raise ValueError(f"{len(F.components)} components but {len(gs)} approximants")
-    return sum(l1_distance(f, g, tol=tol) for f, g in zip(F.components, gs))
+    return sum(l1_distance(f, g) for f, g in zip(F.components, gs))
 
 
 def vector_interpolant(F: VectorTargetFunction, p: Partition) -> list[PolygonalFunction]:
@@ -64,7 +62,7 @@ def vector_interpolant(F: VectorTargetFunction, p: Partition) -> list[PolygonalF
 
 
 def vector_best_l1_fit(
-    F: VectorTargetFunction, p: Partition, opts: FitOptions | None = None
+    F: VectorTargetFunction, p: Partition
 ) -> tuple[list[PolygonalFunction], list[FitReport]]:
     """Componentwise best L1 fits on the shared partition.
 
@@ -74,7 +72,7 @@ def vector_best_l1_fit(
     fits = []
     reports = []
     for f in F.components:
-        g, report = best_l1_fit(f, p, opts)
+        g, report = best_l1_fit(f, p)
         fits.append(g)
         reports.append(report)
     return fits, reports

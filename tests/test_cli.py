@@ -266,6 +266,16 @@ def test_model_mistyped_field_exits_2(tmp_path, capsys, field, value):
     assert code == 2 and "malformed" in err
 
 
+def test_model_past_its_interval_exits_2(tmp_path, capsys):
+    path, model = _write_model(tmp_path, capsys)
+    model["knots"][-1] = 5.0  # gaussian's interval is [0, 4]
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, "error", "--model", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("polylin: ")
+    assert "outside the target domain" in err and "Traceback" not in err
+
+
 def test_reproduce_gaussian08_within_bounds(capsys):
     code, out, err = run(capsys, "reproduce", "gaussian08", "--n-values", "63")
     assert code == 0, err
@@ -286,10 +296,9 @@ def test_unconverged_fit_exits_3(capsys, monkeypatch):
         final_gradient_norm=1.0,
         converged=False,
         function_evals=1,
-        stage_function_evals=(1,),
     )
 
-    def fake_fit(f, p, opts=None):
+    def fake_fit(f, p):
         return PolygonalFunction(p, np.zeros(len(p))), report
 
     monkeypatch.setattr(cli.fit, "best_l1_fit", fake_fit)
@@ -356,6 +365,20 @@ def test_curvature_pair_evaluated_once_per_command(capsys, monkeypatch):
         code, _out, err = run(capsys, *argv)
         assert code == 0, err
         assert len(calls) == expected, (argv, calls)
+
+
+def test_far_interval_quadratic(capsys):
+    # Equalized knots of x^2 on an interval a few thousand ulps wide, far
+    # from the origin, are its quartiles; the plan needs the same integrals.
+    where = ("--function", "poly:0,0,1", "--interval", "1000000", "1000000.001")
+    code, out, err = run(capsys, "partition", *where, "--segments", "4", "--partition", "optimized")
+    assert code == 0, err
+    knots = np.array([float(r["knot"]) for r in rows_of(out)])
+    exact = 1e6 + np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * 1e-3
+    assert np.all(np.abs(knots - exact) <= np.spacing(1e6))
+    code, out, err = run(capsys, "plan", *where, "--tolerance", "1e-12")
+    assert code == 0, err
+    assert len(rows_of(out)) == 4
 
 
 def test_nonfinite_second_derivative_exits_2(capsys):

@@ -6,30 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import linear, quadratic
+from polylin import fit
+from polylin._kernels import thomas
 from polylin.analysis import l1_distance
 from polylin.core import Partition, PolygonalFunction, as_target, from_samples, hat_basis
-from polylin.fit import (
-    FitOptions,
-    best_l1_fit,
-    best_l1_segment,
-    interpolant,
-    l2_projection,
-    smoothed_cost,
-    smoothed_gradient,
-    solve_tridiagonal,
-)
+from polylin.fit import best_l1_fit, best_l1_segment, interpolant, l2_projection
 from polylin.functions import chirp, gaussian
 from polylin.partition import optimized_partition, uniform_partition
 from polylin.quadrature import integrate
-
-
-def test_fit_options_validation():
-    opts = FitOptions()
-    assert opts.max_newton_iters == 50 and opts.quadrature_tol is None
-    with pytest.raises(ValueError):
-        FitOptions(max_newton_iters=0)
-    with pytest.raises(ValueError):
-        FitOptions(quadrature_tol=-1e-12)
 
 
 def test_interpolant_is_knot_sampling():
@@ -129,8 +113,7 @@ def test_single_segment_fit_matches_closed_form():
     assert report.converged
     assert np.max(np.abs(g.ordinates - [-3.0 / 16.0, 13.0 / 16.0])) <= 1e-8
     assert abs(report.final_cost - 1.0 / 16.0) <= 1e-9
-    assert report.function_evals == sum(report.stage_function_evals)
-    assert all(e <= 50 for e in report.stage_function_evals)
+    assert report.function_evals <= 50
 
 
 def test_fit_recovers_polygonal_target():
@@ -227,7 +210,6 @@ def test_experiment_fits_reach_optimality(name, interval, n):
         g, report = best_l1_fit(f, p)
         assert report.converged
         assert report.optimality_residual <= 1e-6
-        assert report.function_evals == sum(report.stage_function_evals)
 
 
 def test_sweep_fits_reach_optimality(gaussian_sweep):
@@ -248,11 +230,11 @@ def test_fit_improves_on_projection_and_interpolation():
     assert abs(report.final_cost - cost_l1) <= 1e-11
 
 
-def test_unconverged_fit_reports_honestly():
+def test_unconverged_fit_reports_honestly(monkeypatch):
     f = gaussian()
     p = uniform_partition(0.0, 4.0, 9)
-    opts = FitOptions(max_newton_iters=1)
-    g, report = best_l1_fit(f, p, opts)
+    monkeypatch.setattr(fit, "MAX_NEWTON_ITERS", 1)
+    g, report = best_l1_fit(f, p)
     assert not report.converged
     assert report.iterations == 1
     assert np.all(np.isfinite(g.ordinates))
@@ -261,38 +243,44 @@ def test_unconverged_fit_reports_honestly():
     assert 1e-6 < report.optimality_residual < 1.0
 
 
-def test_smoothed_gradient_matches_finite_differences():
+def test_exact_gradient_matches_finite_differences():
     f = gaussian()
     p = uniform_partition(0.0, 4.0, 8)
-    # Modest sharpness: the third derivative of the smoothed cost grows with
-    # k and would dominate the central-difference truncation error.
-    k = 25.0
     base = from_samples(p, f).ordinates
     rng = np.random.default_rng(23)
-    step = 1e-4
+    # The central difference of the exact cost is off by O(step^2) times its
+    # third derivative: the fifth draw reads 1.3e-4 relative at step 1e-4 and
+    # 1.3e-6 at 1e-5; at 1e-6 every draw stays at or below 1.3e-8.
+    step = 1e-6
+
+    def cost(w):
+        return l1_distance(f, PolygonalFunction(p, w))
+
     for _ in range(10):
         v = base + 0.05 * rng.standard_normal(base.size)
-        grad = smoothed_gradient(f, p, v, k)
+        grad = fit._crossings(f, p, v, fit.SAMPLES).grad
         fd = np.empty_like(grad)
         for j in range(v.size):
             vp, vm = v.copy(), v.copy()
             vp[j] += step
             vm[j] -= step
-            fd[j] = (smoothed_cost(f, p, vp, k) - smoothed_cost(f, p, vm, k)) / (2.0 * step)
+            fd[j] = (cost(vp) - cost(vm)) / (2.0 * step)
         assert np.max(np.abs(fd - grad)) <= 1e-6 * np.max(np.abs(grad))
 
 
 def test_gradient_locality_is_tridiagonal():
+    # A hat whose segments hold no crossing of f - g has a gradient entry
+    # that does not move with v, so start where every hat sees crossings:
+    # the least-squares projection.
     f = gaussian()
     p = uniform_partition(0.0, 4.0, 8)
-    k = 1000.0
-    rng = np.random.default_rng(31)
-    v = from_samples(p, f).ordinates + 0.02 * rng.standard_normal(9)
-    base = smoothed_gradient(f, p, v, k)
-    for j in (0, 4, 8):
+    v = l2_projection(f, p).ordinates
+    nudge = 1e-2 * np.max(np.abs(np.asarray(f.eval(p.knots), dtype=float) - v))
+    base = fit._crossings(f, p, v, fit.SAMPLES).grad
+    for j in range(9):
         w = v.copy()
-        w[j] += 0.1
-        moved = smoothed_gradient(f, p, w, k)
+        w[j] += nudge
+        moved = fit._crossings(f, p, w, fit.SAMPLES).grad
         touched = np.arange(9)[np.abs(moved - base) != 0.0]
         assert set(touched) <= {j - 1, j, j + 1}
         assert j in touched
@@ -317,7 +305,7 @@ def test_tridiagonal_solver_against_dense_solve():
     upper = rng.uniform(-1.0, 1.0, n - 1)
     diag = np.abs(rng.uniform(2.5, 4.0, n))
     rhs = rng.standard_normal(n)
-    x = solve_tridiagonal(lower, diag, upper, rhs)
+    x = thomas(lower, diag, upper, rhs)
     T = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
     assert np.max(np.abs(T @ x - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     assert np.max(np.abs(x - np.linalg.solve(T, rhs))) <= 1e-12 * np.max(np.abs(x))
@@ -325,4 +313,4 @@ def test_tridiagonal_solver_against_dense_solve():
 
 def test_tridiagonal_solver_reports_breakdown():
     with pytest.raises(np.linalg.LinAlgError):
-        solve_tridiagonal(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]))
+        thomas(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]))

@@ -155,3 +155,12 @@ def test_loose_tolerance_is_respected():
     exact = np.e - 1.0
     loose = integrate(np.exp, 0.0, 1.0, abs_tol=1e-4)
     assert abs(loose - exact) <= 1e-4
+
+
+@pytest.mark.parametrize("n_edges", [9, 65, 4097])
+def test_constant_far_from_origin(n_edges):
+    # Panels a few thousand ulps wide: the children's Simpson widths must be
+    # the widths of the split actually made, or Richardson never settles.
+    a, b, c = 1e6, 1e6 + 1e-3, 2.5
+    got = np.sum(integrate_segments(lambda x, _s: np.full(x.size, c), np.linspace(a, b, n_edges)))
+    assert abs(got - c * (b - a)) <= 1e-12 * c * (b - a)
