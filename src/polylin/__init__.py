@@ -9,15 +9,13 @@ point.  The ``polylin`` command line exposes the same operations.
 from .analysis import (
     BEST_L1_FACTOR,
     BoundEstimate,
-    bound_optimized_interpolant,
-    bound_uniform_interpolant,
+    Curvature,
+    curvature,
     error_bound,
-    error_bounds,
     l1_distance,
     min_segments_for_tolerance,
     partition_gain,
     per_interval_errors,
-    segment_counts,
 )
 from .core import (
     Partition,
@@ -51,7 +49,6 @@ from .vector import (
     vector_bound_uniform_interpolant,
     vector_build_distribution,
     vector_interpolant,
-    vector_knot_density,
     vector_l1_distance,
     vector_optimized_partition,
 )
@@ -62,6 +59,7 @@ __all__ = [
     "BEST_L1_FACTOR",
     "BenchResult",
     "BoundEstimate",
+    "Curvature",
     "Evaluator",
     "FitReport",
     "KnotDistribution",
@@ -75,11 +73,9 @@ __all__ = [
     "bench",
     "best_l1_fit",
     "best_l1_segment",
-    "bound_optimized_interpolant",
-    "bound_uniform_interpolant",
     "build_distribution",
+    "curvature",
     "error_bound",
-    "error_bounds",
     "evaluate",
     "evaluate_batch",
     "from_samples",
@@ -93,14 +89,12 @@ __all__ = [
     "optimized_partition",
     "partition_gain",
     "per_interval_errors",
-    "segment_counts",
     "uniform_partition",
     "vector_best_l1_fit",
     "vector_bound_optimized_interpolant",
     "vector_bound_uniform_interpolant",
     "vector_build_distribution",
     "vector_interpolant",
-    "vector_knot_density",
     "vector_l1_distance",
     "vector_optimized_partition",
 ]

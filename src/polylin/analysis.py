@@ -17,9 +17,9 @@ N=12 and 0.676 at N=8, against 0.990 to 0.996 from N=31 up.
 Every bound and every planned segment count comes from one pair of
 curvature integrals, of |f''| and of |f''|^(1/3).  For a vector target the
 component curvatures are summed first (see ``polylin.partition``), and a
-scalar target is the one-component case.  ``error_bounds`` and
-``segment_counts`` evaluate the pair once and return all four kinds; the
-per-kind functions and the vector bounds read their value from them.
+scalar target is the one-component case.  ``curvature`` evaluates the pair
+once into a ``Curvature``, whose ``bounds`` and ``counts`` give all four
+kinds; the per-kind functions and the vector bounds read from it.
 """
 
 from __future__ import annotations
@@ -31,25 +31,25 @@ import numpy as np
 
 from .core import PolygonalFunction, TargetFunction, VectorTargetFunction
 from .partition import (
+    GRID_PANELS,
     LinearTargetError,
     _check_interval,
+    _check_segments,
     _components,
     _density_accuracy,
     _second_derivatives,
     knot_density,
 )
-from .quadrature import default_tolerance, integrate_segments
+from .quadrature import NOISE_EPS, QuadratureError, integrate_segments
 
 __all__ = [
     "BoundEstimate",
     "BEST_L1_FACTOR",
+    "Curvature",
+    "curvature",
     "l1_distance",
     "per_interval_errors",
-    "error_bounds",
     "error_bound",
-    "bound_uniform_interpolant",
-    "bound_optimized_interpolant",
-    "segment_counts",
     "min_segments_for_tolerance",
     "partition_gain",
 ]
@@ -101,134 +101,136 @@ def l1_distance(f: TargetFunction, g: PolygonalFunction) -> float:
     return float(np.sum(per_interval_errors(f, g)))
 
 
-def _curvature_integrals(f: TargetFunction | VectorTargetFunction, a: float, b: float):
-    """(integral of the summed |f_j''|, integral of the knot density) over [a, b].
+def _check_kind(kind: str) -> None:
+    if kind not in BOUND_KINDS:
+        raise ValueError(f"unknown bound kind {kind!r}")
 
-    The first integral bisects wherever any f_j'' changes sign.
+
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+
+
+@dataclass(frozen=True)
+class Curvature:
+    """The two curvature integrals of a target over ``interval``.
+
+    ``total`` integrates the summed |f_j''| and ``density`` the knot density
+    (summed |f_j''|)^(1/3).  Every bound and every planned segment count is
+    a closed form in the two.
+    """
+
+    total: float
+    density: float
+    interval: tuple[float, float]
+
+    def bounds(self, n: int) -> dict[str, BoundEstimate]:
+        """A-priori L1 error estimates for N segments, one per bound kind.
+
+        Each value is the leading-order asymptotic estimate (see the module
+        docstring), not a one-sided bound while the segments do not resolve
+        the curvature: on the equalized chirp, measured/estimate is 1.071 at
+        N=12 and 0.676 at N=8.
+        """
+        _check_segments(n)
+        a, b = self.interval
+        out = {}
+        for kind in BOUND_KINDS:
+            if kind.startswith("uniform"):
+                value = (b - a) ** 2 / (12.0 * n * n) * self.total
+            else:
+                value = self.density**3 / (12.0 * n * n)
+            if kind.endswith("best_l1"):
+                value *= BEST_L1_FACTOR
+            out[kind] = BoundEstimate(value, kind, n, (a, b))
+        return out
+
+    def counts(self, tolerance: float) -> dict[str, int]:
+        """Smallest N whose bound meets the tolerance, one per bound kind.
+
+        The interpolant kinds solve bound(N) = tolerance for real N and round
+        up; the best-L1 kinds scale the interpolant root by sqrt(3/8) first,
+        then round up.  A linear target needs a single segment.
+        """
+        _check_tolerance(tolerance)
+        a, b = self.interval
+        out = {}
+        for kind in BOUND_KINDS:
+            if kind.startswith("uniform"):
+                raw = (b - a) ** 2 * self.total / 12.0
+            else:
+                raw = self.density**3 / 12.0
+            n_real = math.sqrt(raw / tolerance)
+            if kind.endswith("best_l1"):
+                n_real *= math.sqrt(BEST_L1_FACTOR)
+            out[kind] = max(1, math.ceil(n_real))
+        return out
+
+
+def curvature(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> Curvature:
+    """The curvature integrals of f over [a, b]: the one quadrature behind
+    every bound and planned count.
+
+    The first integral bisects wherever any f_j'' changes sign.  The
+    difference-quotient f'' of a line is pure stencil rounding, which no
+    tolerance resolves; so where an integral fails on a target that equals
+    its chord to rounding, the target is linear and both integrals are 0.
     """
     _check_interval(f, a, b)
     edges = np.linspace(a, b, 65)
-    tol = default_tolerance()
     rel, floor = _density_accuracy(f, a, b)
     rel = max(rel, 1e-10)
-    total_abs = integrate_segments(
-        lambda x, _s: np.stack(_second_derivatives(f, x), axis=1),
-        edges,
-        ncomp=len(_components(f)),
-        abs_tol=tol,
-        rel_tol=rel,
-        resolve_floor=floor,
-        absolute=True,
-    )
-    total_density = integrate_segments(
-        lambda x, _s: knot_density(f, x),
-        edges,
-        abs_tol=tol,
-        rel_tol=rel,
-        resolve_floor=floor,
-    )
-    return float(np.sum(total_abs)), float(np.sum(total_density))
+    try:
+        total = integrate_segments(
+            lambda x, _s: np.stack(_second_derivatives(f, x), axis=1),
+            edges,
+            ncomp=len(_components(f)),
+            rel_tol=rel,
+            resolve_floor=floor,
+            absolute=True,
+        )
+        density = integrate_segments(
+            lambda x, _s: knot_density(f, x),
+            edges,
+            rel_tol=rel,
+            resolve_floor=floor,
+        )
+    except QuadratureError:
+        if not _is_linear(f, a, b):
+            raise
+        return Curvature(0.0, 0.0, (a, b))
+    return Curvature(float(np.sum(total)), float(np.sum(density)), (a, b))
 
 
-def error_bounds(
-    f: TargetFunction | VectorTargetFunction, a: float, b: float, n: int
-) -> dict[str, BoundEstimate]:
-    """A-priori L1 error estimates for N segments, one per bound kind.
-
-    The curvature integrals are evaluated once for all four kinds.  Each
-    value is the leading-order asymptotic estimate (see the module
-    docstring).
-    """
-    if n < 1:
-        raise ValueError(f"need at least one segment, got {n}")
-    return _bounds_from_pair(_curvature_integrals(f, a, b), a, b, n)
-
-
-def _bounds_from_pair(pair, a: float, b: float, n: int) -> dict[str, BoundEstimate]:
-    """The four bound formulas on an evaluated pair of curvature integrals."""
-    curv, density = pair
-    out = {}
-    for kind in BOUND_KINDS:
-        if kind.startswith("uniform"):
-            value = (b - a) ** 2 / (12.0 * n * n) * curv
-        else:
-            value = density**3 / (12.0 * n * n)
-        if kind.endswith("best_l1"):
-            value *= BEST_L1_FACTOR
-        out[kind] = BoundEstimate(value, kind, n, (a, b))
-    return out
+def _is_linear(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> bool:
+    """Whether every component of f equals its chord over [a, b] to within
+    NOISE_EPS of its largest magnitude, on the knot distribution's grid."""
+    x = np.linspace(a, b, GRID_PANELS + 1)
+    t = (x - a) / (b - a)
+    for comp in _components(f):
+        y = np.asarray(comp.eval(x), dtype=float)
+        chord = (1.0 - t) * y[0] + t * y[-1]
+        if not np.max(np.abs(y - chord)) <= NOISE_EPS * np.max(np.abs(y)):
+            return False
+    return True
 
 
 def error_bound(f: TargetFunction, a: float, b: float, n: int, kind: str) -> BoundEstimate:
-    """A-priori L1 error estimate for N segments of the given approximant kind.
-
-    The value is the leading-order asymptotic estimate (see the module
-    docstring).  It is not a one-sided bound while the segments do not
-    resolve the curvature: on the equalized chirp, measured/estimate is
-    1.071 at N=12 and 0.676 at N=8.
-    """
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    return error_bounds(f, a, b, n)[kind]
-
-
-def bound_uniform_interpolant(f: TargetFunction, a: float, b: float, n: int) -> BoundEstimate:
-    """Leading-order asymptotic L1 error of the interpolant on N equal segments.
-
-    Not a one-sided bound while the segments do not resolve the curvature;
-    see ``error_bound``.
-    """
-    return error_bound(f, a, b, n, "uniform_interpolant")
-
-
-def bound_optimized_interpolant(f: TargetFunction, a: float, b: float, n: int) -> BoundEstimate:
-    """Leading-order asymptotic L1 error of the interpolant on N equalized segments.
-
-    Not a one-sided bound while the segments do not resolve the curvature;
-    see ``error_bound``.
-    """
-    return error_bound(f, a, b, n, "optimized_interpolant")
-
-
-def segment_counts(
-    f: TargetFunction | VectorTargetFunction, a: float, b: float, tolerance: float
-) -> dict[str, int]:
-    """Smallest N whose bound meets the tolerance, one per bound kind.
-
-    The interpolant kinds solve bound(N) = tolerance for real N and round up;
-    the best-L1 kinds scale the interpolant root by sqrt(3/8) first, then
-    round up.  A linear target needs a single segment.  The curvature
-    integrals are evaluated once for all four kinds.
-    """
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    return _counts_from_pair(_curvature_integrals(f, a, b), a, b, tolerance)
-
-
-def _counts_from_pair(pair, a: float, b: float, tolerance: float) -> dict[str, int]:
-    """The four segment-count formulas on an evaluated pair of curvature integrals."""
-    curv, density = pair
-    out = {}
-    for kind in BOUND_KINDS:
-        if kind.startswith("uniform"):
-            raw = (b - a) ** 2 * curv / 12.0
-        else:
-            raw = density**3 / 12.0
-        n_real = math.sqrt(raw / tolerance)
-        if kind.endswith("best_l1"):
-            n_real *= math.sqrt(BEST_L1_FACTOR)
-        out[kind] = max(1, math.ceil(n_real))
-    return out
+    """A-priori L1 error estimate for N segments of one kind; see
+    ``Curvature.bounds``."""
+    _check_kind(kind)
+    _check_segments(n)
+    return curvature(f, a, b).bounds(n)[kind]
 
 
 def min_segments_for_tolerance(
     f: TargetFunction, a: float, b: float, tolerance: float, kind: str
 ) -> int:
-    """Smallest N whose bound of the given kind meets the tolerance; see
-    ``segment_counts``."""
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    return segment_counts(f, a, b, tolerance)[kind]
+    """Smallest N whose bound of one kind meets the tolerance; see
+    ``Curvature.counts``."""
+    _check_kind(kind)
+    _check_tolerance(tolerance)
+    return curvature(f, a, b).counts(tolerance)[kind]
 
 
 def partition_gain(f: TargetFunction, a: float, b: float) -> float:
@@ -238,7 +240,7 @@ def partition_gain(f: TargetFunction, a: float, b: float) -> float:
     which is 1 exactly when |f''| is constant and grows with curvature
     concentration.
     """
-    curv, density = _curvature_integrals(f, a, b)
-    if density == 0.0 or curv == 0.0:
+    c = curvature(f, a, b)
+    if c.density == 0.0 or c.total == 0.0:
         raise LinearTargetError("gain undefined: |f''| integrates to zero")
-    return (b - a) ** 2 * curv / density**3
+    return (b - a) ** 2 * c.total / c.density**3

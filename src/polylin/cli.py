@@ -3,7 +3,7 @@
 Subcommands: partition, fit, error, plan, bench, reproduce.  Exit codes:
 0 success, 2 configuration problems (including a target with a non-finite
 sample or second derivative on the interval), 3 numerical failures (fit
-did not converge, quadrature failure, degenerate target).  Output is CSV
+did not converge, quadrature failure, linear target).  Output is CSV
 (default) or JSON, written to --out or stdout, with floats at 17
 significant digits so identical configurations produce byte-identical
 files.
@@ -154,18 +154,19 @@ def _build_config(args) -> RunConfig:
     )
 
 
-def _segment_count(cfg: RunConfig, f: TargetFunction, pair=None) -> int:
-    """--segments, or the count planned for --tolerance; ``pair`` is f's
-    curvature pair when the caller has evaluated it already."""
+def _segment_count(
+    cfg: RunConfig, f: TargetFunction, curv: analysis.Curvature | None = None
+) -> int:
+    """--segments, or the count planned for --tolerance; ``curv`` is f's
+    curvature when the caller has evaluated it already."""
     if cfg.segments is not None:
         return cfg.segments
     if cfg.tolerance is None:
         raise ConfigError("pass --segments or --tolerance")
     kind = f"{cfg.partition_kind}_{FIT_TO_BOUND_KIND[cfg.fit_kind]}"
-    a, b = cfg.function.interval
-    if pair is None:
-        return analysis.min_segments_for_tolerance(f, a, b, cfg.tolerance, kind)
-    return analysis._counts_from_pair(pair, a, b, cfg.tolerance)[kind]
+    if curv is None:
+        curv = analysis.curvature(f, *cfg.function.interval)
+    return curv.counts(cfg.tolerance)[kind]
 
 
 def _build_partition(cfg: RunConfig, f: TargetFunction, n: int) -> Partition:
@@ -312,15 +313,15 @@ def cmd_error(args) -> int:
     cfg = _build_config(args)
     f = cfg.function.resolve()
     a, b = cfg.function.interval
-    # One curvature pair serves the planned count and the bounds.  With
-    # --segments it waits for the fit, so a target the fit rejects (say, a
-    # non-finite sample) reports that failure first.
-    pair = analysis._curvature_integrals(f, a, b) if cfg.tolerance is not None else None
-    n = _segment_count(cfg, f, pair)
+    # One curvature evaluation serves the planned count and the bounds.
+    # With --segments it waits for the fit, so a target the fit rejects
+    # (say, a non-finite sample) reports that failure first.
+    curv = analysis.curvature(f, a, b) if cfg.tolerance is not None else None
+    n = _segment_count(cfg, f, curv)
     p = _build_partition(cfg, f, n)
     g, _report, measured = _fit_function(cfg, f, p)
-    if pair is None:
-        pair = analysis._curvature_integrals(f, a, b)
+    if curv is None:
+        curv = analysis.curvature(f, a, b)
     row = {
         "function": cfg.function.name,
         "n_segments": n,
@@ -328,7 +329,7 @@ def cmd_error(args) -> int:
         "fit": cfg.fit_kind,
         "measured": measured,
     }
-    for kind, bound in analysis._bounds_from_pair(pair, a, b, n).items():
+    for kind, bound in curv.bounds(n).items():
         row[f"bound_{kind}"] = bound.value
     _emit([row], cfg.format, cfg.out)
     return EXIT_OK
@@ -342,7 +343,7 @@ def cmd_plan(args) -> int:
     a, b = cfg.function.interval
     rows = [
         {"kind": kind, "tolerance": cfg.tolerance, "n_segments": n}
-        for kind, n in analysis.segment_counts(f, a, b, cfg.tolerance).items()
+        for kind, n in analysis.curvature(f, a, b).counts(cfg.tolerance).items()
     ]
     _emit(rows, cfg.format, cfg.out)
     return EXIT_OK
@@ -408,7 +409,7 @@ def _experiment_rows(name: str, n_values) -> list[dict]:
     }[name]
     f = functions.chirp(interval) if name == "chirp" else functions.gaussian(interval)
     a, b = interval
-    pair = analysis._curvature_integrals(f, a, b)
+    curv = analysis.curvature(f, a, b)
     rows = []
     for n in n_values:
         uniform = partition.uniform_partition(a, b, n)
@@ -431,7 +432,7 @@ def _experiment_rows(name: str, n_values) -> list[dict]:
             "best_l1_uniform": err_u,
             "best_l1_optimized": err_o,
         }
-        for kind, bound in analysis._bounds_from_pair(pair, a, b, n).items():
+        for kind, bound in curv.bounds(n).items():
             row[f"bound_{kind}"] = bound.value
         row["ratio_uniform"] = err_u / interp_u
         row["ratio_optimized"] = err_o / interp_o
@@ -508,7 +509,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = subs.add_parser("bench", help="time batch evaluation")
-    _add_common(p, fitkind=False, seed=True)
+    _add_common(p, segments=False, fitkind=False, seed=True)
+    p.add_argument("--segments", type=int)
     p.add_argument("--n-evals", type=int, default=1_000_000)
     p.set_defaults(func=cmd_bench)
 

@@ -81,8 +81,7 @@ def uniform_partition(a: float, b: float, n: int) -> Partition:
     """N equal segments over [a, b]."""
     if not np.isfinite(a) or not np.isfinite(b) or not a < b:
         raise ValueError(f"invalid interval [{a}, {b}]")
-    if n < 1:
-        raise ValueError(f"need at least one segment, got {n}")
+    _check_segments(n)
     return Partition(np.linspace(a, b, n + 1))
 
 
@@ -242,8 +241,7 @@ def optimized_partition(
     f: TargetFunction | VectorTargetFunction, a: float, b: float, n: int
 ) -> Partition:
     """Curvature-equalized partition: knot i sits at the i/N density quantile."""
-    if n < 1:
-        raise ValueError(f"need at least one segment, got {n}")
+    _check_segments(n)
     dist = build_distribution(f, a, b)
     if n == 1:
         return Partition(np.array([a, b]))
@@ -279,3 +277,8 @@ def _check_interval(f: TargetFunction | VectorTargetFunction, a: float, b: float
     lo, hi = f.domain
     if a < lo or b > hi:
         raise ValueError(f"[{a}, {b}] outside the target domain [{lo}, {hi}]")
+
+
+def _check_segments(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need at least one segment, got {n}")

@@ -16,13 +16,7 @@ import functools
 
 import numpy as np
 
-__all__ = [
-    "QuadratureError",
-    "default_tolerance",
-    "integrate",
-    "integrate_abs",
-    "integrate_segments",
-]
+__all__ = ["QuadratureError", "integrate_segments"]
 
 
 class QuadratureError(RuntimeError):
@@ -39,11 +33,6 @@ PANEL_CAP = 4_000_000
 # accepted; MAX_LEVELS bisections reach the resolution of a double.
 MIN_LEVELS = 2
 MAX_LEVELS = 52
-
-
-def default_tolerance() -> float:
-    """Absolute tolerance target of every integral that is given none: 1e-12."""
-    return 1e-12
 
 
 def _call(fun, x, seg, ncomp):
@@ -63,9 +52,9 @@ def integrate_segments(
     *,
     panels=None,
     ncomp: int = 1,
-    abs_tol: float | None = None,
+    abs_tol: float = 1e-12,
     rel_tol: float = 0.0,
-    resolve_floor=None,
+    resolve_floor: float | None = None,
     absolute: bool = False,
 ):
     """Integrate ``fun`` over each segment, returning per-segment totals.
@@ -81,11 +70,10 @@ def integrate_segments(
     max(abs_tol, rel_tol * |total|).
 
     ``resolve_floor`` declares the caller's finest structure scale: a width
-    (scalar, or one per segment) below which the integrand is known to be
-    smooth, so a panel that narrow still refusing its budget is chasing
-    rounding jitter.  Such panels are accepted with their residual recorded,
-    which keeps noise from doubling the panel population all the way down to
-    ulp-wide panels.  Residuals are totalled per component and checked
+    below which the integrand is known to be smooth, so a panel that narrow
+    still refusing its budget is chasing rounding jitter.  Such panels are
+    accepted with their residual recorded, which keeps noise from doubling
+    the panel population all the way down to ulp-wide panels.  Residuals are totalled per component and checked
     against each component's own allowance at the end.
 
     With ``absolute=True`` the result is the integral of the sum over
@@ -95,14 +83,9 @@ def integrate_segments(
     Returns an (nseg,) array, or (nseg, ncomp) when ncomp > 1 and not
     ``absolute``.
     """
-    if abs_tol is None:
-        abs_tol = default_tolerance()
     nout = 1 if absolute else ncomp
-    res_floor = None
-    if resolve_floor is not None:
-        res_floor = np.asarray(resolve_floor, dtype=float)
-        if res_floor.ndim not in (0, 1) or np.any(res_floor < 0.0):
-            raise ValueError("resolve_floor must be a nonnegative width")
+    if resolve_floor is not None and not (np.ndim(resolve_floor) == 0 and resolve_floor >= 0.0):
+        raise ValueError("resolve_floor must be a nonnegative width")
 
     if edges is not None:
         edges = np.asarray(edges, dtype=float)
@@ -212,8 +195,8 @@ def integrate_segments(
         # refinement only chases rounding jitter) cannot improve; accept it
         # and record the residual error per component.
         narrow = w <= kink_floor
-        if res_floor is not None:
-            narrow |= w <= (res_floor if res_floor.ndim == 0 else res_floor[seg])
+        if resolve_floor is not None:
+            narrow |= w <= resolve_floor
         degenerate = (lm <= lo) | (rm >= hi) | narrow
         if level == MAX_LEVELS:
             degenerate |= True
@@ -253,24 +236,3 @@ def integrate_segments(
         )
     return totals[:, 0] if nout == 1 else totals
 
-
-def integrate(fun, a: float, b: float, *, abs_tol=None, rel_tol=0.0) -> float:
-    """Integral of a scalar integrand over [a, b]; fun takes one array argument."""
-    if not b > a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    edges = np.linspace(a, b, 9)
-    parts = integrate_segments(
-        lambda x, _s: fun(x), edges, abs_tol=abs_tol, rel_tol=rel_tol
-    )
-    return float(np.sum(parts))
-
-
-def integrate_abs(fun, a: float, b: float, *, abs_tol=None, rel_tol=0.0) -> float:
-    """Integral of |fun| over [a, b] with sign-aware refinement of the panels."""
-    if not b > a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    edges = np.linspace(a, b, 9)
-    parts = integrate_segments(
-        lambda x, _s: fun(x), edges, abs_tol=abs_tol, rel_tol=rel_tol, absolute=True
-    )
-    return float(np.sum(parts))

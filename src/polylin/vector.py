@@ -16,13 +16,12 @@ labeled as such.
 
 from __future__ import annotations
 
-from .analysis import error_bounds, l1_distance
+from .analysis import curvature, l1_distance
 from .core import Partition, PolygonalFunction, VectorTargetFunction, from_samples
 from .fit import FitReport, best_l1_fit
-from .partition import KnotDistribution, build_distribution, knot_density, optimized_partition
+from .partition import KnotDistribution, _check_segments, build_distribution, optimized_partition
 
 __all__ = [
-    "vector_knot_density",
     "vector_build_distribution",
     "vector_optimized_partition",
     "vector_l1_distance",
@@ -31,11 +30,6 @@ __all__ = [
     "vector_bound_uniform_interpolant",
     "vector_bound_optimized_interpolant",
 ]
-
-
-def vector_knot_density(F: VectorTargetFunction, x):
-    """Combined local density (sum over components of |f_j''|)^(1/3)."""
-    return knot_density(F, x)
 
 
 def vector_build_distribution(F: VectorTargetFunction, a: float, b: float) -> KnotDistribution:
@@ -80,9 +74,11 @@ def vector_best_l1_fit(
 
 def vector_bound_uniform_interpolant(F: VectorTargetFunction, a: float, b: float, n: int) -> float:
     """Heuristic vector bound: scalar uniform formula with summed curvature."""
-    return error_bounds(F, a, b, n)["uniform_interpolant"].value
+    _check_segments(n)
+    return curvature(F, a, b).bounds(n)["uniform_interpolant"].value
 
 
 def vector_bound_optimized_interpolant(F: VectorTargetFunction, a: float, b: float, n: int) -> float:
     """Heuristic vector bound: scalar equalized formula with the combined density."""
-    return error_bounds(F, a, b, n)["optimized_interpolant"].value
+    _check_segments(n)
+    return curvature(F, a, b).bounds(n)["optimized_interpolant"].value

@@ -7,19 +7,19 @@ from conftest import cubic, linear, quadratic
 from polylin.analysis import (
     BEST_L1_FACTOR,
     BOUND_KINDS,
+    Curvature,
+    curvature,
     error_bound,
-    error_bounds,
     l1_distance,
     min_segments_for_tolerance,
     partition_gain,
     per_interval_errors,
-    segment_counts,
 )
-from polylin.core import Partition, PolygonalFunction
+from polylin.core import Partition, PolygonalFunction, VectorTargetFunction
 from polylin.fit import interpolant
-from polylin.functions import gaussian
+from polylin.functions import expression, gaussian
 from polylin.partition import uniform_partition
-from polylin.quadrature import integrate, integrate_abs
+from polylin.quadrature import QuadratureError, integrate_segments
 
 KINDS = ("uniform_interpolant", "optimized_interpolant", "uniform_best_l1", "optimized_best_l1")
 
@@ -69,8 +69,9 @@ def test_bound_formulas_from_curvature_integrals():
     # Equalized layout: the cubed 1/3-norm of f'' over 12 N^2.
     f = gaussian()
     n = 31
-    mass = integrate_abs(lambda x: f.d2(x), 0.0, 4.0)
-    third = integrate(lambda x: np.abs(f.d2(x)) ** (1.0 / 3.0), 0.0, 4.0)
+    edges = np.linspace(0.0, 4.0, 9)
+    mass = np.sum(integrate_segments(lambda x, _s: f.d2(x), edges, absolute=True))
+    third = np.sum(integrate_segments(lambda x, _s: np.abs(f.d2(x)) ** (1.0 / 3.0), edges))
     uniform = error_bound(f, 0.0, 4.0, n, "uniform_interpolant").value
     optimized = error_bound(f, 0.0, 4.0, n, "optimized_interpolant").value
     assert abs(uniform - 16.0 * mass / (12.0 * n**2)) <= 1e-12
@@ -106,16 +107,38 @@ def test_planner_on_gaussian_benchmark():
 
 def test_all_kinds_entry_points_match_per_kind_functions():
     f = gaussian()
-    bounds = error_bounds(f, 0.0, 4.0, 63)
-    counts = segment_counts(f, 0.0, 4.0, 1e-5)
+    curv = curvature(f, 0.0, 4.0)
+    assert curv.interval == (0.0, 4.0)
+    bounds = curv.bounds(63)
+    counts = curv.counts(1e-5)
     assert list(bounds) == list(counts) == list(BOUND_KINDS)
     for kind in BOUND_KINDS:
         assert bounds[kind] == error_bound(f, 0.0, 4.0, 63, kind)
         assert counts[kind] == min_segments_for_tolerance(f, 0.0, 4.0, 1e-5, kind)
     with pytest.raises(ValueError):
-        error_bounds(f, 0.0, 4.0, 0)
+        curv.bounds(0)
     with pytest.raises(ValueError):
-        segment_counts(f, 0.0, 4.0, -1.0)
+        curv.counts(-1.0)
+
+
+def test_numeric_line_has_zero_curvature():
+    # The difference-quotient f'' of a line is stencil rounding that no
+    # tolerance resolves; the estimate is the analytic line's.
+    for text, (a, b) in (("x", (0.0, 1.0)), ("2*x+1", (0.0, 4.0))):
+        f = expression(text, (a, b))
+        assert f.second_derivative_kind == "numeric"
+        assert curvature(f, a, b) == Curvature(0.0, 0.0, (a, b))
+        assert set(curvature(f, a, b).counts(1e-9).values()) == {1}
+        F = VectorTargetFunction(components=(f, linear(domain=(a, b))))
+        assert curvature(F, a, b).bounds(4)["uniform_interpolant"].value == 0.0
+
+
+def test_failed_curvature_of_a_curved_target_still_raises():
+    # A kink, and a ripple that vanishes on the 65 quadrature edges but not
+    # between them, are not lines.
+    for text in ("sqrt((x-0.5)^2)", "x+1e-9*sin(64*pi*x)"):
+        with pytest.raises(QuadratureError, match="residual"):
+            curvature(expression(text, (0.0, 1.0)), 0.0, 1.0)
 
 
 def test_planner_edges():

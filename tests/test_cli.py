@@ -343,17 +343,40 @@ def test_bench_single_row_smoke(capsys):
         assert int(r["n_evals"]) == 100000
 
 
+def test_bench_rejects_options_it_does_not_read(capsys):
+    # bench times a fixed sweep or --segments; a tolerance or a layout
+    # would be silently ignored.
+    for extra in (("--tolerance", "1e-5"), ("--partition", "optimized")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--function", "gaussian", *extra, "--n-evals", "100000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_numeric_linear_target_plans_one_segment(capsys):
+    for where in (("expr:x", "0", "1"), ("expr:2*x+1", "0", "4")):
+        args = ("--function", where[0], "--interval", *where[1:])
+        code, out, err = run(capsys, "plan", *args, "--tolerance", "1e-3")
+        assert code == 0, err
+        assert [r["n_segments"] for r in rows_of(out)] == ["1"] * 4
+        code, out, err = run(capsys, "error", *args, "--segments", "4")
+        assert code == 0, err
+        row = rows_of(out)[0]
+        assert float(row["measured"]) <= 1e-12
+        assert all(float(v) == 0.0 for k, v in row.items() if k.startswith("bound_"))
+
+
 def test_curvature_pair_evaluated_once_per_command(capsys, monkeypatch):
     # Every bound and planned count comes from the pair of curvature
     # integrals, which does not depend on N; one command evaluates it once.
     calls = []
-    original = cli.analysis._curvature_integrals
+    original = cli.analysis.curvature
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli.analysis, "_curvature_integrals", counted)
+    monkeypatch.setattr(cli.analysis, "curvature", counted)
     for argv, expected in (
         (("plan", "--function", "gaussian", "--tolerance", "1e-5"), 1),
         (("error", "--function", "chirp", "--segments", "31"), 1),

@@ -13,7 +13,7 @@ from polylin.core import Partition, PolygonalFunction, as_target, from_samples, 
 from polylin.fit import best_l1_fit, best_l1_segment, interpolant, l2_projection
 from polylin.functions import chirp, gaussian
 from polylin.partition import optimized_partition, uniform_partition
-from polylin.quadrature import integrate
+from polylin.quadrature import integrate_segments
 
 
 def test_interpolant_is_knot_sampling():
@@ -47,10 +47,11 @@ def test_l2_projection_solves_the_normal_equations():
     off = h / 6.0
     b = np.array(
         [
-            integrate(
-                lambda x, i=i: np.asarray(f.eval(x), dtype=float) * hat_basis(p, i, x),
-                p.knots[max(i - 1, 0)],
-                p.knots[min(i + 1, n)],
+            np.sum(
+                integrate_segments(
+                    lambda x, _s, i=i: np.asarray(f.eval(x), dtype=float) * hat_basis(p, i, x),
+                    np.linspace(p.knots[max(i - 1, 0)], p.knots[min(i + 1, n)], 9),
+                )
             )
             for i in range(n + 1)
         ]

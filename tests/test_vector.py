@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cubic, linear, quadratic, shifted_gaussian
-from polylin.analysis import bound_uniform_interpolant, l1_distance
+from polylin.analysis import curvature, l1_distance
 from polylin.core import TargetFunction, VectorTargetFunction, from_samples
 from polylin.fit import best_l1_fit, interpolant
 from polylin.functions import gaussian
@@ -15,7 +15,6 @@ from polylin.vector import (
     vector_bound_uniform_interpolant,
     vector_build_distribution,
     vector_interpolant,
-    vector_knot_density,
     vector_l1_distance,
     vector_optimized_partition,
 )
@@ -33,7 +32,7 @@ def test_single_component_reduces_to_scalar():
     f = gaussian()
     F = VectorTargetFunction(components=(f,))
     xs = np.linspace(0.0, 4.0, 21)
-    assert np.array_equal(vector_knot_density(F, xs), knot_density(f, xs))
+    assert np.array_equal(knot_density(F, xs), knot_density(f, xs))
     p_vec = vector_optimized_partition(F, 0.0, 4.0, 16)
     p_scal = optimized_partition(f, 0.0, 4.0, 16)
     assert np.array_equal(p_vec.knots, p_scal.knots)
@@ -45,7 +44,7 @@ def test_density_adds_curvature_before_the_cube_root():
     # |f''| sums across components: two opposite parabolas give (2+2)^{1/3}.
     F = VectorTargetFunction(components=(quadratic(), _negated_quadratic()))
     xs = np.linspace(0.0, 1.0, 9)
-    assert np.max(np.abs(vector_knot_density(F, xs) - 4.0 ** (1.0 / 3.0))) <= 1e-14
+    assert np.max(np.abs(knot_density(F, xs) - 4.0 ** (1.0 / 3.0))) <= 1e-14
 
 
 def test_flat_component_does_not_move_knots():
@@ -73,7 +72,7 @@ def test_component_permutation_is_irrelevant():
     F = VectorTargetFunction(components=(f, g))
     G = VectorTargetFunction(components=(g, f))
     xs = np.linspace(0.0, 4.0, 33)
-    assert np.array_equal(vector_knot_density(F, xs), vector_knot_density(G, xs))
+    assert np.array_equal(knot_density(F, xs), knot_density(G, xs))
     pf = vector_optimized_partition(F, 0.0, 4.0, 16)
     pg = vector_optimized_partition(G, 0.0, 4.0, 16)
     assert np.max(np.abs(pf.knots - pg.knots)) <= 1e-12
@@ -113,7 +112,7 @@ def test_vector_bounds_reduce_and_add():
     f = gaussian()
     single = VectorTargetFunction(components=(f,))
     double = VectorTargetFunction(components=(f, f))
-    scalar = bound_uniform_interpolant(f, 0.0, 4.0, 63).value
+    scalar = curvature(f, 0.0, 4.0).bounds(63)["uniform_interpolant"].value
     assert vector_bound_uniform_interpolant(single, 0.0, 4.0, 63) == scalar
     assert abs(vector_bound_uniform_interpolant(double, 0.0, 4.0, 63) - 2.0 * scalar) <= 1e-14
     assert vector_bound_optimized_interpolant(double, 0.0, 4.0, 63) <= vector_bound_uniform_interpolant(double, 0.0, 4.0, 63)
@@ -121,7 +120,7 @@ def test_vector_bounds_reduce_and_add():
 
 def test_vector_bounds_reject_empty_partitions(monkeypatch):
     import polylin
-    from polylin import quadrature
+    from polylin import analysis, quadrature
 
     assert "vector_bound_uniform_interpolant" in polylin.__all__
     assert "vector_bound_optimized_interpolant" in polylin.__all__
@@ -129,7 +128,8 @@ def test_vector_bounds_reject_empty_partitions(monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran before the segment count was checked")
 
-    monkeypatch.setattr(quadrature, "integrate_segments", no_quadrature)
+    for module in (quadrature, analysis):
+        monkeypatch.setattr(module, "integrate_segments", no_quadrature)
     F = VectorTargetFunction(components=(gaussian(), quadratic((0.0, 4.0))))
     for bound in (vector_bound_uniform_interpolant, vector_bound_optimized_interpolant):
         for n in (0, -3):
