@@ -8,7 +8,6 @@ point.  The ``polylin`` command line exposes the same operations.
 
 from .analysis import (
     BEST_L1_FACTOR,
-    BoundEstimate,
     Curvature,
     curvature,
     error_bound,
@@ -30,7 +29,6 @@ from .evaluate import BenchResult, Evaluator, bench, evaluate, evaluate_batch, m
 from .fit import (
     FitReport,
     best_l1_fit,
-    best_l1_segment,
     interpolant,
     l2_projection,
 )
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BEST_L1_FACTOR",
     "BenchResult",
-    "BoundEstimate",
     "Curvature",
     "Evaluator",
     "FitReport",
@@ -72,7 +69,6 @@ __all__ = [
     "as_target",
     "bench",
     "best_l1_fit",
-    "best_l1_segment",
     "build_distribution",
     "curvature",
     "error_bound",

@@ -31,19 +31,17 @@ import numpy as np
 
 from .core import PolygonalFunction, TargetFunction, VectorTargetFunction
 from .partition import (
-    GRID_PANELS,
     LinearTargetError,
     _check_interval,
     _check_segments,
-    _components,
     _density_accuracy,
+    _is_linear,
     _second_derivatives,
     knot_density,
 )
-from .quadrature import NOISE_EPS, QuadratureError, integrate_segments
+from .quadrature import QuadratureError, integrate_segments
 
 __all__ = [
-    "BoundEstimate",
     "BEST_L1_FACTOR",
     "Curvature",
     "curvature",
@@ -63,19 +61,6 @@ BOUND_KINDS = (
     "uniform_best_l1",
     "optimized_best_l1",
 )
-
-
-@dataclass(frozen=True)
-class BoundEstimate:
-    """A-priori L1 error estimate for one approximant kind.
-
-    ``value`` is the leading-order asymptotic term, not a one-sided bound.
-    """
-
-    value: float
-    kind: str
-    n_segments: int
-    interval: tuple[float, float]
 
 
 def _residual(f: TargetFunction, g: PolygonalFunction):
@@ -124,7 +109,7 @@ class Curvature:
     density: float
     interval: tuple[float, float]
 
-    def bounds(self, n: int) -> dict[str, BoundEstimate]:
+    def bounds(self, n: int) -> dict[str, float]:
         """A-priori L1 error estimates for N segments, one per bound kind.
 
         Each value is the leading-order asymptotic estimate (see the module
@@ -142,7 +127,7 @@ class Curvature:
                 value = self.density**3 / (12.0 * n * n)
             if kind.endswith("best_l1"):
                 value *= BEST_L1_FACTOR
-            out[kind] = BoundEstimate(value, kind, n, (a, b))
+            out[kind] = value
         return out
 
     def counts(self, tolerance: float) -> dict[str, int]:
@@ -179,12 +164,10 @@ def curvature(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> C
     _check_interval(f, a, b)
     edges = np.linspace(a, b, 65)
     rel, floor = _density_accuracy(f, a, b)
-    rel = max(rel, 1e-10)
     try:
         total = integrate_segments(
             lambda x, _s: np.stack(_second_derivatives(f, x), axis=1),
             edges,
-            ncomp=len(_components(f)),
             rel_tol=rel,
             resolve_floor=floor,
             absolute=True,
@@ -202,20 +185,7 @@ def curvature(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> C
     return Curvature(float(np.sum(total)), float(np.sum(density)), (a, b))
 
 
-def _is_linear(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> bool:
-    """Whether every component of f equals its chord over [a, b] to within
-    NOISE_EPS of its largest magnitude, on the knot distribution's grid."""
-    x = np.linspace(a, b, GRID_PANELS + 1)
-    t = (x - a) / (b - a)
-    for comp in _components(f):
-        y = np.asarray(comp.eval(x), dtype=float)
-        chord = (1.0 - t) * y[0] + t * y[-1]
-        if not np.max(np.abs(y - chord)) <= NOISE_EPS * np.max(np.abs(y)):
-            return False
-    return True
-
-
-def error_bound(f: TargetFunction, a: float, b: float, n: int, kind: str) -> BoundEstimate:
+def error_bound(f: TargetFunction, a: float, b: float, n: int, kind: str) -> float:
     """A-priori L1 error estimate for N segments of one kind; see
     ``Curvature.bounds``."""
     _check_kind(kind)

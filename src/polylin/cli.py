@@ -330,7 +330,7 @@ def cmd_error(args) -> int:
         "measured": measured,
     }
     for kind, bound in curv.bounds(n).items():
-        row[f"bound_{kind}"] = bound.value
+        row[f"bound_{kind}"] = bound
     _emit([row], cfg.format, cfg.out)
     return EXIT_OK
 
@@ -433,7 +433,7 @@ def _experiment_rows(name: str, n_values) -> list[dict]:
             "best_l1_optimized": err_o,
         }
         for kind, bound in curv.bounds(n).items():
-            row[f"bound_{kind}"] = bound.value
+            row[f"bound_{kind}"] = bound
         row["ratio_uniform"] = err_u / interp_u
         row["ratio_optimized"] = err_o / interp_o
         rows.append(row)

@@ -27,6 +27,7 @@ __all__ = ["Evaluator", "BenchResult", "make_evaluator", "evaluate", "evaluate_b
 MODES = ("uniform_direct", "binary_search")
 OUT_OF_DOMAIN = ("error", "clamp")
 MIN_BENCH_EVALS = 100_000
+BENCH_REPETITIONS = 5
 
 
 @dataclass(frozen=True)
@@ -117,15 +118,14 @@ class BenchResult:
 
     mean_ns: float
     min_ns: float
-    repetitions: int
     n_evals: int
     checksum: float
     mode: str
     backend: str
 
 
-def bench(e: Evaluator, n_evals: int, seed: int, repetitions: int = 5) -> BenchResult:
-    """Time batch evaluation over uniform-random abscissae.
+def bench(e: Evaluator, n_evals: int, seed: int) -> BenchResult:
+    """Time BENCH_REPETITIONS batch evaluations over uniform-random abscissae.
 
     Inputs are generated once up front and a warm-up pass precedes timing;
     the checksum pins the outputs so the work cannot be optimized away and
@@ -133,15 +133,13 @@ def bench(e: Evaluator, n_evals: int, seed: int, repetitions: int = 5) -> BenchR
     """
     if n_evals < MIN_BENCH_EVALS:
         raise ValueError(f"n_evals must be at least {MIN_BENCH_EVALS}")
-    if repetitions < 5:
-        raise ValueError("need at least 5 repetitions")
     rng = np.random.default_rng(seed)
     a, b = e.source.partition.a, e.source.partition.b
     xs = rng.uniform(a, b, n_evals)
 
     out = evaluate_batch(e, xs)  # warm-up
     times = []
-    for _ in range(repetitions):
+    for _ in range(BENCH_REPETITIONS):
         t0 = time.perf_counter_ns()
         out = evaluate_batch(e, xs)
         t1 = time.perf_counter_ns()
@@ -149,7 +147,6 @@ def bench(e: Evaluator, n_evals: int, seed: int, repetitions: int = 5) -> BenchR
     return BenchResult(
         mean_ns=float(np.mean(times)),
         min_ns=float(np.min(times)),
-        repetitions=repetitions,
         n_evals=n_evals,
         checksum=float(np.sum(out)),
         mode=e.mode,

@@ -30,7 +30,6 @@ __all__ = [
     "interpolant",
     "l2_projection",
     "best_l1_fit",
-    "best_l1_segment",
 ]
 
 # Crossings of f - g are bracketed on SAMPLES equal subintervals per
@@ -66,10 +65,9 @@ class FitReport:
 
     iterations: int
     final_cost: float
-    final_gradient_norm: float
     converged: bool
     function_evals: int
-    optimality_residual: float = float("inf")
+    optimality_residual: float
 
 
 def interpolant(f: TargetFunction, p: Partition) -> PolygonalFunction:
@@ -96,7 +94,7 @@ def l2_projection(f: TargetFunction, p: Partition) -> PolygonalFunction:
         return np.stack([fx * (1.0 - d), fx * d], axis=1)
 
     try:
-        parts = integrate_segments(load, knots, ncomp=2)
+        parts = integrate_segments(load, knots)
     except QuadratureError as exc:
         raise QuadratureError(f"load-vector quadrature failed: {exc}") from exc
     c = thomas(off, diag, off, _to_knots(parts[:, 0], parts[:, 1]))
@@ -129,8 +127,10 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
 
     e is sampled at samples + 1 points per segment, and every sign change
     is bisected down to adjacent floats.  A segment whose samples of e all
-    sit within rounding of f and of the ordinates counts as fitted: it adds
-    nothing to the gradient or the Hessian.
+    sit within rounding of its largest |f| + |g| counts as fitted: it adds
+    nothing to the gradient or the Hessian.  (Rounding of each sample's own
+    |f| + |g| would vanish where f crosses zero, and a line's noise there
+    would read as crossings.)
     """
     knots, h, n = p.knots, p.widths, p.n_segments
 
@@ -147,7 +147,8 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     fx = np.asarray(f.eval(x.ravel()), dtype=float)
     e = (fx - line(x.ravel(), rows)).reshape(x.shape)
     scale = (np.abs(fx) + line(x.ravel(), rows, np.abs(v))).reshape(x.shape)
-    live = np.any(np.abs(e) > ROOT_ULPS * EPS * scale, axis=1)
+    emax = np.max(np.abs(e), axis=1)
+    live = emax > ROOT_ULPS * EPS * np.max(scale, axis=1)
     pos = e >= 0.0
 
     cs, ck = np.nonzero(live[:, None] & (pos[:, :-1] != pos[:, 1:]))
@@ -186,7 +187,6 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     # every sign there.  This diagonal floor keeps a row whose crossings sit
     # at its hat's edges, or that has none, from taking such a step; it
     # fades with the gradient, so the local rate is kept.
-    emax = np.max(np.abs(e), axis=1)
     reach = np.maximum(np.r_[emax, 0.0], np.r_[0.0, emax])
     diag = np.maximum(diag, np.divide(np.abs(grad), reach, out=np.zeros(n + 1), where=reach > 0.0))
     diag[diag == 0.0] = 1.0
@@ -312,37 +312,9 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
     report = FitReport(
         iterations=iterations,
         final_cost=l1_distance(f, result),
-        final_gradient_norm=float(np.max(np.abs(state.grad))),
         converged=converged,
         function_evals=evals,
         optimality_residual=float(np.max(state.residual)),
     )
     return result, report
 
-
-def best_l1_segment(f: TargetFunction, x_lo: float, x_hi: float) -> tuple[float, float, float]:
-    """Best L1 line on one segment, by interpolating f at the quarter points.
-
-    For f with one sign of curvature on the segment, the optimal line meets f
-    at x_lo + h/4 and x_lo + 3h/4.  Returns the endpoint displacements from f
-    (line minus f at each end) and the resulting L1 error.
-    """
-    _check_interval(f, x_lo, x_hi)
-    h = x_hi - x_lo
-    q1 = x_lo + 0.25 * h
-    q2 = x_lo + 0.75 * h
-    y1 = float(f.eval(np.asarray(q1)))
-    y2 = float(f.eval(np.asarray(q2)))
-    slope = (y2 - y1) / (q2 - q1)
-
-    def line(x):
-        return y1 + slope * (x - q1)
-
-    dy_lo = line(x_lo) - float(f.eval(np.asarray(x_lo)))
-    dy_hi = line(x_hi) - float(f.eval(np.asarray(x_hi)))
-    err = integrate_segments(
-        lambda x, _s: np.asarray(f.eval(x), dtype=float) - line(x),
-        np.linspace(x_lo, x_hi, 9),
-        absolute=True,
-    )
-    return dy_lo, dy_hi, float(np.sum(err))

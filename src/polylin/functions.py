@@ -244,8 +244,16 @@ def _evaluate(node, x):
 
 
 def expression(text: str, domain: tuple[float, float]) -> TargetFunction:
-    """Target from an expression in x; f'' is the numeric fallback."""
-    node = _Parser(_tokenize(text)).parse()
+    """Target from an expression in x; f'' is the numeric fallback.
+
+    Parsing and evaluation recurse on the nesting depth; an expression
+    nested past the interpreter's recursion limit raises ExpressionError,
+    at parse time or at its first evaluation.
+    """
+    try:
+        node = _Parser(_tokenize(text)).parse()
+    except RecursionError:
+        raise ExpressionError("expression nests too deeply to parse") from None
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -253,7 +261,10 @@ def expression(text: str, domain: tuple[float, float]) -> TargetFunction:
         # IEEE rules (1/0 is inf, not ZeroDivisionError) without warnings;
         # callers reject the non-finite values they cannot use.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _evaluate(node, x)
+            try:
+                out = _evaluate(node, x)
+            except RecursionError:
+                raise ExpressionError("expression nests too deeply to evaluate") from None
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy() if x.ndim else out
 
     return TargetFunction.create(f, domain)

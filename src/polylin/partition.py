@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .core import FD_REL_STEP, Partition, TargetFunction, VectorTargetFunction
-from .quadrature import integrate_segments
+from .quadrature import NOISE_EPS, QuadratureError, integrate_segments
 
 __all__ = [
     "LinearTargetError",
@@ -166,13 +166,20 @@ def build_distribution(
         return knot_density(f, x)
 
     grid = np.linspace(a, b, GRID_PANELS + 1)
-    pieces = integrate_segments(
-        lambda x, _s: density(x),
-        grid,
-        abs_tol=1e-300,
-        rel_tol=rel_tol,
-        resolve_floor=resolve_floor,
-    )
+    try:
+        pieces = integrate_segments(
+            lambda x, _s: density(x),
+            grid,
+            abs_tol=1e-300,
+            rel_tol=rel_tol,
+            resolve_floor=resolve_floor,
+        )
+    except QuadratureError:
+        # The difference-quotient f'' of a line is stencil rounding that no
+        # tolerance resolves; a line falls through to the error below.
+        if not _is_linear(f, a, b):
+            raise
+        pieces = np.zeros(GRID_PANELS)
     cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
     normalizer = float(cumulative[-1])
     if normalizer <= 0.0:
@@ -180,6 +187,19 @@ def build_distribution(
             "knot density integrates to zero (target is linear); any partition is exact"
         )
     return KnotDistribution(grid, cumulative, normalizer, density, rel_tol, resolve_floor)
+
+
+def _is_linear(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> bool:
+    """Whether every component of f equals its chord over [a, b] to within
+    NOISE_EPS of its largest magnitude, on the knot distribution's grid."""
+    x = np.linspace(a, b, GRID_PANELS + 1)
+    t = (x - a) / (b - a)
+    for comp in _components(f):
+        y = np.asarray(comp.eval(x), dtype=float)
+        chord = (1.0 - t) * y[0] + t * y[-1]
+        if not np.max(np.abs(y - chord)) <= NOISE_EPS * np.max(np.abs(y)):
+            return False
+    return True
 
 
 def invert_distribution(dist: KnotDistribution, targets: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 One engine serves every integral in the package: panels are refined in
 lockstep across all segments, so the integrand is always evaluated on one
 numpy array per refinement level.  Integrands may be vector valued (several
-components sharing the same sample points), and absolute-value integrands
-get sign-aware refinement: a panel whose sampled values change sign is
-bisected until the sign is resolved or the panel is negligibly narrow.
+components sharing the same sample points, as many as the integrand's output
+has columns), and absolute-value integrands get sign-aware refinement: a
+panel whose sampled values change sign is bisected until the sign is
+resolved or the panel is negligibly narrow.
 An absolute-value integrand may have several components; their absolute
 values are summed and a sign change in any one of them forces bisection.
 """
@@ -35,12 +36,16 @@ MIN_LEVELS = 2
 MAX_LEVELS = 52
 
 
-def _call(fun, x, seg, ncomp):
+def _call(fun, x, seg, columns=None):
+    """fun at x as an (x.size, columns) array; ``columns`` defaults to what
+    the output has (one for a 1-D output)."""
     vals = np.asarray(fun(x, seg), dtype=float)
-    if ncomp == 1:
-        vals = vals.reshape(x.size, 1)
-    if vals.shape != (x.size, ncomp):
-        raise ValueError(f"integrand returned shape {vals.shape}, expected ({x.size}, {ncomp})")
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if columns is None and vals.ndim == 2:
+        columns = max(vals.shape[1], 1)
+    if vals.shape != (x.size, columns):
+        raise ValueError(f"integrand returned shape {vals.shape} for {x.size} points")
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("non-finite integrand value")
     return vals
@@ -51,7 +56,6 @@ def integrate_segments(
     edges=None,
     *,
     panels=None,
-    ncomp: int = 1,
     abs_tol: float = 1e-12,
     rel_tol: float = 0.0,
     resolve_floor: float | None = None,
@@ -59,9 +63,10 @@ def integrate_segments(
 ):
     """Integrate ``fun`` over each segment, returning per-segment totals.
 
-    fun(x, seg) -> (npts,) or (npts, ncomp); ``seg`` carries the segment index
-    of every sample point so local quantities (barycentric coordinates, local
-    ordinates) can be formed without searching.
+    fun(x, seg) -> (npts,) or (npts, k): one or k components, a count taken
+    from the first output and then required of every call.  ``seg`` carries
+    the segment index of every sample point so local quantities (barycentric
+    coordinates, local ordinates) can be formed without searching.
 
     Segments come either from ``edges`` (array of N+1 breakpoints -> N
     segments) or from ``panels`` = (lo, hi, seg, nseg) for scattered panels
@@ -80,10 +85,8 @@ def integrate_segments(
     components of |fun|, and a sign change of any component forces
     bisection.
 
-    Returns an (nseg,) array, or (nseg, ncomp) when ncomp > 1 and not
-    ``absolute``.
+    Returns an (nseg,) array, or (nseg, k) when k > 1 and not ``absolute``.
     """
-    nout = 1 if absolute else ncomp
     if resolve_floor is not None and not (np.ndim(resolve_floor) == 0 and resolve_floor >= 0.0):
         raise ValueError("resolve_floor must be a nonnegative width")
 
@@ -105,10 +108,13 @@ def integrate_segments(
     else:
         raise ValueError("pass edges or panels")
 
-    totals = np.zeros((nseg, nout))
     # Zero-width panels contribute nothing; drop them up front.
     keep = hi > lo
     lo, hi, seg = lo[keep], hi[keep], seg[keep]
+    f_lo = _call(fun, lo, seg)
+    columns = f_lo.shape[1]
+    nout = 1 if absolute else columns
+    totals = np.zeros((nseg, nout))
     if lo.size == 0:
         return totals[:, 0] if nout == 1 else totals
 
@@ -116,9 +122,8 @@ def integrate_segments(
     kink_floor = total_width * 2.0**-40
 
     mid = 0.5 * (lo + hi)
-    f_lo = _call(fun, lo, seg, ncomp)
-    f_mid = _call(fun, mid, seg, ncomp)
-    f_hi = _call(fun, hi, seg, ncomp)
+    f_mid = _call(fun, mid, seg, columns)
+    f_hi = _call(fun, hi, seg, columns)
 
     def body(values):
         """What Simpson sums: the raw values, or in absolute mode the
@@ -126,7 +131,7 @@ def integrate_segments(
         if not absolute:
             return values
         mags = np.abs(values)
-        return mags if ncomp == 1 else mags.sum(axis=1, keepdims=True)
+        return mags if columns == 1 else mags.sum(axis=1, keepdims=True)
 
     def simpson(w, va, vm, vb):
         return (w / 6.0)[:, None] * (va + 4.0 * vm + vb)
@@ -146,7 +151,7 @@ def integrate_segments(
         rm = 0.5 * (mid + hi)
         pts = np.concatenate([lm, rm])
         segs2 = np.concatenate([seg, seg])
-        vals = _call(fun, pts, segs2, ncomp)
+        vals = _call(fun, pts, segs2, columns)
         f_lm, f_rm = vals[: lo.size], vals[lo.size :]
 
         samples = (f_lo, f_lm, f_mid, f_rm, f_hi)
@@ -183,7 +188,7 @@ def integrate_segments(
             # budget cannot move the total by more than that budget, so the
             # crossing need not be located; near-zero residuals otherwise
             # drag the bisection into their rounding noise.
-            peak = vmax if ncomp == 1 else np.abs(stacked).max(axis=0)
+            peak = vmax if columns == 1 else np.abs(stacked).max(axis=0)
             changes &= peak * w[:, None] > thr
             ok &= ~np.any(changes, axis=1) | (hi - lo <= kink_floor)
 

@@ -75,10 +75,10 @@ def vector_best_l1_fit(
 def vector_bound_uniform_interpolant(F: VectorTargetFunction, a: float, b: float, n: int) -> float:
     """Heuristic vector bound: scalar uniform formula with summed curvature."""
     _check_segments(n)
-    return curvature(F, a, b).bounds(n)["uniform_interpolant"].value
+    return curvature(F, a, b).bounds(n)["uniform_interpolant"]
 
 
 def vector_bound_optimized_interpolant(F: VectorTargetFunction, a: float, b: float, n: int) -> float:
     """Heuristic vector bound: scalar equalized formula with the combined density."""
     _check_segments(n)
-    return curvature(F, a, b).bounds(n)["optimized_interpolant"].value
+    return curvature(F, a, b).bounds(n)["optimized_interpolant"]

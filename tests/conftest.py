@@ -82,7 +82,7 @@ def gaussian_sweep():
             }
     elapsed = time.perf_counter() - t0
     bounds = {
-        (n, layout): error_bound(f, 0.0, 4.0, n, f"{layout}_interpolant").value
+        (n, layout): error_bound(f, 0.0, 4.0, n, f"{layout}_interpolant")
         for n in SWEEP_N
         for layout in LAYOUTS
     }

@@ -130,7 +130,7 @@ def test_oscillatory_regime_split():
         for n in counts:
             p = optimized_partition(f, a, b, n)
             measured = l1_distance(f, interpolant(f, p))
-            estimate = error_bound(f, a, b, n, "optimized_interpolant").value
+            estimate = error_bound(f, a, b, n, "optimized_interpolant")
             widest = float(np.max(p.widths))
             ratios[n] = measured / estimate
             band = resolved if widest <= period else unresolved

@@ -293,9 +293,9 @@ def test_unconverged_fit_exits_3(capsys, monkeypatch):
     report = FitReport(
         iterations=1,
         final_cost=1.0,
-        final_gradient_norm=1.0,
         converged=False,
         function_evals=1,
+        optimality_residual=1.0,
     )
 
     def fake_fit(f, p):
@@ -354,7 +354,8 @@ def test_bench_rejects_options_it_does_not_read(capsys):
 
 
 def test_numeric_linear_target_plans_one_segment(capsys):
-    for where in (("expr:x", "0", "1"), ("expr:2*x+1", "0", "4")):
+    long_sum = "expr:" + "+".join(["x"] * 501)
+    for where in (("expr:x", "0", "1"), ("expr:2*x+1", "0", "4"), (long_sum, "0", "1")):
         args = ("--function", where[0], "--interval", *where[1:])
         code, out, err = run(capsys, "plan", *args, "--tolerance", "1e-3")
         assert code == 0, err
@@ -364,6 +365,14 @@ def test_numeric_linear_target_plans_one_segment(capsys):
         row = rows_of(out)[0]
         assert float(row["measured"]) <= 1e-12
         assert all(float(v) == 0.0 for k, v in row.items() if k.startswith("bound_"))
+        # Equalized knots are undefined for a line, as for an analytic one;
+        # bench then times a uniform layout in both modes.
+        code, out, err = run(capsys, "partition", *args, "--segments", "4", "--partition", "optimized")
+        assert code == 3 and out == ""
+        assert "target is linear" in err
+        code, out, err = run(capsys, "bench", *args, "--segments", "31", "--n-evals", "100000")
+        assert code == 0, err
+        assert [r["mode"] for r in rows_of(out)] == ["uniform_direct", "binary_search"]
 
 
 def test_curvature_pair_evaluated_once_per_command(capsys, monkeypatch):
@@ -418,16 +427,19 @@ def test_nonfinite_second_derivative_exits_2(capsys):
 
 
 def test_expression_failure_writes_one_line(capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run(
-            capsys, "plan", "--function", "expr:1/x", "--interval", "0", "1",
-            "--tolerance", "1e-3",
-        )
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("polylin: ")
-    assert [str(w.message) for w in caught] == []
+    # A pole, and expressions nested past the recursion limit: in the
+    # parser (parentheses, negations) or at evaluation (a long sum).
+    for text in ("1/x", "(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x", "+".join(["x"] * 5001)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "plan", "--function", f"expr:{text}", "--interval", "0", "1",
+                "--tolerance", "1e-3",
+            )
+        assert code == 2, text[:20]
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("polylin: ")
+        assert [str(w.message) for w in caught] == []
 
 
 def test_l1_fit_cost_is_measured_once(capsys, monkeypatch, tmp_path):

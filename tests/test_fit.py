@@ -10,7 +10,7 @@ from polylin import fit
 from polylin._kernels import thomas
 from polylin.analysis import l1_distance
 from polylin.core import Partition, PolygonalFunction, as_target, from_samples, hat_basis
-from polylin.fit import best_l1_fit, best_l1_segment, interpolant, l2_projection
+from polylin.fit import best_l1_fit, interpolant, l2_projection
 from polylin.functions import chirp, gaussian
 from polylin.partition import optimized_partition, uniform_partition
 from polylin.quadrature import integrate_segments
@@ -79,17 +79,12 @@ def test_l2_projection_preserves_constants():
     assert np.max(np.abs(proj.ordinates - 0.7)) <= 1e-10
 
 
-def test_best_line_on_quadratic_segment():
-    dy_lo, dy_hi, err = best_l1_segment(quadratic(), 0.0, 1.0)
-    assert abs(dy_lo + 3.0 / 16.0) <= 1e-12
-    assert abs(dy_hi + 3.0 / 16.0) <= 1e-12
-    assert abs(err - 1.0 / 16.0) <= 1e-12
-
-
 def test_best_line_on_linear_segment_is_exact():
-    dy_lo, dy_hi, err = best_l1_segment(linear(), 0.2, 0.9)
-    assert dy_lo == 0.0 and dy_hi == 0.0
-    assert err <= 1e-13
+    f = linear()
+    g, report = best_l1_fit(f, Partition([0.2, 0.9]))
+    assert report.converged
+    assert np.max(np.abs(g.ordinates - f.eval(g.partition.knots))) <= 1e-15
+    assert report.final_cost <= 1e-13
 
 
 def test_best_line_displacement_sum_scales_with_width():
@@ -97,16 +92,34 @@ def test_best_line_displacement_sum_scales_with_width():
     f = quadratic(domain=(0.0, 2.0))
     for x_lo, x_hi in ((0.0, 1.0), (0.5, 1.0), (0.25, 2.0)):
         h = x_hi - x_lo
-        dy_lo, dy_hi, err = best_l1_segment(f, x_lo, x_hi)
+        g, report = best_l1_fit(f, Partition([x_lo, x_hi]))
+        dy_lo, dy_hi = g.ordinates - f.eval(g.partition.knots)
+        assert report.converged
         assert abs(dy_lo + dy_hi + 3.0 * h**2 / 8.0) <= 1e-12
-        assert abs(err - h**3 / 16.0) <= 1e-10
+        assert abs(report.final_cost - h**3 / 16.0) <= 1e-10
+
+
+def test_fit_of_a_line_is_the_line():
+    # Rounding noise where a line crosses zero is no crossing of f - g.
+    for slope, intercept, n, (a, b) in (
+        (501.0, 0.0, 8, (0.0, 1.0)),
+        (3.0, 0.0, 2, (0.0, 1.0)),
+        (10.0, 0.0, 8, (0.0, 1.0)),
+        (-7.0, 2.0, 31, (-1.0, 1.0)),
+        (0.3, -0.5, 3, (-1.0, 1.0)),
+    ):
+        f = linear(domain=(a, b), slope=slope, intercept=intercept)
+        g, report = best_l1_fit(f, uniform_partition(a, b, n))
+        y = f.eval(g.partition.knots)
+        assert report.converged, (slope, intercept, n)
+        assert np.max(np.abs(g.ordinates - y)) <= 1e-15 * np.max(np.abs(y))
 
 
 def test_best_line_segment_validation():
     with pytest.raises(ValueError):
-        best_l1_segment(quadratic(), 0.5, 0.5)
+        best_l1_fit(quadratic(), Partition([0.5, 0.5]))
     with pytest.raises(ValueError):
-        best_l1_segment(quadratic(), 0.0, 1.5)
+        best_l1_fit(quadratic(), Partition([0.0, 1.5]))
 
 
 def test_single_segment_fit_matches_closed_form():
@@ -239,7 +252,6 @@ def test_unconverged_fit_reports_honestly(monkeypatch):
     assert not report.converged
     assert report.iterations == 1
     assert np.all(np.isfinite(g.ordinates))
-    assert np.isfinite(report.final_gradient_norm)
     assert np.isfinite(report.final_cost)
     assert 1e-6 < report.optimality_residual < 1.0
 

@@ -31,12 +31,12 @@ def test_absolute_value_sums_components_and_bisects_each_kink():
     # |x - 0.3| + |0.6 - x| over [0, 1]: (0.09 + 0.49)/2 + (0.36 + 0.16)/2.
     edges = np.linspace(0.0, 1.0, 4)
     parts = integrate_segments(
-        lambda x, _s: np.stack([x - 0.3, 0.6 - x], axis=1), edges, ncomp=2, absolute=True
+        lambda x, _s: np.stack([x - 0.3, 0.6 - x], axis=1), edges, absolute=True
     )
     assert parts.shape == (3,)
     assert abs(np.sum(parts) - 0.55) <= 1e-12
     single = integrate_segments(lambda x, _s: x - 0.3, edges, absolute=True)
-    stacked = integrate_segments(lambda x, _s: (x - 0.3)[:, None], edges, ncomp=1, absolute=True)
+    stacked = integrate_segments(lambda x, _s: (x - 0.3)[:, None], edges, absolute=True)
     assert np.array_equal(single, stacked)
 
 
@@ -51,7 +51,7 @@ def test_segment_totals_match_per_segment_antiderivative():
 def test_multi_component_shares_sample_points():
     edges = np.array([0.0, 0.5, 1.0])
     out = integrate_segments(
-        lambda x, seg: np.stack([x, x**2, np.cos(x)], axis=1), edges, ncomp=3
+        lambda x, seg: np.stack([x, x**2, np.cos(x)], axis=1), edges
     )
     assert out.shape == (2, 3)
     expected = np.stack(
@@ -83,6 +83,12 @@ def test_scattered_panels_accumulate_by_tag():
         lambda x, s: x, panels=(np.array([1.0]), np.array([1.0]), np.array([0]), 1)
     )
     assert empty[0] == 0.0
+    # With no panel to sample, the component count comes from an empty call.
+    empty = integrate_segments(
+        lambda x, s: np.stack([x, x], axis=1),
+        panels=(np.array([1.0]), np.array([1.0]), np.array([0]), 1),
+    )
+    assert empty.shape == (1, 2) and not np.any(empty)
 
 
 def test_relative_tolerance_path():
@@ -128,8 +134,18 @@ def test_nonfinite_integrand_raises():
 
 
 def test_wrong_shape_integrand_raises():
-    with pytest.raises(ValueError, match="shape"):
-        integrate_segments(lambda x, seg: np.ones((x.size, 2)), np.array([0.0, 1.0]))
+    # Malformed whatever the component count: wrong length, a scalar, a
+    # third axis, no column, or a column count that changes between calls.
+    edges = np.array([0.0, 1.0])
+    for fun in (
+        lambda x, seg: np.ones(x.size + 1),
+        lambda x, seg: 1.0,
+        lambda x, seg: np.ones((x.size, 2, 1)),
+        lambda x, seg: np.ones((x.size, 0)),
+        lambda x, seg: np.ones((x.size, 1 + (x[0] > 0.0))),
+    ):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_segments(fun, edges)
 
 
 def test_argument_validation():
@@ -138,8 +154,6 @@ def test_argument_validation():
         integrate_segments(lambda x, seg: x, np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         integrate_segments(lambda x, seg: x)
-    with pytest.raises(ValueError):
-        integrate_segments(lambda x, seg: x, edges, ncomp=2, absolute=True)
     with pytest.raises(ValueError, match="resolve_floor"):
         integrate_segments(lambda x, seg: x, edges, resolve_floor=-0.1)
     with pytest.raises(ValueError, match="resolve_floor"):

@@ -112,7 +112,7 @@ def test_vector_bounds_reduce_and_add():
     f = gaussian()
     single = VectorTargetFunction(components=(f,))
     double = VectorTargetFunction(components=(f, f))
-    scalar = curvature(f, 0.0, 4.0).bounds(63)["uniform_interpolant"].value
+    scalar = curvature(f, 0.0, 4.0).bounds(63)["uniform_interpolant"]
     assert vector_bound_uniform_interpolant(single, 0.0, 4.0, 63) == scalar
     assert abs(vector_bound_uniform_interpolant(double, 0.0, 4.0, 63) - 2.0 * scalar) <= 1e-14
     assert vector_bound_optimized_interpolant(double, 0.0, 4.0, 63) <= vector_bound_uniform_interpolant(double, 0.0, 4.0, 63)
