@@ -2,8 +2,9 @@
 
 Build a partition (uniform or curvature-equalized), fit ordinates
 (interpolant, least squares, or least absolute deviation), measure errors
-against a-priori bounds, and evaluate the result in O(1) or O(log N) per
-point.  The ``polylin`` command line exposes the same operations.
+against a-priori bounds, and evaluate the result in O(1) per point
+(O(log N) at worst, for strongly graded knots).  The ``polylin`` command
+line exposes the same operations.
 """
 
 from .analysis import (
@@ -21,9 +22,7 @@ from .core import (
     PolygonalFunction,
     TargetFunction,
     VectorTargetFunction,
-    as_target,
     from_samples,
-    hat_basis,
 )
 from .evaluate import BenchResult, Evaluator, bench, evaluate, evaluate_batch, make_evaluator
 from .fit import (
@@ -66,7 +65,6 @@ __all__ = [
     "QuadratureError",
     "TargetFunction",
     "VectorTargetFunction",
-    "as_target",
     "bench",
     "best_l1_fit",
     "build_distribution",
@@ -75,7 +73,6 @@ __all__ = [
     "evaluate",
     "evaluate_batch",
     "from_samples",
-    "hat_basis",
     "interpolant",
     "knot_density",
     "l1_distance",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -12,10 +15,26 @@ def backend() -> str:
 
 # -- polygonal evaluation ----------------------------------------------------
 #
+# Segments are right-open, [x_{i-1}, x_i), with x = xN folded into the last
+# segment.
+#
 # Uniform storage: the segment index comes from one multiply and a floor,
 # delta = 1 - i + N*(x - x0)/(xN - x0), using only the end knots.
-# General storage: binary search for the right-open segment [x_{i-1}, x_i),
-# with x = xN folded into the last segment.
+#
+# General storage: a guide table (Chen & Asau 1974; Devroye, Non-Uniform
+# Random Variate Generation, 1986, section III.2.4), O(1) per point.  M
+# uniform cells cover [x0, xN], and a point's cell is int((x - x0) * scale).
+# Each cell stores the number of interior knots in the cells before it.
+# That is the point's segment (0-based), or the one before it when the
+# cell's own knot lies at or left of the point, so one compare against the
+# segment's right end settles the lookup.  Knots get their cells from the
+# same float formula as points, and the formula is monotone in x, so the
+# stored counts are exact.  M is twice the number of narrowest widths that
+# fit in [x0, xN], so no cell holds two knots.  Where that would take more
+# than MAX_CELLS_PER_SEGMENT * N cells (strongly graded knots), the cells
+# that hold several knots are binary-searched instead: O(log N) worst case.
+
+MAX_CELLS_PER_SEGMENT = 8
 
 
 def eval_uniform(x0: float, xn: float, ordinates: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -27,11 +46,64 @@ def eval_uniform(x0: float, xn: float, ordinates: np.ndarray, xs: np.ndarray) ->
     return (1.0 - d) * ordinates[i - 1] + d * ordinates[i]
 
 
-def eval_sorted(knots: np.ndarray, ordinates: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    i = np.searchsorted(knots, xs, side="right")
-    np.clip(i, 1, knots.size - 1, out=i)
-    d = (xs - knots[i - 1]) / (knots[i] - knots[i - 1])
-    return (1.0 - d) * ordinates[i - 1] + d * ordinates[i]
+@dataclass(frozen=True)
+class GuideTable:
+    """Segment lookup for strictly increasing knots (see the comment above)."""
+
+    knots: np.ndarray
+    width: np.ndarray  # knots[k + 1] - knots[k]
+    right: np.ndarray  # knots[k + 1], with +inf for the last segment
+    scale: float  # cells per unit length
+    first: np.ndarray  # int32, M + 1 entries: interior knots left of each cell
+    crowded: np.ndarray | None  # cells holding several knots; None if there are none
+
+    @classmethod
+    def build(cls, knots: np.ndarray) -> "GuideTable":
+        n = knots.size - 1
+        width = np.diff(knots)
+        span = float(knots[-1] - knots[0])
+        m = int(math.ceil(min(2.0 * span / float(width.min()), MAX_CELLS_PER_SEGMENT * n)))
+        scale = m / span
+        if not math.isfinite(scale):  # span below m / 1.8e308: one cell holds every knot
+            scale = 0.0
+        cells = ((knots[1:-1] - knots[0]) * scale).astype(np.intp)
+        counts = np.bincount(cells, minlength=m + 1)
+        first = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(counts[:-1], out=first[1:])
+        crowded = counts > 1
+        right = np.append(knots[1:-1], np.inf)
+        return cls(knots, width, right, scale, first, crowded if crowded.any() else None)
+
+    def segment(self, x: float) -> int:
+        """0-based segment of one abscissa in [x0, xN]."""
+        cell = int((x - self.knots[0]) * self.scale)
+        if self.crowded is not None and self.crowded[cell]:
+            return int(np.searchsorted(self.right, x, side="right"))
+        k = int(self.first[cell])
+        return k + int(x >= self.right[k])
+
+    def segments(self, xs: np.ndarray) -> np.ndarray:
+        """0-based segment of every abscissa in [x0, xN]."""
+        t = xs - self.knots[0]
+        t *= self.scale
+        cells = t.astype(np.intp)
+        k = self.first[cells].astype(np.intp)
+        k += xs >= self.right[k]
+        if self.crowded is not None:
+            hit = self.crowded[cells]
+            k[hit] = np.searchsorted(self.right, xs[hit], side="right")
+        return k
+
+
+def eval_guided(table: GuideTable, ordinates: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    k = table.segments(xs)
+    d = xs - table.knots[k]
+    d /= table.width[k]
+    out = d * ordinates[1:][k]
+    np.subtract(1.0, d, out=d)
+    d *= ordinates[:-1][k]
+    out += d
+    return out
 
 
 def thomas(lower, diag, upper, rhs) -> np.ndarray:

@@ -13,16 +13,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import eval_sorted
-
 __all__ = [
     "Partition",
     "PolygonalFunction",
     "TargetFunction",
     "VectorTargetFunction",
-    "hat_basis",
     "from_samples",
-    "as_target",
 ]
 
 # Relative slack when classifying a partition as uniform.
@@ -190,32 +186,6 @@ def _difference_second_derivative(f: Callable, domain: tuple[float, float]) -> C
     return d2
 
 
-def hat_basis(p: Partition, i: int, x):
-    """Evaluate nodal basis function i of the partition at x.
-
-    Rises linearly from knot i-1 to knot i, falls to knot i+1, zero elsewhere;
-    the first and last basis functions are one-sided. Accepts scalars or arrays
-    within [a, b].
-    """
-    n = p.n_segments
-    if not 0 <= i <= n:
-        raise IndexError(f"basis index {i} outside 0..{n}")
-    k = p.knots
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(x < k[0]) or np.any(x > k[-1]):
-        raise ValueError("x outside the partition interval")
-    out = np.zeros_like(x)
-    if i > 0:
-        mask = (x >= k[i - 1]) & (x <= k[i])
-        out[mask] = (x[mask] - k[i - 1]) / (k[i] - k[i - 1])
-    if i < n:
-        mask = (x > k[i]) & (x <= k[i + 1]) if i > 0 else (x >= k[i]) & (x <= k[i + 1])
-        out[mask] = (k[i + 1] - x[mask]) / (k[i + 1] - k[i])
-    return float(out[0]) if scalar else out
-
-
 def from_samples(p: Partition, f: TargetFunction) -> PolygonalFunction:
     """Interpolating polygonal function: ordinates are f at the knots."""
     vals = np.asarray(f.eval(p.knots), dtype=float)
@@ -225,21 +195,3 @@ def from_samples(p: Partition, f: TargetFunction) -> PolygonalFunction:
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise ValueError(f"non-finite sample at knot {bad} (x={p.knots[bad]})")
     return PolygonalFunction(p, vals)
-
-
-def as_target(g: PolygonalFunction) -> TargetFunction:
-    """View a polygonal function as a target (its own second derivative is 0 a.e.)."""
-    knots = g.partition.knots
-    v = g.ordinates
-
-    def eval(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        out = eval_sorted(knots, v, np.atleast_1d(x))
-        return float(out[0]) if scalar else out
-
-    def d2(x):
-        x = np.asarray(x, dtype=float)
-        return 0.0 if x.ndim == 0 else np.zeros_like(x)
-
-    return TargetFunction(eval, d2, (float(knots[0]), float(knots[-1])), "analytic")

@@ -1,9 +1,13 @@
 """Fast evaluation of polygonal functions.
 
 Uniform partitions locate the segment with one multiply and a floor (no
-search); general partitions binary-search the knots.  Both use the
-right-open convention [x_{i-1}, x_i), with x = x_N folded into the last
-segment.  Batch evaluation runs through the numpy kernels in _kernels.
+search).  General partitions use a guide table built when the evaluator
+is made: O(1) per point, O(log N) worst case for strongly graded knots
+(see _kernels).  That mode keeps the name "binary_search" for API
+stability.  Both use the right-open convention [x_{i-1}, x_i), with
+x = x_N folded into the last segment, and scalar and batch calls locate
+segments the same way.  Batch evaluation runs through the numpy kernels
+in _kernels.
 
 Out-of-domain policy: under "error" an abscissa outside [a, b] raises
 ValueError; under "clamp" it is moved to the nearer end.  NaN lies in no
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +41,8 @@ class Evaluator:
     source: PolygonalFunction
     mode: str
     out_of_domain: str
+    # The binary_search mode's lookup, built here so no request pays for it.
+    _guide: _kernels.GuideTable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -45,6 +51,10 @@ class Evaluator:
             raise ValueError(f"unknown out-of-domain policy {self.out_of_domain!r}")
         if self.mode == "uniform_direct" and not self.source.partition.is_uniform:
             raise ValueError("uniform_direct requires a uniform partition")
+        guide = None
+        if self.mode == "binary_search":
+            guide = _kernels.GuideTable.build(self.source.partition.knots)
+        object.__setattr__(self, "_guide", guide)
 
     def __call__(self, x):
         if np.ndim(x) == 0:
@@ -81,8 +91,7 @@ def evaluate(e: Evaluator, x: float) -> float:
         i = min(max(int(math.floor(t)) + 1, 1), n)
         d = 1.0 - i + t
     else:
-        i = int(np.searchsorted(knots, x, side="right"))
-        i = min(max(i, 1), n)
+        i = e._guide.segment(x) + 1
         d = (x - knots[i - 1]) / (knots[i] - knots[i - 1])
     return float((1.0 - d) * v[i - 1] + d * v[i])
 
@@ -104,7 +113,7 @@ def evaluate_batch(e: Evaluator, xs) -> np.ndarray:
     v = e.source.ordinates
     if e.mode == "uniform_direct":
         return _kernels.eval_uniform(knots[0], knots[-1], v, xs)
-    return _kernels.eval_sorted(knots, v, xs)
+    return _kernels.eval_guided(e._guide, v, xs)
 
 
 def _reject(xs: np.ndarray, bad: np.ndarray, a: float, b: float):

@@ -1,4 +1,5 @@
-"""Shared fixtures: target factories and the Gaussian benchmark sweep.
+"""Shared fixtures: target factories, test oracles for polygonal
+functions, and the Gaussian benchmark sweep.
 
 The sweep fixture is session scoped because the best-L1 fits at N=511 are
 the expensive part of the whole suite; acceptance and fit tests share one
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from polylin.analysis import error_bound, l1_distance
-from polylin.core import TargetFunction
+from polylin.core import Partition, PolygonalFunction, TargetFunction
 from polylin.fit import best_l1_fit, interpolant
 from polylin.functions import gaussian
 from polylin.partition import optimized_partition, uniform_partition
@@ -56,6 +57,62 @@ def shifted_gaussian(center, domain=(0.0, 4.0)):
         return ((x - c) ** 2 - 1.0) * val(x)
 
     return TargetFunction(eval=val, second_derivative=d2, domain=domain)
+
+
+def searched_values(knots, ordinates, xs):
+    """Polygonal values by binary search: the reference for every lookup.
+
+    The segment is the right-open [x_{i-1}, x_i), with x = x_N folded into
+    the last segment.
+    """
+    i = np.searchsorted(knots, xs, side="right")
+    np.clip(i, 1, knots.size - 1, out=i)
+    d = (xs - knots[i - 1]) / (knots[i] - knots[i - 1])
+    return (1.0 - d) * ordinates[i - 1] + d * ordinates[i]
+
+
+def hat_basis(p: Partition, i: int, x):
+    """Evaluate nodal basis function i of the partition at x.
+
+    Rises linearly from knot i-1 to knot i, falls to knot i+1, zero elsewhere;
+    the first and last basis functions are one-sided. Accepts scalars or arrays
+    within [a, b].
+    """
+    n = p.n_segments
+    if not 0 <= i <= n:
+        raise IndexError(f"basis index {i} outside 0..{n}")
+    k = p.knots
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    if np.any(x < k[0]) or np.any(x > k[-1]):
+        raise ValueError("x outside the partition interval")
+    out = np.zeros_like(x)
+    if i > 0:
+        mask = (x >= k[i - 1]) & (x <= k[i])
+        out[mask] = (x[mask] - k[i - 1]) / (k[i] - k[i - 1])
+    if i < n:
+        mask = (x > k[i]) & (x <= k[i + 1]) if i > 0 else (x >= k[i]) & (x <= k[i + 1])
+        out[mask] = (k[i + 1] - x[mask]) / (k[i + 1] - k[i])
+    return float(out[0]) if scalar else out
+
+
+def as_target(g: PolygonalFunction) -> TargetFunction:
+    """View a polygonal function as a target (its own second derivative is 0 a.e.)."""
+    knots = g.partition.knots
+    v = g.ordinates
+
+    def eval(x):
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        out = searched_values(knots, v, np.atleast_1d(x))
+        return float(out[0]) if scalar else out
+
+    def d2(x):
+        x = np.asarray(x, dtype=float)
+        return 0.0 if x.ndim == 0 else np.zeros_like(x)
+
+    return TargetFunction(eval, d2, (float(knots[0]), float(knots[-1])), "analytic")
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import LAYOUTS, SWEEP_N, quadratic
+from conftest import LAYOUTS, SWEEP_N, hat_basis, quadratic
 from polylin import fit
 from polylin.analysis import (
     BOUND_KINDS,
@@ -28,7 +28,7 @@ from polylin.analysis import (
     min_segments_for_tolerance,
     partition_gain,
 )
-from polylin.core import Partition, PolygonalFunction, from_samples, hat_basis
+from polylin.core import Partition, PolygonalFunction, from_samples
 from polylin.evaluate import bench, evaluate_batch, make_evaluator
 from polylin.fit import best_l1_fit, interpolant, l2_projection
 from polylin.functions import chirp, gaussian
@@ -266,10 +266,8 @@ def test_per_evaluation_timing_trend():
         for n in SWEEP_N:
             print(f"  {n:4d}   {uniform_ns[n]:13.2f}   {search_ns[n]:14.2f}")
         spread = max(uniform_ns.values()) / min(uniform_ns.values())
-        ordered = [search_ns[n] for n in SWEEP_N]
-        nondecreasing = all(a <= b for a, b in zip(ordered, ordered[1:]))
+        search_spread = max(search_ns.values()) / min(search_ns.values())
+        ratio = max(search_ns[n] / uniform_ns[n] for n in SWEEP_N)
         print(f"  uniform-mode spread across N: {spread:.2f}x (expect < 2x)")
-        print(
-            "  search-mode nondecreasing in N: "
-            f"{nondecreasing} (expect True on quiet hosts)"
-        )
+        print(f"  search-mode spread across N: {search_spread:.2f}x (expect < 2x)")
+        print(f"  search/uniform ratio, worst N: {ratio:.2f}x (expect < 2x)")

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quadratic
+from conftest import as_target, hat_basis, quadratic
 from polylin.core import (
     Partition,
     PolygonalFunction,
     TargetFunction,
     VectorTargetFunction,
-    as_target,
     from_samples,
-    hat_basis,
 )
 from polylin.functions import expression, gaussian
 from polylin.partition import uniform_partition

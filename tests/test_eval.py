@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import searched_values
 from polylin._kernels import backend
 from polylin.core import Partition, PolygonalFunction
 from polylin.evaluate import Evaluator, bench, evaluate, evaluate_batch, make_evaluator
@@ -76,6 +77,75 @@ def test_segment_lookup_against_linear_scan():
             i += 1
         d = (x - knots[i - 1]) / (knots[i] - knots[i - 1])
         assert evaluate(e, x) == (1.0 - d) * v[i - 1] + d * v[i]
+
+
+INTERVALS = ((0.0, 1.0), (-3.0, 5.0), (1e6, 1e6 + 1e-3))
+
+
+def _graded_knots(rng, n, ratio, monotone, a, b):
+    """Knots on [a, b] whose widths span ``ratio``: spread at random, or
+    growing from left to right.  Knots that round onto a neighbour are
+    dropped, so far from the origin fewer segments may remain."""
+    widths = ratio ** rng.uniform(0.0, 1.0, n)
+    if monotone:
+        widths.sort()
+    interior = a + (b - a) * (np.cumsum(widths)[:-1] / widths.sum())
+    interior = np.unique(interior[(interior > a) & (interior < b)])
+    return np.concatenate([[a], interior, [b]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 5000),
+    st.floats(0.0, 6.0),
+    st.booleans(),
+    st.sampled_from(INTERVALS),
+    st.sampled_from(["error", "clamp"]),
+)
+def test_guide_table_matches_binary_search(seed, n, log_ratio, monotone, interval, policy):
+    rng = np.random.default_rng(seed)
+    a, b = interval
+    knots = _graded_knots(rng, n, 10.0**log_ratio, monotone, a, b)
+    g = PolygonalFunction(Partition(knots), rng.standard_normal(knots.size))
+    e = make_evaluator(g, "binary_search", out_of_domain=policy)
+    guide = e._guide
+    edges = a + np.arange(guide.first.size) / guide.scale
+    base = np.concatenate([rng.uniform(a, b, 1000), knots, edges[edges <= b]])
+    xs = np.concatenate([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)])
+    if policy == "error":
+        xs = xs[(xs >= a) & (xs <= b)]
+    inside = np.clip(xs, a, b)
+    want = np.clip(np.searchsorted(knots, inside, side="right"), 1, knots.size - 1) - 1
+    assert np.array_equal(guide.segments(inside), want)
+    ys = evaluate_batch(e, xs)
+    assert np.array_equal(ys, searched_values(knots, g.ordinates, inside))
+    for j in rng.choice(xs.size, 200):
+        assert guide.segment(inside[j]) == want[j]
+        assert evaluate(e, xs[j]) == ys[j]
+
+
+def test_strongly_graded_knots_take_the_search_path():
+    rng = np.random.default_rng(17)
+    knots = _graded_knots(rng, 4000, 1e6, True, 0.0, 1.0)
+    g = PolygonalFunction(Partition(knots), rng.standard_normal(knots.size))
+    e = make_evaluator(g)
+    assert e._guide.crowded is not None
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 10_000), knots])
+    assert np.array_equal(evaluate_batch(e, xs), searched_values(knots, g.ordinates, xs))
+    assert [evaluate(e, x) for x in knots] == list(g.ordinates)
+
+
+def test_subnormal_span_searches_every_point():
+    # m / span overflows, so the table has one cell holding every knot.
+    knots = np.array([0.0, 1e-310, 2.5e-310, 3e-310])
+    g = PolygonalFunction(Partition(knots), [1.0, 2.0, 3.0, 4.0])
+    e = make_evaluator(g, "binary_search")
+    xs = np.concatenate([knots, [0.5e-310, 1.5e-310, 2.7e-310]])
+    want = np.clip(np.searchsorted(knots, xs, side="right"), 1, 3) - 1
+    assert np.array_equal(e._guide.segments(xs), want)
+    assert [e._guide.segment(x) for x in xs] == list(want)
+    assert np.array_equal(evaluate_batch(e, knots), g.ordinates)
 
 
 def test_out_of_domain_policies():

@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import linear, quadratic
+from conftest import as_target, hat_basis, linear, quadratic
 from polylin import fit
 from polylin._kernels import thomas
 from polylin.analysis import l1_distance
-from polylin.core import Partition, PolygonalFunction, as_target, from_samples, hat_basis
+from polylin.core import Partition, PolygonalFunction, from_samples
 from polylin.fit import best_l1_fit, interpolant, l2_projection
 from polylin.functions import chirp, gaussian
 from polylin.partition import optimized_partition, uniform_partition
