@@ -8,6 +8,7 @@ peaks at knot i and vanishes at every other knot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -43,12 +44,15 @@ class Partition:
             raise ValueError("a partition needs at least two knots")
         if not np.all(np.isfinite(knots)):
             raise ValueError("knots must be finite")
+        # Python floats: the span overflows to inf without a warning.
+        span = float(knots[-1]) - float(knots[0])
+        if not math.isfinite(span):
+            raise ValueError("knot span must be finite")
         widths = np.diff(knots)
         if np.any(widths <= 0.0):
             raise ValueError("knots must be strictly increasing")
         knots.setflags(write=False)
         object.__setattr__(self, "knots", knots)
-        span = float(knots[-1] - knots[0])
         target = span / widths.size
         uniform = bool(np.max(np.abs(widths - target)) <= UNIFORM_REL_TOL * span)
         object.__setattr__(self, "is_uniform", uniform)

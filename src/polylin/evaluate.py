@@ -101,9 +101,9 @@ def evaluate_batch(e: Evaluator, xs) -> np.ndarray:
     xs = np.ascontiguousarray(xs, dtype=float)
     a, b = e.source.partition.a, e.source.partition.b
     if e.out_of_domain == "error":
-        inside = (xs >= a) & (xs <= b)  # False at NaN
-        if not inside.all():
-            _reject(xs, ~inside, a, b)
+        # Two reductions; NaN propagates through both and fails both tests.
+        if not (xs.min(initial=np.inf) >= a and xs.max(initial=-np.inf) <= b):
+            _reject(xs, ~((xs >= a) & (xs <= b)), a, b)
     else:
         # min propagates NaN: one pass tells whether any is present.
         if math.isnan(xs.min(initial=np.inf)):

@@ -8,9 +8,22 @@ f - g are known, and a tridiagonal generalized Hessian
 2 sum_r phi_i(r) phi_j(r) / |e'(r)| over the crossings r (the canonical
 points of best L1 approximation).  The fit runs Newton iterations on that
 pair, started from the least-squares projection, and stops once every
-gradient entry is at its rounding floor.  The fit has no tuning knobs:
-the stopping rule is that floor, and every integral it takes runs at the
-package's default quadrature budget.
+gradient entry is at its rounding floor.
+
+The crossings come from samples of e = f - g at equal steps in each
+segment.  A pair closer together than the step hides in a dip of |e|
+between samples of one sign.  Each dip is probed either side of its low
+sample; unless |e| rises both ways there, Brent's parabolic minimization
+searches it until the other sign appears or the minimum is bracketed to
+DIP_WIDTH of the segment, too narrow for a missed pair to move the
+gradient past its tolerance.  Every sign change is then narrowed by
+Chandrupatla's bracketing method to where bisection would end it: two
+adjacent floats at which e has opposite signs.  Its inverse quadratic
+steps give way to halving where they are not trusted, and where rounding
+leaves e nothing but its sign.  The reported cost is the sum of the smooth signed
+integrals of e between the crossings at the last ordinates.  The fit has
+no tuning knobs: the stopping rule is that floor, and every integral it
+takes runs at the package's default quadrature budget.
 """
 
 from __future__ import annotations
@@ -20,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import thomas
-from .analysis import l1_distance
 from .core import Partition, PolygonalFunction, TargetFunction, from_samples
 from .partition import _check_interval
 from .quadrature import QuadratureError, integrate_segments
@@ -47,11 +59,16 @@ DIFF_STEP = 2.0**-20  # relative step of the difference giving f' at a crossing
 REG = 1e-12  # Hessian regularization, relative to each row's own diagonal
 MAX_LINE_STEPS = 30  # trial step lengths per Newton step (see _line_search)
 CURVATURE = 0.9
-DIP_STEPS = 45  # golden-section steps per hidden-pair search (see _hidden_pairs)
+# A dip of |e| holds no missed pair once its minimum is bracketed to
+# DIP_WIDTH times the segment width (see _hidden_pairs).  DIP_ROUNDS only
+# bounds a search that rounding keeps from closing; Brent's rule ends every
+# search of the reproduce sweeps within 12 rounds.
+DIP_WIDTH = 2.4e-11
+DIP_ROUNDS = 100
 MAX_NEWTON_ITERS = 50  # an unsettled fit past this reports converged=False
 
 EPS = float(np.finfo(float).eps)
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+CGOLD = (3.0 - np.sqrt(5.0)) / 2.0  # golden-section fraction of Brent's search
 
 
 @dataclass(frozen=True)
@@ -103,7 +120,7 @@ def l2_projection(f: TargetFunction, p: Partition) -> PolygonalFunction:
 
 def _to_knots(left, right):
     """Per-knot sums of per-segment terms on each segment's left and right hat."""
-    return np.r_[left, 0.0] + np.r_[0.0, right]
+    return np.concatenate((left, [0.0])) + np.concatenate(([0.0], right))
 
 
 # -- exact crossing-point Newton ---------------------------------------------
@@ -111,26 +128,35 @@ def _to_knots(left, right):
 
 @dataclass(frozen=True)
 class _Crossings:
-    """The exact L1 gradient and generalized Hessian at some ordinates."""
+    """The exact L1 gradient and generalized Hessian at some ordinates, and
+    the crossings of f - g they come from."""
 
     samples: int
-    n_roots: int
+    roots: np.ndarray  # every located crossing, in no particular order
+    segments: np.ndarray  # the segment of each root
+    start: np.ndarray  # sign of e at each segment's left knot; 0 on a fitted segment
     grad: np.ndarray
     diag: np.ndarray
     off: np.ndarray
     residual: np.ndarray  # |grad_i| / integral of phi_i
     settled: bool
 
+    @property
+    def n_roots(self) -> int:
+        return self.roots.size
+
 
 def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> _Crossings:
     """Locate the sign changes of e = f - g and assemble the Newton pieces.
 
-    e is sampled at samples + 1 points per segment, and every sign change
-    is bisected down to adjacent floats.  A segment whose samples of e all
-    sit within rounding of its largest |f| + |g| counts as fitted: it adds
-    nothing to the gradient or the Hessian.  (Rounding of each sample's own
-    |f| + |g| would vanish where f crosses zero, and a line's noise there
-    would read as crossings.)
+    e is sampled at samples + 1 points per segment.  Every sign change
+    between neighbouring samples, and every pair of them hidden between
+    samples of one sign (see _hidden_pairs), is narrowed to a bracket of
+    adjacent floats by _roots, starting from the e values already known at
+    its ends.  A segment whose samples of e all sit within rounding of its
+    largest |f| + |g| counts as fitted: it adds nothing to the gradient or
+    the Hessian.  (Rounding of each sample's own |f| + |g| would vanish
+    where f crosses zero, and a line's noise there would read as crossings.)
     """
     knots, h, n = p.knots, p.widths, p.n_segments
 
@@ -148,16 +174,23 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     e = (fx - line(x.ravel(), rows)).reshape(x.shape)
     scale = (np.abs(fx) + line(x.ravel(), rows, np.abs(v))).reshape(x.shape)
     emax = np.max(np.abs(e), axis=1)
-    live = emax > ROOT_ULPS * EPS * np.max(scale, axis=1)
+    top = np.max(scale, axis=1)
+    live = emax > ROOT_ULPS * EPS * top
     pos = e >= 0.0
 
     cs, ck = np.nonzero(live[:, None] & (pos[:, :-1] != pos[:, 1:]))
-    ds, dl, dm, dr = _hidden_pairs(resid, x, e, pos, live, h)
+    ds, dl, dm, de, dr = _hidden_pairs(resid, x, e, pos, live, h)
     seg = np.concatenate([cs, ds, ds])
-    lo_pos = np.concatenate([pos[cs, ck], pos[ds, dl], ~pos[ds, dl]])
-    lo = np.concatenate([x[cs, ck], x[ds, dl], dm])
-    hi = np.concatenate([x[cs, ck + 1], dm, x[ds, dr]])
-    root = _bisect(resid, seg, lo, hi, lo_pos)
+    e_lo = np.concatenate([e[cs, ck], e[ds, dl], de])
+    root = _roots(
+        resid,
+        seg,
+        np.concatenate([x[cs, ck], x[ds, dl], dm]),
+        np.concatenate([x[cs, ck + 1], dm, x[ds, dr]]),
+        e_lo,
+        np.concatenate([e[cs, ck + 1], de, e[ds, dr]]),
+        EPS * top[seg],
+    )
     r = (root - knots[seg]) / h[seg]
 
     # |e'| at each crossing from a centered difference of f kept inside the
@@ -173,8 +206,9 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
 
     # sign(e) on a segment is its sign at the left knot, flipped at each
     # crossing; integrate it against both hats between the crossings.
-    start = np.where(live, np.where(pos[:, 0], 0.5, -0.5), 0.0) * h
-    flip = np.where(lo_pos, -1.0, 1.0) * h[seg]
+    sign = np.where(live, np.where(pos[:, 0], 1.0, -1.0), 0.0)
+    start = 0.5 * sign * h
+    flip = np.where(e_lo >= 0.0, -1.0, 1.0) * h[seg]
     grad = -_to_knots(start, start) - at_roots(flip * (1.0 - r) ** 2, flip * (1.0 - r * r))
     w = 2.0 / slope
     diag = at_roots(w * (1.0 - r) ** 2, w * r * r)
@@ -187,23 +221,27 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     # every sign there.  This diagonal floor keeps a row whose crossings sit
     # at its hat's edges, or that has none, from taking such a step; it
     # fades with the gradient, so the local rate is kept.
-    reach = np.maximum(np.r_[emax, 0.0], np.r_[0.0, emax])
+    reach = np.maximum(np.concatenate((emax, [0.0])), np.concatenate(([0.0], emax)))
     diag = np.maximum(diag, np.divide(np.abs(grad), reach, out=np.zeros(n + 1), where=reach > 0.0))
     diag[diag == 0.0] = 1.0
     settled = bool(np.all(np.abs(grad) <= OPTIMALITY_TOL * mass + floor))
-    return _Crossings(samples, seg.size, grad, diag, off, np.abs(grad) / mass, settled)
+    return _Crossings(samples, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
 
 
 def _hidden_pairs(resid, x, e, pos, live, h):
     """Crossing pairs closer together than the sample spacing.
 
-    Such a pair hides in a dip of |e| between samples of one sign.  A
-    golden-section search for the extremum of each dip stops where it finds
-    the other sign.  DIP_STEPS steps shrink a dip's bracket (at most h / 16) below
-    2.4e-11 h; a pair that escapes them is narrower still and moves a
-    gradient entry by less than OPTIMALITY_TOL / 10 of its hat's integral.
+    Such a pair hides in a dip of |e|: a sample whose neighbours have its
+    sign and larger |e|.  |e| is taken to be unimodal on the dip's bracket,
+    the samples either side (the one inside the segment, at its ends), and
+    _dip_search looks for its minimum there, stopping at the first point of
+    the other sign.  A dip without one ends once |e| rises both ways from
+    its lowest point, DIP_WIDTH h / 2 to either side, so that a pair that
+    escapes is narrower than DIP_WIDTH h and moves a gradient entry by less
+    than OPTIMALITY_TOL / 10 of its hat's integral.  Most dips end in the
+    first round: |e| grows away from the low sample itself.
     Returns, per pair: segment, sample index left of it, a point of the
-    other sign, sample index right of it.
+    other sign, e there, sample index right of it.
     """
     mag = np.abs(e)
     dip = np.repeat(live[:, None], e.shape[1], axis=1)
@@ -211,33 +249,216 @@ def _hidden_pairs(resid, x, e, pos, live, h):
     dip[:, :-1] &= (pos[:, :-1] == pos[:, 1:]) & (mag[:, :-1] <= mag[:, 1:])
     seg, k = np.nonzero(dip)
     left, right = np.maximum(k - 1, 0), np.minimum(k + 1, e.shape[1] - 1)
-    a, b = x[seg, left], x[seg, right]
+    # At a segment's end the one neighbour stands in for both.
+    near = np.where(k > left, left, right)
+    far = np.where(k < right, right, left)
     toward = np.where(pos[seg, k], 1.0, -1.0)
-    toward, both = np.concatenate([toward, toward]), np.concatenate([seg, seg])
-    point = np.full(seg.size, np.nan)
-    for _ in range(DIP_STEPS):
-        going = np.isnan(point)
-        if not np.any(going):
-            break
-        c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-        ec, ed = np.split(toward * resid(np.concatenate([c, d]), both), 2)
-        lower = ec < ed
-        point = np.where(going & (np.minimum(ec, ed) < 0.0), np.where(lower, c, d), point)
-        a, b = np.where(lower, a, c), np.where(lower, d, b)
+    point, value = _dip_search(
+        resid,
+        seg,
+        toward,
+        (x[seg, left], x[seg, right]),
+        (x[seg, k], mag[seg, k]),
+        (x[seg, near], mag[seg, near]),
+        (x[seg, far], mag[seg, far]),
+        0.5 * DIP_WIDTH * h[seg],
+    )
     found = ~np.isnan(point)
-    return seg[found], left[found], point[found], right[found]
+    return seg[found], left[found], point[found], (toward * value)[found], right[found]
+
+
+def _dip_search(resid, seg, toward, bracket, best, second, third, reach):
+    """Brent's minimization of toward * e over each bracket [a, b].
+
+    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5.
+    ``best``, ``second`` and ``third`` are (point, value) pairs: the lowest
+    value seen, the next lowest and the one before.  Each round evaluates,
+    in one batch, the two points ``reach`` either side of the lowest and,
+    after the first round, Brent's next point: the vertex of the parabola
+    through the three where that lies inside the bracket and moves less
+    than half the step before last, a golden-section step into the larger
+    part of the bracket otherwise.  Every point updates the bracket as in
+    Brent's method, so a value that rises on both sides of the lowest
+    point closes the bracket to 2 reach about it.  A dip stops at the first
+    point of the other sign, or once its bracket is narrower than about
+    2 reach.  Returns, per dip, that point and toward * e there, or NaN for
+    both where the dip ends without one.
+    """
+    s = (*bracket, *best, *second, *third)
+    point, value = np.full(seg.size, np.nan), np.full(seg.size, np.nan)
+    tol = 0.5 * reach
+    d = step = s[1] - s[0]
+    going = np.ones(seg.size, dtype=bool)
+    u = None
+    for _ in range(DIP_ROUNDS):
+        i = np.nonzero(going)[0]
+        if i.size == 0:
+            break
+        a, b, x, fx = s[:4]
+        trial = [np.maximum(x - reach, a), np.minimum(x + reach, b)] + ([] if u is None else [u])
+        k = len(trial)
+        got = np.tile(toward[i], k) * resid(np.concatenate([z[i] for z in trial]), np.tile(seg[i], k))
+        vals = np.full((k, seg.size), np.inf)
+        vals[:, i] = got.reshape(k, -1)
+        pick = np.argmin(vals, axis=0)
+        low = vals[pick, np.arange(seg.size)]
+        found = going & (low < 0.0)
+        point[found] = np.stack(trial)[pick, np.arange(seg.size)][found]
+        value[found] = low[found]
+        # Rising both ways from the lowest point ends the dip (the updates
+        # below would close its bracket to the two probes).
+        going &= ~found & ~(((trial[0] <= a) | (vals[0] > fx)) & ((trial[1] >= b) | (vals[1] > fx)))
+        if not going.any():
+            break
+        s = _brent_take(s, trial[0], vals[0], going & (trial[0] > a))
+        s = _brent_take(s, trial[1], vals[1], going & (trial[1] < b))
+        if u is not None:
+            s = _brent_take(s, u, vals[2], going)
+
+        a, b, x, fx, w, fw, v, fv = s
+        mid = 0.5 * (a + b)
+        tol1 = tol + 2.0 * EPS * np.abs(x)
+        going &= np.abs(x - mid) > 2.0 * tol1 - 0.5 * (b - a)
+        if not going.any():
+            break
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        num, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        num, q = np.where(q > 0.0, -num, num), np.abs(q)
+        parabolic = (np.abs(step) > tol1) & (np.abs(num) < np.abs(0.5 * q * step))
+        parabolic &= (num > q * (a - x)) & (num < q * (b - x))
+        vertex = x + np.divide(num, q, out=np.zeros_like(q), where=parabolic)
+        cramped = (vertex - a < 2.0 * tol1) | (b - vertex < 2.0 * tol1)
+        gold = np.where(x >= mid, a - x, b - x)
+        step = np.where(parabolic, d, gold)
+        d = np.where(parabolic, np.where(cramped, np.copysign(tol1, mid - x), vertex - x), CGOLD * gold)
+        u = x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d))
+    return point, value
+
+
+def _brent_take(s, u, fu, on):
+    """Brent's update of the search state (a, b, x, fx, w, fw, v, fv) with
+    the point u and its value fu, where ``on``."""
+    a, b, x, fx, w, fw, v, fv = s
+    lower, higher = on & (fu <= fx), on & ~(fu <= fx)
+    # A lower u moves the end behind it to x; a higher u becomes the end on
+    # its own side.
+    end, right = np.where(lower, x, u), u >= x
+    a = np.where(on & (lower == right), end, a)
+    b = np.where(on & (lower != right), end, b)
+    to_w = higher & ((fu <= fw) | (w == x))
+    to_v = higher & ~to_w & ((fu <= fv) | (v == x) | (v == w))
+    shift = lower | to_w
+    v, fv = np.where(shift, w, np.where(to_v, u, v)), np.where(shift, fw, np.where(to_v, fu, fv))
+    w, fw = np.where(lower, x, np.where(to_w, u, w)), np.where(lower, fx, np.where(to_w, fu, fw))
+    return a, b, np.where(lower, u, x), np.where(lower, fu, fx), w, fw, v, fv
+
+
+def _roots(resid, seg, lo, hi, e_lo, e_hi, noise):
+    """Narrow every bracket [lo, hi] of a sign change of e to adjacent floats.
+
+    Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997): x1 is the newest
+    point, x2 the bracket's other end and x3 the end dropped last.  The next
+    point is the inverse quadratic through the three where their values are
+    close enough to monotone for it to be trusted, the midpoint otherwise,
+    and false position through the two given ends at the first step.  Each
+    point keeps a tolerance from both ends: one float spacing, or the width
+    over which e moves by ``noise`` (its rounding) if that is wider.  A
+    point that closes in on the root from one side is then followed by one
+    past it, and where rounding blurs the sign of e the bracket is halved
+    instead of crept along.  Once every open bracket lies within that
+    rounding, where e tells no more than its sign, _bisect finishes them.
+    A bracket is done when its midpoint rounds to an end, bisection's own
+    stop, and its root is that midpoint: e there and at one adjacent float
+    have opposite signs, zero counting as positive.  Finished brackets are
+    dropped whenever they are half of those carried.
+    """
+    root = np.empty(lo.size)
+    idx = np.arange(lo.size)
+    x1, f1, x2, f2, x3, f3 = hi, e_hi, lo, e_lo, lo, e_lo
+    t = e_hi / (e_hi - e_lo)
+    # The inverse quadratic divides by f3 - f1, which is zero only where
+    # the interpolation is already rejected.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            a, b = np.minimum(x1, x2), np.maximum(x1, x2)
+            mid = 0.5 * (a + b)
+            open_ = (mid > a) & (mid < b)
+            n_open = np.count_nonzero(open_)
+            if 2 * n_open <= idx.size:
+                root[idx[~open_]] = mid[~open_]
+                if n_open == 0:
+                    return root
+                idx, seg, x1, f1, x2, f2, x3, f3, t, a, b, mid, noise = (
+                    z[open_] for z in (idx, seg, x1, f1, x2, f2, x3, f3, t, a, b, mid, noise)
+                )
+            d12 = f1 - f2
+            clamp = np.minimum(np.maximum(np.spacing(np.maximum(-a, b)) / (b - a), noise / np.abs(d12)), 0.5)
+            if (clamp == 0.5).all():
+                root[idx] = _bisect(resid, seg, a, b, np.where(x1 == a, f1, f2) >= 0.0)
+                return root
+            xt = x1 + np.minimum(np.maximum(t, clamp), 1.0 - clamp) * (x2 - x1)
+            xt = np.where((xt > a) & (xt < b), xt, mid)
+            ft = resid(xt, seg)
+            same = (ft >= 0.0) == (f1 >= 0.0)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = xt, ft
+            d12, d32 = f1 - f2, f3 - f2
+            xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
+            guess = f1 / d32 * (f3 / d12 + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1))
+            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), guess, 0.5)
 
 
 def _bisect(resid, seg, lo, hi, lo_pos):
-    """Shrink every bracket [lo, hi] of a sign change to adjacent floats."""
+    """Halve every bracket [lo, hi] of a sign change down to adjacent floats.
+
+    ``lo_pos`` is the sign of e at lo (zero counting as positive).  Finished
+    brackets are dropped whenever they are half of those carried.
+    """
+    root = np.empty(lo.size)
+    idx = np.arange(lo.size)
     while True:
         mid = 0.5 * (lo + hi)
         split = (mid > lo) & (mid < hi)
-        if not np.any(split):
-            return mid
+        n_split = np.count_nonzero(split)
+        if 2 * n_split <= idx.size:
+            root[idx[~split]] = mid[~split]
+            if n_split == 0:
+                return root
+            idx, seg, lo, hi, lo_pos, mid, split = (z[split] for z in (idx, seg, lo, hi, lo_pos, mid, split))
         same = (resid(mid, seg) >= 0.0) == lo_pos
         lo = np.where(split & same, mid, lo)
         hi = np.where(split & ~same, mid, hi)
+
+
+def _cost(f, p, v, state):
+    """Integral of |f - g| from the crossings of ``state``, taken at v.
+
+    e = f - g keeps one sign between neighbouring crossings of a segment:
+    the sign at the left knot, flipped at each crossing.  The cost is the
+    sum of those signs times smooth integrals of e between the crossings;
+    a fitted segment (sign 0) adds nothing.
+    """
+    knots, h, n = p.knots, p.widths, p.n_segments
+    # Each piece starts at a segment's left knot or at a crossing.  Sorted
+    # by segment, then position (lexsort is stable, so a knot stays ahead of
+    # a crossing on it), each ends where the next one starts, the last at
+    # its segment's right knot.
+    seg = np.concatenate((np.arange(n), state.segments))
+    lo = np.concatenate((knots[:-1], state.roots))
+    order = np.lexsort((lo, seg))
+    seg, lo = seg[order], lo[order]
+    last = np.concatenate((seg[1:] != seg[:-1], [True]))
+    hi = np.where(last, knots[seg + 1], np.concatenate((lo[1:], [0.0])))
+    rank = np.arange(seg.size) - np.searchsorted(seg, seg)
+    sign = state.start[seg] * np.where(rank % 2 == 0, 1.0, -1.0)
+
+    def signed(x, piece):
+        s = seg[piece]
+        d = (x - knots[s]) / h[s]
+        return sign[piece] * (np.asarray(f.eval(x), dtype=float) - ((1.0 - d) * v[s] + d * v[s + 1]))
+
+    return float(np.sum(integrate_segments(signed, panels=(lo, hi, np.arange(seg.size), seg.size))))
 
 
 def _line_search(f, p, v, step, state):
@@ -308,13 +529,12 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
             break
         v, state = v + alpha * step, trial
 
-    result = PolygonalFunction(p, v)
     report = FitReport(
         iterations=iterations,
-        final_cost=l1_distance(f, result),
+        final_cost=_cost(f, p, v, state),
         converged=converged,
         function_evals=evals,
         optimality_residual=float(np.max(state.residual)),
     )
-    return result, report
+    return PolygonalFunction(p, v), report
 

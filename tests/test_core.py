@@ -108,6 +108,14 @@ def test_partition_rejects_bad_knots():
         Partition(np.array([[0.0, 1.0]]))
 
 
+def test_partition_rejects_an_overflowing_span():
+    # Every knot and every width is finite; only b - a overflows.  Such knots
+    # used to be classed uniform, and the uniform kernel returned NaN.
+    with pytest.raises(ValueError, match="knot span must be finite"):
+        Partition(np.array([-1e308, 0.0, 1e307, 1e308]))
+    assert Partition(np.array([-8e307, 0.0, 8e307])).is_uniform
+
+
 def test_partition_properties():
     p = Partition(np.array([-1.0, 0.5, 2.0]))
     assert p.n_segments == 2

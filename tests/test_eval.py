@@ -163,6 +163,17 @@ def test_out_of_domain_policies():
     assert np.array_equal(evaluate_batch(clamped, np.array([-1.0, 2.0])), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("mode", ["uniform_direct", "binary_search"])
+def test_error_policy_on_empty_and_trailing_nan_batches(mode):
+    strict = make_evaluator(_hat(), mode, out_of_domain="error")
+    assert evaluate_batch(strict, np.array([])).shape == (0,)
+    assert evaluate_batch(strict, np.empty((0, 3))).shape == (0, 3)
+    with pytest.raises(ValueError, match="x=nan at index 3 outside"):
+        evaluate_batch(strict, np.array([0.0, 0.5, 1.0, np.nan]))
+    with pytest.raises(ValueError, match="x=-0.5 at index 1 outside"):
+        evaluate_batch(strict, np.array([0.0, -0.5, np.nan]))
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     st.integers(0, 2**31 - 1),
