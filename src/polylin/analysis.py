@@ -34,10 +34,11 @@ from .partition import (
     LinearTargetError,
     _check_interval,
     _check_segments,
+    _curvature_sum,
     _density_accuracy,
+    _inflections,
     _is_linear,
-    _second_derivatives,
-    knot_density,
+    _split_integral,
 )
 from .quadrature import QuadratureError, integrate_segments
 
@@ -156,25 +157,29 @@ def curvature(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> C
     """The curvature integrals of f over [a, b]: the one quadrature behind
     every bound and planned count.
 
-    The first integral bisects wherever any f_j'' changes sign.  The
+    Both integrals run in one pass, cut at the zeros of every analytic
+    f_j'' (see ``polylin.partition``), so on each piece the summed |f_j''|
+    is smooth and the cube root's cusp is mapped away.  The
     difference-quotient f'' of a line is pure stencil rounding, which no
-    tolerance resolves; so where an integral fails on a target that equals
+    tolerance resolves; so where the pass fails on a target that equals
     its chord to rounding, the target is linear and both integrals are 0.
     """
     _check_interval(f, a, b)
     edges = np.linspace(a, b, 65)
     rel, floor = _density_accuracy(f, a, b)
+
+    def pair(x):
+        total = _curvature_sum(f, x)
+        return np.stack([total, np.cbrt(total)], axis=1)
+
     try:
-        total = integrate_segments(
-            lambda x, _s: np.stack(_second_derivatives(f, x), axis=1),
-            edges,
-            rel_tol=rel,
-            resolve_floor=floor,
-            absolute=True,
-        )
-        density = integrate_segments(
-            lambda x, _s: knot_density(f, x),
-            edges,
+        parts = _split_integral(
+            pair,
+            _inflections(f, a, b),
+            edges[:-1],
+            edges[1:],
+            np.arange(64),
+            64,
             rel_tol=rel,
             resolve_floor=floor,
         )
@@ -182,7 +187,8 @@ def curvature(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> C
         if not _is_linear(f, a, b):
             raise
         return Curvature(0.0, 0.0, (a, b))
-    return Curvature(float(np.sum(total)), float(np.sum(density)), (a, b))
+    total, density = np.sum(parts, axis=0)
+    return Curvature(float(total), float(density), (a, b))
 
 
 def error_bound(f: TargetFunction, a: float, b: float, n: int, kind: str) -> float:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import thomas
+from ._roots import roots
 from .core import Partition, PolygonalFunction, TargetFunction, from_samples
 from .partition import _check_interval
 from .quadrature import QuadratureError, integrate_segments
@@ -152,7 +153,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     e is sampled at samples + 1 points per segment.  Every sign change
     between neighbouring samples, and every pair of them hidden between
     samples of one sign (see _hidden_pairs), is narrowed to a bracket of
-    adjacent floats by _roots, starting from the e values already known at
+    adjacent floats by roots, starting from the e values already known at
     its ends.  A segment whose samples of e all sit within rounding of its
     largest |f| + |g| counts as fitted: it adds nothing to the gradient or
     the Hessian.  (Rounding of each sample's own |f| + |g| would vanish
@@ -182,7 +183,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     ds, dl, dm, de, dr = _hidden_pairs(resid, x, e, pos, live, h)
     seg = np.concatenate([cs, ds, ds])
     e_lo = np.concatenate([e[cs, ck], e[ds, dl], de])
-    root = _roots(
+    root = roots(
         resid,
         seg,
         np.concatenate([x[cs, ck], x[ds, dl], dm]),
@@ -351,84 +352,6 @@ def _brent_take(s, u, fu, on):
     v, fv = np.where(shift, w, np.where(to_v, u, v)), np.where(shift, fw, np.where(to_v, fu, fv))
     w, fw = np.where(lower, x, np.where(to_w, u, w)), np.where(lower, fx, np.where(to_w, fu, fw))
     return a, b, np.where(lower, u, x), np.where(lower, fu, fx), w, fw, v, fv
-
-
-def _roots(resid, seg, lo, hi, e_lo, e_hi, noise):
-    """Narrow every bracket [lo, hi] of a sign change of e to adjacent floats.
-
-    Chandrupatla's method (Adv. Eng. Softw. 28(3), 1997): x1 is the newest
-    point, x2 the bracket's other end and x3 the end dropped last.  The next
-    point is the inverse quadratic through the three where their values are
-    close enough to monotone for it to be trusted, the midpoint otherwise,
-    and false position through the two given ends at the first step.  Each
-    point keeps a tolerance from both ends: one float spacing, or the width
-    over which e moves by ``noise`` (its rounding) if that is wider.  A
-    point that closes in on the root from one side is then followed by one
-    past it, and where rounding blurs the sign of e the bracket is halved
-    instead of crept along.  Once every open bracket lies within that
-    rounding, where e tells no more than its sign, _bisect finishes them.
-    A bracket is done when its midpoint rounds to an end, bisection's own
-    stop, and its root is that midpoint: e there and at one adjacent float
-    have opposite signs, zero counting as positive.  Finished brackets are
-    dropped whenever they are half of those carried.
-    """
-    root = np.empty(lo.size)
-    idx = np.arange(lo.size)
-    x1, f1, x2, f2, x3, f3 = hi, e_hi, lo, e_lo, lo, e_lo
-    t = e_hi / (e_hi - e_lo)
-    # The inverse quadratic divides by f3 - f1, which is zero only where
-    # the interpolation is already rejected.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            a, b = np.minimum(x1, x2), np.maximum(x1, x2)
-            mid = 0.5 * (a + b)
-            open_ = (mid > a) & (mid < b)
-            n_open = np.count_nonzero(open_)
-            if 2 * n_open <= idx.size:
-                root[idx[~open_]] = mid[~open_]
-                if n_open == 0:
-                    return root
-                idx, seg, x1, f1, x2, f2, x3, f3, t, a, b, mid, noise = (
-                    z[open_] for z in (idx, seg, x1, f1, x2, f2, x3, f3, t, a, b, mid, noise)
-                )
-            d12 = f1 - f2
-            clamp = np.minimum(np.maximum(np.spacing(np.maximum(-a, b)) / (b - a), noise / np.abs(d12)), 0.5)
-            if (clamp == 0.5).all():
-                root[idx] = _bisect(resid, seg, a, b, np.where(x1 == a, f1, f2) >= 0.0)
-                return root
-            xt = x1 + np.minimum(np.maximum(t, clamp), 1.0 - clamp) * (x2 - x1)
-            xt = np.where((xt > a) & (xt < b), xt, mid)
-            ft = resid(xt, seg)
-            same = (ft >= 0.0) == (f1 >= 0.0)
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-            x1, f1 = xt, ft
-            d12, d32 = f1 - f2, f3 - f2
-            xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
-            guess = f1 / d32 * (f3 / d12 + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1))
-            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), guess, 0.5)
-
-
-def _bisect(resid, seg, lo, hi, lo_pos):
-    """Halve every bracket [lo, hi] of a sign change down to adjacent floats.
-
-    ``lo_pos`` is the sign of e at lo (zero counting as positive).  Finished
-    brackets are dropped whenever they are half of those carried.
-    """
-    root = np.empty(lo.size)
-    idx = np.arange(lo.size)
-    while True:
-        mid = 0.5 * (lo + hi)
-        split = (mid > lo) & (mid < hi)
-        n_split = np.count_nonzero(split)
-        if 2 * n_split <= idx.size:
-            root[idx[~split]] = mid[~split]
-            if n_split == 0:
-                return root
-            idx, seg, lo, hi, lo_pos, mid, split = (z[split] for z in (idx, seg, lo, hi, lo_pos, mid, split))
-        same = (resid(mid, seg) >= 0.0) == lo_pos
-        lo = np.where(split & same, mid, lo)
-        hi = np.where(split & ~same, mid, hi)
 
 
 def _cost(f, p, v, state):

@@ -9,9 +9,16 @@ segment contributes.
 The cumulative density is tabulated once on a dense grid; a knot is found
 inside its table cell by Newton steps on the cumulative, whose derivative
 is the density itself, with an Illinois false-position step wherever
-Newton would leave the cell's shrinking bracket (at the cube-root cusp of
-a zero of f'', or on a flat stretch).  Each step costs one adaptive tail
-integral for all open targets at once.
+Newton would leave the cell's shrinking bracket (on a flat stretch, or
+next to a zero of f'').  Each step costs one adaptive tail integral for
+all open targets at once.
+
+At a zero of f'' the density has a cube-root cusp and |f''| a kink.  The
+zeros of every analytic f_j'' are located once, and every curvature and
+density integral (the table, the tails, and ``polylin.analysis``'s
+curvature pair) is cut at them; a piece that ends at one is integrated
+through a cubic change of variable that makes the integrand smooth there
+(see ``_split_integral``).
 
 A vector target places one partition for all its components by summing
 the component curvatures before the cube root.  A scalar target is the
@@ -25,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._roots import roots
 from .core import FD_REL_STEP, Partition, TargetFunction, VectorTargetFunction
 from .quadrature import NOISE_EPS, QuadratureError, integrate_segments
 
@@ -54,6 +62,8 @@ ROOT_ABSCISSA_TOL = 1e-12
 PLATEAU_SLACK = 1e-12
 # Floor between consecutive knots, relative to b - a.
 MIN_SPACING = 1e-12
+
+EPS = float(np.finfo(float).eps)
 
 
 class LinearTargetError(ValueError):
@@ -96,13 +106,102 @@ def _second_derivatives(f: TargetFunction | VectorTargetFunction, x) -> list[np.
     return rows
 
 
-def knot_density(f: TargetFunction | VectorTargetFunction, x):
-    """Local knot density (sum over components of |f_j''(x)|)^(1/3)."""
+def _curvature_sum(f: TargetFunction | VectorTargetFunction, x) -> np.ndarray:
+    """Summed curvature: the sum over components of |f_j''(x)|."""
     first, *rest = _second_derivatives(f, x)
     total = np.abs(first)
     for row in rest:
         total = total + np.abs(row)
-    return np.cbrt(total)
+    return total
+
+
+def knot_density(f: TargetFunction | VectorTargetFunction, x):
+    """Local knot density (sum over components of |f_j''(x)|)^(1/3)."""
+    return np.cbrt(_curvature_sum(f, x))
+
+
+def _inflections(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> np.ndarray:
+    """Sorted zeros of the analytic f_j'' on [a, b], where the summed
+    curvature has a kink and the knot density a cusp.
+
+    Each analytic component's f'' is sampled on the table grid.  A sample
+    within rounding of zero (EPS times the component's largest |f''|) is a
+    zero where it borders a sample outside that band; a sign change
+    between two samples outside it is narrowed to adjacent floats.  Zeros
+    closer together than the grid spacing go unseen, and so do those of a
+    numeric f'', whose stencil noise would invent sign changes; integrals
+    across them still converge, only with more refinement.
+    """
+    x = np.linspace(a, b, GRID_PANELS + 1)
+    found = [np.empty(0)]
+    for comp in _components(f):
+        if comp.second_derivative_kind == "numeric":
+            continue
+        (d2,) = _second_derivatives(comp, x)
+        noise = EPS * np.max(np.abs(d2))
+        band = np.abs(d2) <= noise
+        inside = np.concatenate([[True], band[:-1]]) & np.concatenate([band[1:], [True]])
+        found.append(x[band & ~inside])
+        k = np.flatnonzero(~band[:-1] & ~band[1:] & ((d2[:-1] > 0.0) != (d2[1:] > 0.0)))
+        if k.size:
+            found.append(
+                roots(
+                    lambda t, _s: _second_derivatives(comp, t)[0],
+                    k, x[k], x[k + 1], d2[k], d2[k + 1], np.full(k.size, noise),
+                )
+            )
+    return np.unique(np.concatenate(found))
+
+
+def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
+    """Integrals of fun(x) over panels (lo, hi, seg), cut at ``zeros``.
+
+    Returns per-destination totals, as ``integrate_segments`` does with
+    ``panels=(lo, hi, seg, nseg)``.  A piece that ends at a zero r is
+    integrated in t over the piece's own interval, with x = r +- L u^3,
+    u = |t - r| / L and Jacobian 3 u^2 (L the piece's width): a kink
+    c|x - r| becomes ~u^5 and a cusp |x - r|^(1/3) ~u^3, both smooth.  A
+    piece with a zero at both ends is halved first.  Pieces keep their
+    widths, so the engine's width-proportional budget is unchanged.
+    """
+    z = np.concatenate([[-np.inf], zeros, [np.inf]])
+    first = np.searchsorted(z, lo, side="right")  # first zero above lo
+    last = np.searchsorted(z, hi, side="left")  # first zero at or above hi
+    counts = np.maximum(last - first, 0) + 1
+    owner = np.repeat(np.arange(lo.size), counts)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = first[owner] + j
+    head, tail = j == 0, j == counts[owner] - 1
+    start = np.where(head, lo[owner], z[k - 1])
+    end = np.where(tail, hi[owner], z[k])
+    from_lo = ~head | (z[first - 1] == lo)[owner]
+    to_hi = ~tail | (z[last] == hi)[owner]
+    both = from_lo & to_hi
+    mid = 0.5 * (start + end)
+    p_lo = np.concatenate([start, mid[both]])
+    p_hi = np.concatenate([np.where(both, mid, end), end[both]])
+    dest = np.concatenate([seg[owner], seg[owner][both]])
+    side = np.concatenate([np.where(from_lo, 1.0, np.where(to_hi, -1.0, 0.0)), -np.ones(np.count_nonzero(both))])
+    anchor = np.where(side < 0.0, p_hi, p_lo)
+    width = p_hi - p_lo
+
+    def mapped(t, piece):
+        on = np.flatnonzero(side[piece])
+        if on.size == 0:
+            return fun(t)
+        p = piece[on]
+        u = np.abs(t[on] - anchor[p]) / width[p]
+        x = t.copy()
+        x[on] = np.clip(anchor[p] + side[p] * width[p] * u**3, p_lo[p], p_hi[p])
+        vals = np.asarray(fun(x), dtype=float)
+        jac = 3.0 * u * u
+        vals[on] *= jac if vals.ndim == 1 else jac[:, None]
+        return vals
+
+    pieces = integrate_segments(mapped, panels=(p_lo, p_hi, np.arange(p_lo.size), p_lo.size), **quadrature)
+    if pieces.ndim == 1:
+        return np.bincount(dest, pieces, minlength=nseg)
+    return np.stack([np.bincount(dest, col, minlength=nseg) for col in pieces.T], axis=1)
 
 
 @dataclass(frozen=True)
@@ -112,6 +211,7 @@ class KnotDistribution:
     ``grid``/``cumulative`` hold the running integral of the density over a
     dense mesh of [a, b]; ``normalizer`` is the full integral, so the
     normalized distribution is cumulative/normalizer with range [0, 1].
+    ``zeros`` are the zeros of f'' that every tail integral is cut at.
     """
 
     grid: np.ndarray
@@ -120,9 +220,10 @@ class KnotDistribution:
     density: Callable
     rel_tol: float = CUMULATIVE_REL_TOL
     resolve_floor: float | None = None
+    zeros: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        for name in ("grid", "cumulative"):
+        for name in ("grid", "cumulative", "zeros"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -146,9 +247,13 @@ class KnotDistribution:
     def _value_from(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Normalized cumulative at x: the tabulated value at grid[idx] plus
         the adaptive integral of the density from grid[idx] to x."""
-        tail = integrate_segments(
-            lambda t, _s: self.density(t),
-            panels=(self.grid[idx], x, np.arange(x.size), x.size),
+        tail = _split_integral(
+            self.density,
+            self.zeros,
+            self.grid[idx],
+            x,
+            np.arange(x.size),
+            x.size,
             abs_tol=self.rel_tol * max(self.normalizer, np.finfo(float).tiny),
             resolve_floor=self.resolve_floor,
         )
@@ -166,10 +271,15 @@ def build_distribution(
         return knot_density(f, x)
 
     grid = np.linspace(a, b, GRID_PANELS + 1)
+    zeros = _inflections(f, a, b)
     try:
-        pieces = integrate_segments(
-            lambda x, _s: density(x),
-            grid,
+        pieces = _split_integral(
+            density,
+            zeros,
+            grid[:-1],
+            grid[1:],
+            np.arange(GRID_PANELS),
+            GRID_PANELS,
             abs_tol=1e-300,
             rel_tol=rel_tol,
             resolve_floor=resolve_floor,
@@ -186,7 +296,7 @@ def build_distribution(
         raise LinearTargetError(
             "knot density integrates to zero (target is linear); any partition is exact"
         )
-    return KnotDistribution(grid, cumulative, normalizer, density, rel_tol, resolve_floor)
+    return KnotDistribution(grid, cumulative, normalizer, density, rel_tol, resolve_floor, zeros)
 
 
 def _is_linear(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> bool:

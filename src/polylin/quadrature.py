@@ -71,8 +71,8 @@ def integrate_segments(
     Segments come either from ``edges`` (array of N+1 breakpoints -> N
     segments) or from ``panels`` = (lo, hi, seg, nseg) for scattered panels
     tagged with destination indices.  The absolute error is budgeted across
-    panels in proportion to width, so the summed error is below
-    max(abs_tol, rel_tol * |total|).
+    panels in proportion to width, so the summed error of each component is
+    below max(abs_tol, rel_tol * |its total|).
 
     ``resolve_floor`` declares the caller's finest structure scale: a width
     below which the integrand is known to be smooth, so a panel that narrow
@@ -166,11 +166,12 @@ def integrate_segments(
         err = (S2 - S) / 15.0
 
         # Width-proportional error budget, optionally scaled by a running
-        # estimate of the total when a relative tolerance is requested.
+        # estimate of each column's total when a relative tolerance is
+        # requested.
         tol_line = abs_tol
         if rel_tol > 0.0:
-            estimate = float(np.sum(totals[:, 0]) + np.sum(S2[:, 0]))
-            tol_line = max(abs_tol, rel_tol * abs(estimate))
+            estimate = np.sum(totals, axis=0) + np.sum(S2, axis=0)
+            tol_line = np.maximum(abs_tol, rel_tol * np.abs(estimate))
         w = hi - lo
         thr = (tol_line / total_width) * w[:, None]
         # The budget is raised by a rounding floor: Richardson differences

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from polylin import quadrature
 from polylin.analysis import error_bound, l1_distance
 from polylin.core import Partition, PolygonalFunction, TargetFunction
 from polylin.fit import best_l1_fit, interpolant
@@ -144,3 +145,29 @@ def gaussian_sweep():
         for layout in LAYOUTS
     }
     return {"rows": rows, "bounds": bounds, "elapsed": elapsed}
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """batches(fn, *args): how many integrand batches fn(*args) evaluates.
+
+    A batch is one call of ``quadrature._call``: the first samples of an
+    integral, then one per refinement level, whatever the number of panels.
+    Per-level overhead dominates the small integrals, so the count is the
+    host-independent measure of their cost.
+    """
+    seen = []
+    original = quadrature._call
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_call", counted)
+
+    def count(fn, *args):
+        seen.clear()
+        fn(*args)
+        return len(seen)
+
+    return count

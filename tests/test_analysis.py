@@ -1,5 +1,7 @@
 """Error measurement, a-priori bounds, segment planning, layout gain."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ from polylin.analysis import (
 )
 from polylin.core import Partition, PolygonalFunction, VectorTargetFunction
 from polylin.fit import interpolant
-from polylin.functions import expression, gaussian
-from polylin.partition import uniform_partition
+from polylin.functions import chirp, expression, gaussian, poly7
+from polylin.partition import optimized_partition, uniform_partition
 from polylin.quadrature import QuadratureError, integrate_segments
 
 KINDS = ("uniform_interpolant", "optimized_interpolant", "uniform_best_l1", "optimized_best_l1")
@@ -164,3 +166,58 @@ def test_partition_gain_closed_forms():
     assert abs(partition_gain(cubic(), 0.0, 1.0) - 32.0 / 27.0) <= 1e-12
     assert abs(partition_gain(quadratic(), 0.0, 1.0) - 1.0) <= 1e-13
     assert partition_gain(gaussian(), 0.0, 4.0) > 1.0
+
+
+def _phi(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _poly7_total():
+    """Sum of |f'(q) - f'(p)| between neighbouring real roots of f'' (and
+    the ends), on which f'' keeps one sign."""
+    d1 = np.polynomial.Polynomial.fromroots((-4.0, -3.0, -2.5, 0.0, 1.5, 2.0, 3.0)).deriv()
+    r = d1.deriv().roots()
+    r = np.sort(r.real[(r.imag == 0.0) & (r.real > -4.0) & (r.real < 3.0)])
+    return float(np.sum(np.abs(np.diff(d1(np.concatenate([[-4.0], r, [3.0]]))))))
+
+
+@pytest.mark.parametrize(
+    "f, a, b, total, density",
+    [
+        (quadratic(), 0.0, 1.0, 2.0, 2.0 ** (1.0 / 3.0)),
+        (cubic(), 0.0, 1.0, 3.0, 0.75 * 6.0 ** (1.0 / 3.0)),
+        (cubic((-1.0, 1.0)), -1.0, 1.0, 6.0, 1.5 * 6.0 ** (1.0 / 3.0)),
+        (gaussian(), 0.0, 4.0, 2.0 * _phi(1.0) - 4.0 * _phi(4.0), None),
+        (gaussian((0.0, 8.0)), 0.0, 8.0, 2.0 * _phi(1.0) - 8.0 * _phi(8.0), None),
+        (poly7(), -4.0, 3.0, _poly7_total(), None),
+    ],
+    ids=["quadratic", "cubic01", "cubic-11", "gaussian04", "gaussian08", "poly7"],
+)
+def test_curvature_closed_forms(f, a, b, total, density):
+    # The integrals are cut at the zeros of f'' (x = 1 for the gaussian, 0
+    # for x^3, an interval end for x^3 on [0, 1]) and mapped there; these
+    # pin the sign of each piece and the change of variable.
+    c = curvature(f, a, b)
+    assert abs(c.total - total) <= 1e-12 * total
+    if density is not None:
+        assert abs(c.density - density) <= 1e-12 * density
+
+
+WORK_TARGETS = {
+    "gaussian": (gaussian(), 0.0, 4.0),
+    "chirp": (chirp(), 0.0, 1.0),
+    "poly7": (poly7(), -4.0, 3.0),
+    "gaussian14": (gaussian((1.0, 4.0)), 1.0, 4.0),
+    "cubic-11": (cubic((-1.0, 1.0)), -1.0, 1.0),
+    "cubic01": (cubic(), 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(WORK_TARGETS))
+def test_curvature_integrals_converge_in_few_levels(batches, name):
+    # Cut at the zeros of f'', where |f''| has a kink and its cube root a
+    # cusp, every piece is smooth: uncut, each integral bisected about 30
+    # levels into them (44 to 76 batches per curvature call).
+    f, a, b = WORK_TARGETS[name]
+    assert batches(curvature, f, a, b) <= 20
+    assert batches(optimized_partition, f, a, b, 255) <= 40

@@ -101,6 +101,17 @@ def test_relative_tolerance_path():
     assert abs(big[0] - 1e8 / 3.0) <= 1e-8 * 1e8 / 3.0
 
 
+def test_relative_tolerance_budgets_each_column():
+    # A large first column must not loosen the budget of a small second one.
+    out = integrate_segments(
+        lambda x, _s: np.stack([1e9 * x * x, np.exp(x)], axis=1),
+        np.array([0.0, 1.0]),
+        rel_tol=1e-12,
+    )
+    assert abs(out[0, 0] - 1e9 / 3.0) <= 1e-12 * 1e9 / 3.0
+    assert abs(out[0, 1] - np.expm1(1.0)) <= 1e-12 * np.expm1(1.0)
+
+
 def test_steep_sigmoid_ramp_converges():
     # Amplitude-one ramp: value jitter near the transition sits around
     # k * ulp, far above the absolute budget, so acceptance must come from
