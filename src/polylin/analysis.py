@@ -31,16 +31,15 @@ import numpy as np
 
 from .core import PolygonalFunction, TargetFunction, VectorTargetFunction
 from .partition import (
+    CUMULATIVE_REL_TOL,
     LinearTargetError,
     _check_interval,
     _check_segments,
     _curvature_sum,
-    _density_accuracy,
     _inflections,
-    _is_linear,
     _split_integral,
 )
-from .quadrature import QuadratureError, integrate_segments
+from .quadrature import integrate_segments
 
 __all__ = [
     "BEST_L1_FACTOR",
@@ -157,36 +156,27 @@ def curvature(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> C
     """The curvature integrals of f over [a, b]: the one quadrature behind
     every bound and planned count.
 
-    Both integrals run in one pass, cut at the zeros of every analytic
-    f_j'' (see ``polylin.partition``), so on each piece the summed |f_j''|
-    is smooth and the cube root's cusp is mapped away.  The
-    difference-quotient f'' of a line is pure stencil rounding, which no
-    tolerance resolves; so where the pass fails on a target that equals
-    its chord to rounding, the target is linear and both integrals are 0.
+    Both integrals run in one pass, cut at the zeros of every f_j'' (see
+    ``polylin.partition``), so on each piece the summed |f_j''| is smooth
+    and the cube root's cusp is mapped away.  A line's f'' is 0, and so
+    are both of its integrals.
     """
     _check_interval(f, a, b)
     edges = np.linspace(a, b, 65)
-    rel, floor = _density_accuracy(f, a, b)
 
     def pair(x):
         total = _curvature_sum(f, x)
         return np.stack([total, np.cbrt(total)], axis=1)
 
-    try:
-        parts = _split_integral(
-            pair,
-            _inflections(f, a, b),
-            edges[:-1],
-            edges[1:],
-            np.arange(64),
-            64,
-            rel_tol=rel,
-            resolve_floor=floor,
-        )
-    except QuadratureError:
-        if not _is_linear(f, a, b):
-            raise
-        return Curvature(0.0, 0.0, (a, b))
+    parts = _split_integral(
+        pair,
+        _inflections(f, a, b),
+        edges[:-1],
+        edges[1:],
+        np.arange(64),
+        64,
+        rel_tol=CUMULATIVE_REL_TOL,
+    )
     total, density = np.sum(parts, axis=0)
     return Curvature(float(total), float(density), (a, b))
 

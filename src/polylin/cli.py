@@ -7,12 +7,21 @@ did not converge, quadrature failure, linear target).  Output is CSV
 (default) or JSON, written to --out or stdout, with floats at 17
 significant digits so identical configurations produce byte-identical
 files.
+
+Endpoint policy: f'' must be finite on the whole closed interval, ends
+included.  It is sampled on a grid that contains both ends before any
+curvature integral, and a non-finite value anywhere on it exits 2 with
+"second derivative is not finite on the interval", even where the knot
+density would still be integrable: expr:x^1.5 and expr:sqrt(x) on [0, 1]
+have an infinite f'' at 0, and expr:x^x a NaN one (x^w with an exponent
+that depends on x is defined only for x > 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -481,7 +490,10 @@ def _add_common(sub, *, function=True, segments=True, fitkind=True, seed=False):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each call gets a fresh namespace of defaults."""
     parser = argparse.ArgumentParser(
         prog="polylin",
         description="Polygonal approximation under the L1 norm.",

@@ -102,43 +102,29 @@ class PolygonalFunction:
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """Function to approximate on a closed interval.
+    """Function to approximate on a closed interval, with its f''.
 
-    ``eval`` must accept numpy arrays (and scalars) and evaluate elementwise.
-    ``second_derivative`` is either analytic or the built-in central-difference
-    fallback; ``second_derivative_kind`` records which one this instance carries,
-    since curvature-equalized knot placement is only as good as f''.
+    ``eval`` and ``second_derivative`` must accept numpy arrays (and
+    scalars) and evaluate elementwise.  Knot placement and every error
+    estimate are only as good as f'', so it is required: the built-in
+    targets give it in closed form, and expression targets by second-order
+    jets (``polylin.functions``).
     """
 
     eval: Callable
     second_derivative: Callable
     domain: tuple[float, float]
-    second_derivative_kind: str = "analytic"
 
     def __post_init__(self) -> None:
         a, b = self.domain
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ValueError(f"degenerate domain [{a}, {b}]")
-        if self.second_derivative_kind not in ("analytic", "numeric"):
-            raise ValueError(f"unknown kind {self.second_derivative_kind!r}")
 
     def __call__(self, x):
         return self.eval(x)
 
     def d2(self, x):
         return self.second_derivative(x)
-
-    @staticmethod
-    def create(
-        eval: Callable,
-        domain: tuple[float, float],
-        second_derivative: Callable | None = None,
-    ) -> "TargetFunction":
-        """Build a target; without an analytic f'' a numeric fallback is used."""
-        if second_derivative is not None:
-            return TargetFunction(eval, second_derivative, domain, "analytic")
-        d2 = _difference_second_derivative(eval, domain)
-        return TargetFunction(eval, d2, domain, "numeric")
 
 
 @dataclass(frozen=True)
@@ -163,31 +149,6 @@ class VectorTargetFunction:
 
     def __len__(self) -> int:
         return len(self.components)
-
-
-# Relative step of the difference stencil below; also the structure scale
-# of the resulting second derivative, since features narrower than the
-# stencil are averaged away and values carry ~1e-16/step^2 rounding jitter.
-FD_REL_STEP = 1e-5
-
-
-def _difference_second_derivative(f: Callable, domain: tuple[float, float]) -> Callable:
-    """Central second difference with the stencil shifted inward at the ends."""
-    a, b = domain
-
-    def d2(x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        step = np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(x))
-        center = np.clip(x, a + step, b - step)
-        # Infinite samples give inf - inf; callers reject the non-finite
-        # result, so the arithmetic stays silent.
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = (f(center + step) - 2.0 * f(center) + f(center - step)) / step**2
-        return float(out[0]) if scalar else out
-
-    return d2
 
 
 def from_samples(p: Partition, f: TargetFunction) -> PolygonalFunction:

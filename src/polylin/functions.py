@@ -1,14 +1,16 @@
 """Built-in approximation targets and a small expression grammar.
 
 The named targets carry analytic second derivatives.  Expression targets
-are parsed from a minimal arithmetic grammar (+ - * / ^, sin, cos, exp,
-sqrt, the constants pi and e, variable x) and fall back to the numeric
-second derivative.
+are compiled from a minimal arithmetic grammar (+ - * / ^, sin, cos, exp,
+sqrt, the constants pi and e, variable x) to a postfix tape; their f runs
+the tape on values and their f'' on second-order Taylor jets, so every
+target's f'' is exact to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -43,7 +45,7 @@ def gaussian(domain: tuple[float, float] = (0.0, 4.0)) -> TargetFunction:
         x = np.asarray(x, dtype=float)
         return (x * x - 1.0) * np.exp(-0.5 * x * x) / SQRT_2PI
 
-    return TargetFunction(f, d2, domain, "analytic")
+    return TargetFunction(f, d2, domain)
 
 
 def chirp(domain: tuple[float, float] = (0.0, 1.0)) -> TargetFunction:
@@ -59,7 +61,7 @@ def chirp(domain: tuple[float, float] = (0.0, 1.0)) -> TargetFunction:
         rate = 20.0 * np.pi
         return rate * np.cos(phase) - (rate * x) ** 2 * np.sin(phase)
 
-    return TargetFunction(f, d2, domain, "analytic")
+    return TargetFunction(f, d2, domain)
 
 
 _POLY7_ROOTS = (-4.0, -3.0, -2.5, 0.0, 1.5, 2.0, 3.0)
@@ -87,7 +89,9 @@ def polynomial(coefficients, domain: tuple[float, float]) -> TargetFunction:
     def d2(x):
         return second(np.asarray(x, dtype=float))
 
-    return TargetFunction(f, d2, domain, "analytic")
+    return TargetFunction(f, d2, domain)
+
+
 
 
 # -- expression grammar ------------------------------------------------------
@@ -97,9 +101,28 @@ def polynomial(coefficients, domain: tuple[float, float]) -> TargetFunction:
 # unary  := '-' unary | power
 # power  := atom ('^' unary)?            right associative
 # atom   := NUMBER | 'x' | 'pi' | 'e' | NAME '(' expr ')' | '(' expr ')'
+#
+# The text compiles to a postfix tape, a flat list of (kind, argument)
+# instructions, and two loops run the tape over a value stack: one on
+# values, one on second-order jets (v, v', v'').  Compiler and loops are
+# iterative, so no nesting depth or length is too deep for them.
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
 _CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
+# "^c" is ^ with an exponent free of x, which the jets differentiate by
+# the power rule; the values are np.power either way.
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+    "^c": np.power,
+}
+# Binding power on the operator stack: unary minus binds tighter than * and
+# / but looser than ^, so -x^2 is -(x^2) and x^-2 is x^(-2).  ^ alone is
+# right associative.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 class ExpressionError(ValueError):
@@ -144,127 +167,236 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _compile(tokens) -> list[tuple]:
+    """Postfix tape of the token list, by Dijkstra's shunting-yard.
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    The scan alternates between expecting an operand (a number, x, a
+    constant, a call, an opening parenthesis, or a unary minus before one)
+    and expecting an operator or a closing parenthesis.  Operators wait on
+    a stack until one that binds less tightly arrives, so operands keep
+    their order in the text and every operation its place in the grammar.
+    """
+    tape = []
+    varies = []  # per value the tape leaves on the stack: does it depend on x
+    pending = []  # operators, "(" and function names
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+    def emit(op):
+        if op == "neg":
+            tape.append(("neg", None))
+        elif op in _FUNCTIONS:
+            tape.append(("call", op))
+        else:
+            rhs = varies.pop()
+            tape.append(("^c" if op == "^" and not rhs else op, None))
+            varies[-1] = varies[-1] or rhs
 
-    def expect(self, tok):
-        if self.take() != tok:
-            raise ExpressionError(f"expected {tok!r}")
+    def unwind(bind):
+        """Emit the pending operators that bind at least as tightly as bind."""
+        while pending and _PRECEDENCE.get(pending[-1], 0) >= bind:
+            emit(pending.pop())
 
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ExpressionError(f"trailing input from token {self.pos}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.unary()
-            node = (op, node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == "^":
-            self.take()
-            return ("^", node, self.unary())
-        return node
-
-    def atom(self):
-        tok = self.take()
-        if tok is None:
-            raise ExpressionError("unexpected end of expression")
-        if isinstance(tok, float):
-            return ("num", np.float64(tok))
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if tok == "x":
-            return ("var",)
-        if tok in _CONSTANTS:
-            return ("num", _CONSTANTS[tok])
-        if tok in _FUNCTIONS:
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return ("call", tok, arg)
-        raise ExpressionError(f"unexpected token {tok!r}")
+    operand = True
+    i = 0
+    while True:
+        tok = tokens[i] if i < len(tokens) else None
+        i += 1
+        if operand:
+            if tok == "x":
+                tape.append(("x", None))
+                varies.append(True)
+                operand = False
+            elif isinstance(tok, float) or tok in _CONSTANTS:
+                tape.append(("num", np.float64(tok) if isinstance(tok, float) else _CONSTANTS[tok]))
+                varies.append(False)
+                operand = False
+            elif tok == "-":
+                pending.append("neg")
+            elif tok == "(":
+                pending.append("(")
+            elif tok in _FUNCTIONS:
+                if i >= len(tokens) or tokens[i] != "(":
+                    raise ExpressionError("expected '('")
+                pending.append(tok)
+                i += 1
+            elif tok is None:
+                raise ExpressionError("unexpected end of expression")
+            else:
+                raise ExpressionError(f"unexpected token {tok!r}")
+        elif tok in ("+", "-", "*", "/", "^"):
+            # A pending operator that binds as tightly goes first (left
+            # associativity), except before ^, which is right associative.
+            unwind(_PRECEDENCE[tok] + (tok == "^"))
+            pending.append(tok)
+            operand = True
+        elif tok == ")":
+            unwind(1)
+            if not pending:
+                raise ExpressionError(f"unmatched ')' at token {i - 1}")
+            opener = pending.pop()
+            if opener != "(":
+                emit(opener)
+        elif tok is None:
+            unwind(1)
+            if pending:
+                raise ExpressionError("expected ')'")
+            return tape
+        else:
+            raise ExpressionError(f"trailing input from token {i - 1}")
 
 
-def _evaluate(node, x):
-    op = node[0]
-    if op == "num":
-        return np.full_like(x, node[1]) if np.ndim(x) else node[1]
-    if op == "var":
-        return x
-    if op == "neg":
-        return -_evaluate(node[1], x)
-    if op == "call":
-        return _FUNCTIONS[node[1]](_evaluate(node[2], x))
-    lhs = _evaluate(node[1], x)
-    rhs = _evaluate(node[2], x)
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs / rhs
-    if op == "^":
-        return np.power(lhs, rhs)
-    raise ExpressionError(f"unknown node {op!r}")
+def _run(tape, x):
+    """The tape's value at x, each operation in its order in the text."""
+    stack = []
+    for kind, arg in tape:
+        if kind == "num":
+            stack.append(np.full_like(x, arg) if x.ndim else arg)
+        elif kind == "x":
+            stack.append(x)
+        elif kind == "neg":
+            stack[-1] = -stack[-1]
+        elif kind == "call":
+            stack[-1] = _FUNCTIONS[arg](stack[-1])
+        else:
+            rhs = stack.pop()
+            stack[-1] = _BINARY[kind](stack[-1], rhs)
+    return stack[0]
+
+
+# Second-order forward mode (Griewank & Walther, Evaluating Derivatives,
+# 2nd ed., SIAM 2008, ch. 13): every value on the stack is a jet
+# (v, v', v'') of derivatives in x, and each operation maps the jets of its
+# operands to the jet of its result.  A constant's jet is (c, 0, 0).
+
+
+def _jet_neg(v, d, dd):
+    return -v, -d, -dd
+
+
+def _jet_add(u, w):
+    return u[0] + w[0], u[1] + w[1], u[2] + w[2]
+
+
+def _jet_sub(u, w):
+    return u[0] - w[0], u[1] - w[1], u[2] - w[2]
+
+
+def _jet_mul(u, w):
+    (u0, u1, u2), (w0, w1, w2) = u, w
+    return u0 * w0, u1 * w0 + u0 * w1, u2 * w0 + 2.0 * u1 * w1 + u0 * w2
+
+
+def _jet_div(u, w):
+    (u0, u1, u2), (w0, w1, w2) = u, w
+    q = u0 / w0
+    q1 = (u1 - q * w1) / w0
+    return q, q1, (u2 - 2.0 * q1 * w1 - q * w2) / w0
+
+
+def _jet_power_const(u, w):
+    """u^c for an exponent c free of x: c u^(c-1) u' and
+    c (c-1) u^(c-2) u'^2 + c u^(c-1) u''.  A term whose factor c or c - 1
+    is zero is left out, so x^0 and x^1 have finite jets at 0."""
+    (u0, u1, u2), c = u, float(w[0])
+    if c == 0.0:
+        return u0**c, 0.0, 0.0
+    slope = c * u0 ** (c - 1.0)
+    d, dd = slope * u1, slope * u2
+    if c != 1.0:
+        dd = c * (c - 1.0) * u0 ** (c - 2.0) * u1 * u1 + dd
+    return u0**c, d, dd
+
+
+def _jet_power(u, w):
+    """u^w = exp(w log u) for an exponent that depends on x; NaN where
+    u <= 0, where the logarithm is not real."""
+    u0, u1, u2 = u
+    u0 = np.where(u0 > 0.0, u0, np.nan)
+    l1 = u1 / u0
+    return _jet_exp(*_jet_mul(w, (np.log(u0), l1, u2 / u0 - l1 * l1)))
+
+
+def _jet_sin(v, d, dd):
+    s, c = np.sin(v), np.cos(v)
+    return s, c * d, c * dd - s * (d * d)
+
+
+def _jet_cos(v, d, dd):
+    s, c = np.sin(v), np.cos(v)
+    return c, -s * d, -s * dd - c * (d * d)
+
+
+def _jet_exp(v, d, dd):
+    e = np.exp(v)
+    return e, e * d, e * (dd + d * d)
+
+
+def _jet_sqrt(v, d, dd):
+    r = np.sqrt(v)
+    r1 = d / (2.0 * r)
+    return r, r1, (dd - 2.0 * r1 * r1) / (2.0 * r)
+
+
+_JET_BINARY = {
+    "+": _jet_add,
+    "-": _jet_sub,
+    "*": _jet_mul,
+    "/": _jet_div,
+    "^": _jet_power,
+    "^c": _jet_power_const,
+}
+_JET_CALLS = {"sin": _jet_sin, "cos": _jet_cos, "exp": _jet_exp, "sqrt": _jet_sqrt}
+
+
+def _run_jets(tape, x):
+    """The tape's jet (v, v', v'') at x."""
+    stack = []
+    for kind, arg in tape:
+        if kind == "num":
+            stack.append((arg, 0.0, 0.0))
+        elif kind == "x":
+            stack.append((x, 1.0, 0.0))
+        elif kind == "neg":
+            stack[-1] = _jet_neg(*stack[-1])
+        elif kind == "call":
+            stack[-1] = _JET_CALLS[arg](*stack[-1])
+        else:
+            rhs = stack.pop()
+            stack[-1] = _JET_BINARY[kind](stack[-1], rhs)
+    return stack[0]
+
+
+def _shaped(out, x):
+    """out as a float array of x's shape (a scalar for a scalar x)."""
+    if not x.ndim:
+        return out
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == x.shape else np.full(x.shape, out)
 
 
 def expression(text: str, domain: tuple[float, float]) -> TargetFunction:
-    """Target from an expression in x; f'' is the numeric fallback.
+    """Target from an expression in x, with its exact second derivative.
 
-    Parsing and evaluation recurse on the nesting depth; an expression
-    nested past the interpreter's recursion limit raises ExpressionError,
-    at parse time or at its first evaluation.
+    The text compiles once to a postfix tape.  f runs the tape on values,
+    in the text's order of operations; f'' runs it on second-order jets, so
+    it is exact to rounding wherever the expression is twice
+    differentiable, and not finite (inf or NaN) where it is not: at a pole,
+    at 0 for sqrt(x) or x^1.5, or wherever u <= 0 in a u^w whose exponent
+    depends on x.  Both accept any nesting depth and any length.
     """
-    try:
-        node = _Parser(_tokenize(text)).parse()
-    except RecursionError:
-        raise ExpressionError("expression nests too deeply to parse") from None
+    tape = _compile(_tokenize(text))
 
+    # Constants are float64, so scalar and array inputs follow the same
+    # IEEE rules (1/0 is inf, not ZeroDivisionError) without warnings;
+    # callers reject the non-finite values they cannot use.
     def f(x):
         x = np.asarray(x, dtype=float)
-        # Constants are float64, so scalar and array inputs follow the same
-        # IEEE rules (1/0 is inf, not ZeroDivisionError) without warnings;
-        # callers reject the non-finite values they cannot use.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            try:
-                out = _evaluate(node, x)
-            except RecursionError:
-                raise ExpressionError("expression nests too deeply to evaluate") from None
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy() if x.ndim else out
+            return _shaped(_run(tape, x), x)
 
-    return TargetFunction.create(f, domain)
+    def d2(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _, _, out = _run_jets(tape, x)
+        return _shaped(out, x)
+
+    return TargetFunction(f, d2, domain)

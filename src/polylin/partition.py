@@ -13,12 +13,15 @@ Newton would leave the cell's shrinking bracket (on a flat stretch, or
 next to a zero of f'').  Each step costs one adaptive tail integral for
 all open targets at once.
 
-At a zero of f'' the density has a cube-root cusp and |f''| a kink.  The
-zeros of every analytic f_j'' are located once, and every curvature and
+Every target carries an exact f'' (closed form, or second-order jets for
+an expression), so every integral here is held to the same relative
+accuracy.  At a zero of f'' the density has a cube-root cusp and |f''| a
+kink.  The zeros of every f_j'' are located once, and every curvature and
 density integral (the table, the tails, and ``polylin.analysis``'s
 curvature pair) is cut at them; a piece that ends at one is integrated
 through a cubic change of variable that makes the integrand smooth there
-(see ``_split_integral``).
+(see ``_split_integral``).  A second derivative that is not finite at a
+point of the table grid, whose ends are a and b, raises ``ValueError``.
 
 A vector target places one partition for all its components by summing
 the component curvatures before the cube root.  A scalar target is the
@@ -33,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from ._roots import roots
-from .core import FD_REL_STEP, Partition, TargetFunction, VectorTargetFunction
-from .quadrature import NOISE_EPS, QuadratureError, integrate_segments
+from .core import Partition, TargetFunction, VectorTargetFunction
+from .quadrature import integrate_segments
 
 __all__ = [
     "LinearTargetError",
@@ -54,7 +57,7 @@ CUMULATIVE_REL_TOL = 1e-10
 # this of its target, where the density is positive ...
 ROOT_RESIDUAL_TOL = 1e-12
 # ... and otherwise stops when the bracket is this narrow, relative to
-# b - a, returning its upper end (flat stretches, noisy numeric f'').
+# b - a, returning its upper end (flat stretches).
 ROOT_ABSCISSA_TOL = 1e-12
 # Plateau slack: the inversion picks the leftmost point whose cumulative
 # value reaches the target minus this, which lands on the left edge of any
@@ -73,18 +76,6 @@ class LinearTargetError(ValueError):
 def _components(f: TargetFunction | VectorTargetFunction) -> tuple[TargetFunction, ...]:
     """The component targets; a scalar target is a one-component vector target."""
     return f.components if isinstance(f, VectorTargetFunction) else (f,)
-
-
-def _density_accuracy(f: TargetFunction | VectorTargetFunction, a: float, b: float):
-    """(rel_tol, resolve_floor) for integrals of a second-derivative-based
-    density.  A difference-quotient second derivative carries rounding
-    jitter around 1e-16/step^2 and resolves no structure narrower than its
-    stencil, so integrals over it are held to a matching relative accuracy
-    instead of the absolute default; one such component sets the rule."""
-    if not any(c.second_derivative_kind == "numeric" for c in _components(f)):
-        return CUMULATIVE_REL_TOL, None
-    floor = min(FD_REL_STEP * max(1.0, abs(a), abs(b)), (b - a) / 256.0)
-    return 1e-6, floor
 
 
 def uniform_partition(a: float, b: float, n: int) -> Partition:
@@ -121,22 +112,20 @@ def knot_density(f: TargetFunction | VectorTargetFunction, x):
 
 
 def _inflections(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> np.ndarray:
-    """Sorted zeros of the analytic f_j'' on [a, b], where the summed
-    curvature has a kink and the knot density a cusp.
+    """Sorted zeros of every f_j'' on [a, b], where the summed curvature
+    has a kink and the knot density a cusp.
 
-    Each analytic component's f'' is sampled on the table grid.  A sample
-    within rounding of zero (EPS times the component's largest |f''|) is a
-    zero where it borders a sample outside that band; a sign change
-    between two samples outside it is narrowed to adjacent floats.  Zeros
-    closer together than the grid spacing go unseen, and so do those of a
-    numeric f'', whose stencil noise would invent sign changes; integrals
-    across them still converge, only with more refinement.
+    Each component's f'' is sampled on the table grid, both ends included,
+    so a non-finite f'' at any grid point raises here.  A sample within
+    rounding of zero (EPS times the component's largest |f''|) is a zero
+    where it borders a sample outside that band; a sign change between two
+    samples outside it is narrowed to adjacent floats.  Zeros closer
+    together than the grid spacing go unseen; integrals across them still
+    converge, only with more refinement.
     """
     x = np.linspace(a, b, GRID_PANELS + 1)
     found = [np.empty(0)]
     for comp in _components(f):
-        if comp.second_derivative_kind == "numeric":
-            continue
         (d2,) = _second_derivatives(comp, x)
         noise = EPS * np.max(np.abs(d2))
         band = np.abs(d2) <= noise
@@ -218,8 +207,6 @@ class KnotDistribution:
     cumulative: np.ndarray
     normalizer: float
     density: Callable
-    rel_tol: float = CUMULATIVE_REL_TOL
-    resolve_floor: float | None = None
     zeros: np.ndarray = ()
 
     def __post_init__(self) -> None:
@@ -254,8 +241,7 @@ class KnotDistribution:
             x,
             np.arange(x.size),
             x.size,
-            abs_tol=self.rel_tol * max(self.normalizer, np.finfo(float).tiny),
-            resolve_floor=self.resolve_floor,
+            abs_tol=CUMULATIVE_REL_TOL * max(self.normalizer, np.finfo(float).tiny),
         )
         return (self.cumulative[idx] + tail) / self.normalizer
 
@@ -265,51 +251,29 @@ def build_distribution(
 ) -> KnotDistribution:
     """Tabulated cumulative integral of the knot density over [a, b]."""
     _check_interval(f, a, b)
-    rel_tol, resolve_floor = _density_accuracy(f, a, b)
 
     def density(x):
         return knot_density(f, x)
 
     grid = np.linspace(a, b, GRID_PANELS + 1)
     zeros = _inflections(f, a, b)
-    try:
-        pieces = _split_integral(
-            density,
-            zeros,
-            grid[:-1],
-            grid[1:],
-            np.arange(GRID_PANELS),
-            GRID_PANELS,
-            abs_tol=1e-300,
-            rel_tol=rel_tol,
-            resolve_floor=resolve_floor,
-        )
-    except QuadratureError:
-        # The difference-quotient f'' of a line is stencil rounding that no
-        # tolerance resolves; a line falls through to the error below.
-        if not _is_linear(f, a, b):
-            raise
-        pieces = np.zeros(GRID_PANELS)
+    pieces = _split_integral(
+        density,
+        zeros,
+        grid[:-1],
+        grid[1:],
+        np.arange(GRID_PANELS),
+        GRID_PANELS,
+        abs_tol=1e-300,
+        rel_tol=CUMULATIVE_REL_TOL,
+    )
     cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
     normalizer = float(cumulative[-1])
     if normalizer <= 0.0:
         raise LinearTargetError(
             "knot density integrates to zero (target is linear); any partition is exact"
         )
-    return KnotDistribution(grid, cumulative, normalizer, density, rel_tol, resolve_floor, zeros)
-
-
-def _is_linear(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> bool:
-    """Whether every component of f equals its chord over [a, b] to within
-    NOISE_EPS of its largest magnitude, on the knot distribution's grid."""
-    x = np.linspace(a, b, GRID_PANELS + 1)
-    t = (x - a) / (b - a)
-    for comp in _components(f):
-        y = np.asarray(comp.eval(x), dtype=float)
-        chord = (1.0 - t) * y[0] + t * y[-1]
-        if not np.max(np.abs(y - chord)) <= NOISE_EPS * np.max(np.abs(y)):
-            return False
-    return True
+    return KnotDistribution(grid, cumulative, normalizer, density, zeros)
 
 
 def invert_distribution(dist: KnotDistribution, targets: np.ndarray) -> np.ndarray:

@@ -58,7 +58,6 @@ def integrate_segments(
     panels=None,
     abs_tol: float = 1e-12,
     rel_tol: float = 0.0,
-    resolve_floor: float | None = None,
     absolute: bool = False,
 ):
     """Integrate ``fun`` over each segment, returning per-segment totals.
@@ -74,12 +73,9 @@ def integrate_segments(
     panels in proportion to width, so the summed error of each component is
     below max(abs_tol, rel_tol * |its total|).
 
-    ``resolve_floor`` declares the caller's finest structure scale: a width
-    below which the integrand is known to be smooth, so a panel that narrow
-    still refusing its budget is chasing rounding jitter.  Such panels are
-    accepted with their residual recorded, which keeps noise from doubling
-    the panel population all the way down to ulp-wide panels.  Residuals are totalled per component and checked
-    against each component's own allowance at the end.
+    A panel too narrow to split further is accepted with its residual
+    recorded; residuals are totalled per component and checked against
+    each component's own allowance at the end.
 
     With ``absolute=True`` the result is the integral of the sum over
     components of |fun|, and a sign change of any component forces
@@ -87,9 +83,6 @@ def integrate_segments(
 
     Returns an (nseg,) array, or (nseg, k) when k > 1 and not ``absolute``.
     """
-    if resolve_floor is not None and not (np.ndim(resolve_floor) == 0 and resolve_floor >= 0.0):
-        raise ValueError("resolve_floor must be a nonnegative width")
-
     if edges is not None:
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -197,13 +190,10 @@ def integrate_segments(
             ok &= False
 
         # A panel too narrow to split (midpoint collides with an endpoint, or
-        # width below the kink floor or the caller's structure scale, where
-        # refinement only chases rounding jitter) cannot improve; accept it
-        # and record the residual error per component.
-        narrow = w <= kink_floor
-        if resolve_floor is not None:
-            narrow |= w <= resolve_floor
-        degenerate = (lm <= lo) | (rm >= hi) | narrow
+        # width below the kink floor, where refinement only chases rounding
+        # jitter) cannot improve; accept it and record the residual error
+        # per component.
+        degenerate = (lm <= lo) | (rm >= hi) | (w <= kink_floor)
         if level == MAX_LEVELS:
             degenerate |= True
         stuck = degenerate & ~ok

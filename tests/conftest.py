@@ -113,7 +113,7 @@ def as_target(g: PolygonalFunction) -> TargetFunction:
         x = np.asarray(x, dtype=float)
         return 0.0 if x.ndim == 0 else np.zeros_like(x)
 
-    return TargetFunction(eval, d2, (float(knots[0]), float(knots[-1])), "analytic")
+    return TargetFunction(eval, d2, (float(knots[0]), float(knots[-1])))
 
 
 @pytest.fixture(scope="session")

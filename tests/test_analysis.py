@@ -121,11 +121,9 @@ def test_all_kinds_entry_points_match_per_kind_functions():
 
 
 def test_numeric_line_has_zero_curvature():
-    # The difference-quotient f'' of a line is stencil rounding that no
-    # tolerance resolves; the estimate is the analytic line's.
+    # An expression line's f'' is exactly 0, as an analytic line's is.
     for text, (a, b) in (("x", (0.0, 1.0)), ("2*x+1", (0.0, 4.0))):
         f = expression(text, (a, b))
-        assert f.second_derivative_kind == "numeric"
         assert curvature(f, a, b) == Curvature(0.0, 0.0, (a, b))
         assert set(curvature(f, a, b).counts(1e-9).values()) == {1}
         F = VectorTargetFunction(components=(f, linear(domain=(a, b))))
@@ -133,11 +131,15 @@ def test_numeric_line_has_zero_curvature():
 
 
 def test_failed_curvature_of_a_curved_target_still_raises():
-    # A kink, and a ripple that vanishes on the 65 quadrature edges but not
-    # between them, are not lines.
-    for text in ("sqrt((x-0.5)^2)", "x+1e-9*sin(64*pi*x)"):
-        with pytest.raises(QuadratureError, match="residual"):
-            curvature(expression(text, (0.0, 1.0)), 0.0, 1.0)
+    # A kink has no finite f'' at its corner, which lies on the sample grid.
+    with pytest.raises(ValueError, match="second derivative is not finite"):
+        curvature(expression("sqrt((x-0.5)^2)", (0.0, 1.0)), 0.0, 1.0)
+    # A ripple that vanishes on the 65 quadrature edges but not between
+    # them: the integral of |f''| = 1e-9 (64 pi)^2 |sin(64 pi x)| is
+    # 1e-9 (64 pi)^2 2/pi.
+    c = curvature(expression("x+1e-9*sin(64*pi*x)", (0.0, 1.0)), 0.0, 1.0)
+    exact = 1e-9 * (64.0 * math.pi) ** 2 * 2.0 / math.pi
+    assert abs(c.total - exact) <= 1e-12 * exact
 
 
 def test_planner_edges():

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, model files."""
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -436,19 +437,63 @@ def test_nonfinite_second_derivative_exits_2(capsys):
 
 
 def test_expression_failure_writes_one_line(capsys):
-    # A pole, and expressions nested past the recursion limit: in the
-    # parser (parentheses, negations) or at evaluation (a long sum).
-    for text in ("1/x", "(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x", "+".join(["x"] * 5001)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run(
-                capsys, "plan", "--function", f"expr:{text}", "--interval", "0", "1",
-                "--tolerance", "1e-3",
-            )
-        assert code == 2, text[:20]
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("polylin: ")
-        assert [str(w.message) for w in caught] == []
+    # A pole: f'' is not finite at 0.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "plan", "--function", "expr:1/x", "--interval", "0", "1", "--tolerance", "1e-3"
+        )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("polylin: ")
+    assert [str(w.message) for w in caught] == []
+
+
+def test_deep_and_long_expressions_plan_as_lines(capsys):
+    # Parser and evaluators are iterative, so neither the nesting depth
+    # nor the length of an expression is limited by the interpreter's stack.
+    for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x", "+".join(["x"] * 5001)):
+        code, out, err = run(
+            capsys, "plan", "--function", f"expr:{text}", "--interval", "0", "1",
+            "--tolerance", "1e-3",
+        )
+        assert code == 0, (text[:20], err)
+        assert [r["n_segments"] for r in rows_of(out)] == ["1"] * 4
+
+
+def test_faint_curvature_plans_one_segment(capsys):
+    # f'' = 2e-12 exactly, far below the rounding of a difference quotient.
+    code, out, err = run(
+        capsys, "plan", "--function", "expr:x+1e-12*x^2", "--interval", "0", "1",
+        "--tolerance", "1e-3",
+    )
+    assert code == 0, err
+    assert [r["n_segments"] for r in rows_of(out)] == ["1"] * 4
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    where = ("--function", "poly:0,0,0,1", "--interval", "0", "1", "--segments", "4")
+    assert run(capsys, "partition", *where)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out, err = run(capsys, "partition", *where, "--partition", "optimized")
+    assert code == 0, err
+    knots = np.array([float(r["knot"]) for r in rows_of(out)])
+    assert np.max(np.abs(knots - (np.arange(5) / 4.0) ** 0.75)) <= 1e-9
+    # The option given above is not the default of the next call.
+    code, out, err = run(capsys, "partition", *where, "--format", "json")
+    assert code == 0, err
+    assert [r["knot"] for r in json.loads(out)] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    code, out, err = run(capsys, "error", *where)
+    assert code == 0, err
+    assert rows_of(out)[0]["partition"] == "uniform"
+    assert built == []
 
 
 def test_l1_fit_cost_is_measured_once(capsys, monkeypatch, tmp_path):
@@ -474,7 +519,7 @@ def test_l1_fit_cost_is_measured_once(capsys, monkeypatch, tmp_path):
 
 
 def test_infinite_samples_write_one_line(capsys):
-    # 1e400 is inf, so the difference stencil meets inf - inf; the
+    # 1e400 is inf, so f'' is inf (NaN at 0, where inf meets 0); the
     # finiteness check reports that alone, with no warning on the way.
     where = ("--function", "expr:1e400*x^2", "--interval", "0", "1")
     for argv in (

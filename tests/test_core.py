@@ -159,8 +159,9 @@ def test_from_samples_reproduces_polygonal_exactly():
 
 
 def test_from_samples_rejects_nonfinite_sample():
-    f = TargetFunction.create(
+    f = TargetFunction(
         lambda x: np.where(np.asarray(x, dtype=float) == 0.0, np.inf, 1.0),
+        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         (-1.0, 1.0),
     )
     with pytest.raises(ValueError, match="knot 1"):
@@ -168,27 +169,23 @@ def test_from_samples_rejects_nonfinite_sample():
 
 
 def test_from_samples_rejects_scalar_only_eval():
-    f = TargetFunction.create(lambda x: 1.23, (0.0, 1.0))
+    f = TargetFunction(lambda x: 1.23, lambda x: 0.0, (0.0, 1.0))
     with pytest.raises(ValueError, match="elementwise"):
         from_samples(uniform_partition(0.0, 1.0, 2), f)
 
 
-def test_target_numeric_second_derivative_fallback():
-    f = TargetFunction.create(lambda x: np.asarray(x, dtype=float) ** 2, (0.0, 1.0))
-    assert f.second_derivative_kind == "numeric"
-    assert abs(float(f.d2(0.5)) - 2.0) < 1e-4
+def test_target_requires_a_second_derivative():
+    with pytest.raises(TypeError):
+        TargetFunction(lambda x: np.asarray(x, dtype=float) ** 2, domain=(0.0, 1.0))
     g = quadratic()
-    assert g.second_derivative_kind == "analytic"
     assert float(g.d2(0.25)) == 2.0
 
 
 def test_target_validation():
     with pytest.raises(ValueError):
-        TargetFunction.create(lambda x: x, (1.0, 1.0))
+        TargetFunction(lambda x: x, lambda x: 0.0 * x, (1.0, 1.0))
     with pytest.raises(ValueError):
-        TargetFunction.create(lambda x: x, (0.0, np.inf))
-    with pytest.raises(ValueError):
-        TargetFunction(lambda x: x, lambda x: x, (0.0, 1.0), "symbolic")
+        TargetFunction(lambda x: x, lambda x: 0.0 * x, (0.0, np.inf))
 
 
 def test_as_target_interpolates_linearly():

@@ -12,7 +12,7 @@ from polylin import partition
 from polylin.analysis import per_interval_errors
 from polylin.core import TargetFunction
 from polylin.fit import interpolant
-from polylin.functions import chirp, gaussian, poly7, polynomial
+from polylin.functions import chirp, expression, gaussian, poly7, polynomial
 from polylin.partition import (
     LinearTargetError,
     _enforce_spacing,
@@ -105,13 +105,23 @@ def test_knots_invert_the_distribution():
 
 
 @pytest.mark.parametrize(
-    "f, a, b", [(gaussian(), 0.0, 4.0), (chirp(), 0.0, 1.0), (poly7(), -4.0, 3.0)]
+    "f, a, b",
+    [
+        (gaussian(), 0.0, 4.0),
+        (chirp(), 0.0, 1.0),
+        (poly7(), -4.0, 3.0),
+        (expression("exp(-0.9*x)*sin(2.5*x)", (0.0, 3.0)), 0.0, 3.0),
+        (expression("1/(1+3.0*x^2)", (-2.0, 2.0)), -2.0, 2.0),
+        (expression("sqrt(x+0.6)", (0.0, 2.0)), 0.0, 2.0),
+    ],
 )
 @pytest.mark.parametrize("n", [31, 4096])
 def test_inversion_round_budget(monkeypatch, f, a, b, n):
     # Each round of the inversion is one adaptive quadrature call over the
     # targets still open; Newton steps on the tabulated cumulative settle
-    # every target of these smooth densities within a few.
+    # every target of these smooth densities within a few.  Expression
+    # targets get exact f'' from their jets, so they settle as fast as the
+    # closed forms.
     dist = build_distribution(f, a, b)
     calls = []
     original = partition.integrate_segments
@@ -123,6 +133,15 @@ def test_inversion_round_budget(monkeypatch, f, a, b, n):
     monkeypatch.setattr(partition, "integrate_segments", counted)
     invert_distribution(dist, np.arange(1, n) / n)
     assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("n", [31, 511])
+def test_expression_knots_equal_the_closed_form_knots(n):
+    # The jets of exp(-x^2/2)/sqrt(2*pi) give the gaussian's f'' to the
+    # last bit, so the equalized knots are the same floats.
+    e = expression("exp(-x^2/2)/sqrt(2*pi)", (0.0, 4.0))
+    knots = optimized_partition(e, 0.0, 4.0, n).knots
+    assert np.array_equal(knots, optimized_partition(gaussian(), 0.0, 4.0, n).knots)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 64])

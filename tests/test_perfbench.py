@@ -1,0 +1,25 @@
+"""The benchmark harness still runs against the library: one traced round."""
+
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_plan_verify_round(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        w = workloads.PlanVerify(1)
+        ops = w.run_round(tracer.op)
+    finally:
+        undo()
+    assert [(o.kind, o.problem, o.detail.get("error")) for o in ops if not o.ok] == []
+    # Expression targets carry f'' and the quadrature samples it, under
+    # the spans the benchmark counts as functions.d2_points.
+    expr_ops = {s[4] for s in tracer.spans if s[0] == "op.expr"}
+    with_d2 = {s[4] for s in tracer.spans if s[0] == "functions.d2" and s[5] > 0}
+    assert expr_ops and expr_ops <= with_d2

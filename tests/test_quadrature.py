@@ -121,24 +121,6 @@ def test_steep_sigmoid_ramp_converges():
     assert abs(out[0] - 1.0 / 3.0) <= 1e-10
 
 
-def test_resolve_floor_forces_honest_failure_on_rough_integrand():
-    edges = np.array([0.0, 1.0])
-    c = 1.0 / 3.0
-    cusp = lambda x, seg: np.sqrt(np.abs(x - c))
-    exact = (2.0 / 3.0) * (c**1.5 + (1.0 - c) ** 1.5)
-    fine = integrate_segments(cusp, edges)
-    assert abs(fine[0] - exact) <= 1e-11
-    # Claiming the integrand is smooth below width 0.2 stops refinement at
-    # panels that still carry real cusp error; the residual check must trip.
-    with pytest.raises(QuadratureError, match="residual"):
-        integrate_segments(cusp, edges, resolve_floor=0.2)
-
-
-def test_resolve_floor_harmless_on_smooth_integrand():
-    out = integrate_segments(lambda x, seg: x**2, np.array([0.0, 1.0]), resolve_floor=0.25)
-    assert abs(out[0] - 1.0 / 3.0) <= 1e-12
-
-
 def test_nonfinite_integrand_raises():
     with pytest.raises(QuadratureError, match="non-finite"):
         integral(lambda x: np.where(x == 0.0, np.inf, 1.0), 0.0, 1.0)
@@ -160,15 +142,10 @@ def test_wrong_shape_integrand_raises():
 
 
 def test_argument_validation():
-    edges = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         integrate_segments(lambda x, seg: x, np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         integrate_segments(lambda x, seg: x)
-    with pytest.raises(ValueError, match="resolve_floor"):
-        integrate_segments(lambda x, seg: x, edges, resolve_floor=-0.1)
-    with pytest.raises(ValueError, match="resolve_floor"):
-        integrate_segments(lambda x, seg: x, edges, resolve_floor=np.array([0.1]))
     with pytest.raises(ValueError, match="hi < lo"):
         integrate_segments(
             lambda x, s: x, panels=(np.array([1.0]), np.array([0.0]), np.array([0]), 1)
