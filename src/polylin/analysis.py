@@ -36,7 +36,7 @@ from .partition import (
     _check_interval,
     _check_segments,
     _curvature_sum,
-    _inflections,
+    _scan,
     _split_integral,
 )
 from .quadrature import integrate_segments
@@ -159,18 +159,23 @@ def curvature(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> C
     Both integrals run in one pass, cut at the zeros of every f_j'' (see
     ``polylin.partition``), so on each piece the summed |f_j''| is smooth
     and the cube root's cusp is mapped away.  A line's f'' is 0, and so
-    are both of its integrals.
+    are both of its integrals; so are those of a target whose f' is
+    constant to rounding.  A kink between the grid points raises
+    ``ValueError`` as a non-finite f'' does (see ``polylin.partition``).
     """
     _check_interval(f, a, b)
+    part, zeros = _scan(f, a, b)
+    if part is None:
+        return Curvature(0.0, 0.0, (a, b))
     edges = np.linspace(a, b, 65)
 
     def pair(x):
-        total = _curvature_sum(f, x)
+        total = _curvature_sum(part, x)
         return np.stack([total, np.cbrt(total)], axis=1)
 
     parts = _split_integral(
         pair,
-        _inflections(f, a, b),
+        zeros,
         edges[:-1],
         edges[1:],
         np.arange(64),

@@ -14,7 +14,13 @@ curvature integral, and a non-finite value anywhere on it exits 2 with
 "second derivative is not finite on the interval", even where the knot
 density would still be integrable: expr:x^1.5 and expr:sqrt(x) on [0, 1]
 have an infinite f'' at 0, and expr:x^x a NaN one (x^w with an exponent
-that depends on x is defined only for x > 0).
+that depends on x is defined only for x > 0).  Between grid points an
+expr: target's f' must change across each cell by the integral of its
+f'', so a kink there (expr:sqrt((x-0.3)^2)) or a pole (expr:1/(x-0.3))
+exits 2 the same way.  An integrable singularity of f'' between grid
+points (expr:((x-0.3)^2)^0.75) is not seen, and the curvature integrals
+across it may fail to converge (exit 3).  An expr: target whose f' is constant to rounding on that grid
+(expr:1/(1/x)) is a line: one segment meets any tolerance.
 """
 
 from __future__ import annotations

@@ -109,11 +109,18 @@ class TargetFunction:
     estimate are only as good as f'', so it is required: the built-in
     targets give it in closed form, and expression targets by second-order
     jets (``polylin.functions``).
+
+    ``first_derivative`` is optional.  Where it is given, the curvature
+    integrals check that f' changes across each cell of their grid by the
+    integral of f'' (a kink between grid points breaks that), and take a
+    target whose f' is constant to rounding for a line, whose f'' is
+    rounding residue (``polylin.partition``).
     """
 
     eval: Callable
     second_derivative: Callable
     domain: tuple[float, float]
+    first_derivative: Callable | None = None
 
     def __post_init__(self) -> None:
         a, b = self.domain

@@ -3,8 +3,8 @@
 The named targets carry analytic second derivatives.  Expression targets
 are compiled from a minimal arithmetic grammar (+ - * / ^, sin, cos, exp,
 sqrt, the constants pi and e, variable x) to a postfix tape; their f runs
-the tape on values and their f'' on second-order Taylor jets, so every
-target's f'' is exact to rounding.
+the tape on values and their f' and f'' on second-order Taylor jets, so
+every target's f'' is exact to rounding.
 """
 
 from __future__ import annotations
@@ -377,11 +377,13 @@ def expression(text: str, domain: tuple[float, float]) -> TargetFunction:
     """Target from an expression in x, with its exact second derivative.
 
     The text compiles once to a postfix tape.  f runs the tape on values,
-    in the text's order of operations; f'' runs it on second-order jets, so
-    it is exact to rounding wherever the expression is twice
-    differentiable, and not finite (inf or NaN) where it is not: at a pole,
-    at 0 for sqrt(x) or x^1.5, or wherever u <= 0 in a u^w whose exponent
-    depends on x.  Both accept any nesting depth and any length.
+    in the text's order of operations; f' and f'' run it on second-order
+    jets, so they are exact to rounding wherever the expression is twice
+    differentiable.  f'' is not finite (inf or NaN) at a pole, at 0 for
+    sqrt(x) or x^1.5, or wherever u <= 0 in a u^w whose exponent depends on
+    x.  At a kink, such as 0 for sqrt(x^2), it is NaN; on either side it is
+    exact, so the kink shows only as a jump in f'.  All three accept any
+    nesting depth and any length.
     """
     tape = _compile(_tokenize(text))
 
@@ -393,10 +395,16 @@ def expression(text: str, domain: tuple[float, float]) -> TargetFunction:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return _shaped(_run(tape, x), x)
 
+    def d1(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _, out, _ = _run_jets(tape, x)
+        return _shaped(out, x)
+
     def d2(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             _, _, out = _run_jets(tape, x)
         return _shaped(out, x)
 
-    return TargetFunction(f, d2, domain)
+    return TargetFunction(f, d2, domain, first_derivative=d1)

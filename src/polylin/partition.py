@@ -22,6 +22,10 @@ curvature pair) is cut at them; a piece that ends at one is integrated
 through a cubic change of variable that makes the integrand smooth there
 (see ``_split_integral``).  A second derivative that is not finite at a
 point of the table grid, whose ends are a and b, raises ``ValueError``.
+So does a kink between grid points of a target that carries f' (an
+expression): f' jumps across the kink's cell by more than f'' integrates
+to there.  Such a target whose f' is constant to rounding is a line, and
+its f'', rounding residue, is left out (see ``_scan``).
 
 A vector target places one partition for all its components by summing
 the component curvatures before the cube root.  A scalar target is the
@@ -37,7 +41,7 @@ import numpy as np
 
 from ._roots import roots
 from .core import Partition, TargetFunction, VectorTargetFunction
-from .quadrature import integrate_segments
+from .quadrature import NOISE_EPS, QuadratureError, integrate_segments
 
 __all__ = [
     "LinearTargetError",
@@ -65,12 +69,20 @@ ROOT_ABSCISSA_TOL = 1e-12
 PLATEAU_SLACK = 1e-12
 # Floor between consecutive knots, relative to b - a.
 MIN_SPACING = 1e-12
+# A target with f' passes the kink check of ``_scan`` when f' changes
+# across every grid cell by the integral of f'' to within this share of
+# the total curvature (plus the rounding of f'): a kink that carries less
+# moves no bound or planned count by more than this relative amount.
+KINK_REL = 1e-6
 
 EPS = float(np.finfo(float).eps)
 
 
 class LinearTargetError(ValueError):
     """The second derivative vanishes identically: every partition is exact."""
+
+
+LINEAR_MESSAGE = "knot density integrates to zero (target is linear); any partition is exact"
 
 
 def _components(f: TargetFunction | VectorTargetFunction) -> tuple[TargetFunction, ...]:
@@ -111,9 +123,11 @@ def knot_density(f: TargetFunction | VectorTargetFunction, x):
     return np.cbrt(_curvature_sum(f, x))
 
 
-def _inflections(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> np.ndarray:
-    """Sorted zeros of every f_j'' on [a, b], where the summed curvature
-    has a kink and the knot density a cusp.
+def _scan(
+    f: TargetFunction | VectorTargetFunction, a: float, b: float
+) -> tuple[TargetFunction | VectorTargetFunction | None, np.ndarray]:
+    """The curved part of f on [a, b] and the sorted zeros of its f_j'',
+    where the summed curvature has a kink and the knot density a cusp.
 
     Each component's f'' is sampled on the table grid, both ends included,
     so a non-finite f'' at any grid point raises here.  A sample within
@@ -122,11 +136,23 @@ def _inflections(f: TargetFunction | VectorTargetFunction, a: float, b: float) -
     samples outside it is narrowed to adjacent floats.  Zeros closer
     together than the grid spacing go unseen; integrals across them still
     converge, only with more refinement.
+
+    A component that carries f' is checked on the same grid first.  Where
+    f' is constant to rounding the component is a line, and its f'' is
+    rounding residue that no integral could resolve, so it is left out of
+    the curved part (None when no component is left).  Otherwise the
+    change of f' across each cell must match the integral of f'' over it
+    (Simpson's rule, then an adaptive integral where the rule disagrees),
+    to within KINK_REL of the total curvature plus the rounding of f'; a
+    kink between grid points breaks that, and raises as a non-finite f''.
     """
     x = np.linspace(a, b, GRID_PANELS + 1)
-    found = [np.empty(0)]
+    curved, found = [], [np.empty(0)]
     for comp in _components(f):
         (d2,) = _second_derivatives(comp, x)
+        if comp.first_derivative is not None and _is_line(comp, x, d2):
+            continue
+        curved.append(comp)
         noise = EPS * np.max(np.abs(d2))
         band = np.abs(d2) <= noise
         inside = np.concatenate([[True], band[:-1]]) & np.concatenate([band[1:], [True]])
@@ -139,7 +165,43 @@ def _inflections(f: TargetFunction | VectorTargetFunction, a: float, b: float) -
                     k, x[k], x[k + 1], d2[k], d2[k + 1], np.full(k.size, noise),
                 )
             )
-    return np.unique(np.concatenate(found))
+    if not curved:
+        part = None
+    elif len(curved) == len(_components(f)):
+        part = f
+    else:
+        part = VectorTargetFunction(tuple(curved))
+    return part, np.unique(np.concatenate(found))
+
+
+def _is_line(comp: TargetFunction, x: np.ndarray, d2: np.ndarray) -> bool:
+    """Whether comp's f' is constant to rounding on the grid x (f'' there
+    is d2); if not, raise where f' jumps across a cell.  See ``_scan``."""
+    d1 = np.asarray(comp.first_derivative(x), dtype=float)
+    if not np.all(np.isfinite(d1)):
+        raise ValueError("second derivative is not finite on the interval")
+    rounding = NOISE_EPS * np.max(np.abs(d1))
+    if np.max(np.abs(d1 - d1[0])) <= rounding:
+        return True
+    h = np.diff(x)
+    (d2m,) = _second_derivatives(comp, x[:-1] + 0.5 * h)
+    simpson = h / 6.0 * (d2[:-1] + 4.0 * d2m + d2[1:])
+    mass = h / 6.0 * (np.abs(d2[:-1]) + 4.0 * np.abs(d2m) + np.abs(d2[1:]))
+    allow = KINK_REL * np.sum(mass) + rounding
+    jump = np.diff(d1)
+    k = np.flatnonzero(np.abs(jump - simpson) > allow)
+    if k.size:
+        try:
+            exact = integrate_segments(
+                lambda t, _s: _second_derivatives(comp, t)[0],
+                panels=(x[k], x[k + 1], np.arange(k.size), k.size),
+                abs_tol=0.1 * allow,
+            )
+        except QuadratureError:
+            exact = np.full(k.size, np.nan)
+        if not np.all(np.abs(jump[k] - exact) <= allow):
+            raise ValueError("second derivative is not finite on the interval")
+    return False
 
 
 def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
@@ -251,12 +313,14 @@ def build_distribution(
 ) -> KnotDistribution:
     """Tabulated cumulative integral of the knot density over [a, b]."""
     _check_interval(f, a, b)
+    part, zeros = _scan(f, a, b)
+    if part is None:
+        raise LinearTargetError(LINEAR_MESSAGE)
 
     def density(x):
-        return knot_density(f, x)
+        return knot_density(part, x)
 
     grid = np.linspace(a, b, GRID_PANELS + 1)
-    zeros = _inflections(f, a, b)
     pieces = _split_integral(
         density,
         zeros,
@@ -270,9 +334,7 @@ def build_distribution(
     cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
     normalizer = float(cumulative[-1])
     if normalizer <= 0.0:
-        raise LinearTargetError(
-            "knot density integrates to zero (target is linear); any partition is exact"
-        )
+        raise LinearTargetError(LINEAR_MESSAGE)
     return KnotDistribution(grid, cumulative, normalizer, density, zeros)
 
 

@@ -20,7 +20,7 @@ from polylin.analysis import (
 from polylin.core import Partition, PolygonalFunction, VectorTargetFunction
 from polylin.fit import interpolant
 from polylin.functions import chirp, expression, gaussian, poly7
-from polylin.partition import optimized_partition, uniform_partition
+from polylin.partition import LinearTargetError, optimized_partition, uniform_partition
 from polylin.quadrature import QuadratureError, integrate_segments
 
 KINDS = ("uniform_interpolant", "optimized_interpolant", "uniform_best_l1", "optimized_best_l1")
@@ -140,6 +140,35 @@ def test_failed_curvature_of_a_curved_target_still_raises():
     c = curvature(expression("x+1e-9*sin(64*pi*x)", (0.0, 1.0)), 0.0, 1.0)
     exact = 1e-9 * (64.0 * math.pi) ** 2 * 2.0 / math.pi
     assert abs(c.total - exact) <= 1e-12 * exact
+
+
+def test_kink_between_grid_points_raises():
+    # sqrt(u^2) = |u|: f'' is exactly 0 on either side of the corner, which
+    # lies on no grid or quadrature point, so only the jump of f' across
+    # its cell shows it.
+    for text, (a, b) in (
+        ("sqrt((x-0.3)^2)", (0.0, 1.0)),
+        ("sqrt(x^2)", (-1.0, 1.1)),
+        ("sqrt((x-0.3)^2)+x^2", (0.0, 1.0)),
+    ):
+        f = expression(text, (a, b))
+        with pytest.raises(ValueError, match="second derivative is not finite"):
+            curvature(f, a, b)
+        with pytest.raises(ValueError, match="second derivative is not finite"):
+            optimized_partition(f, a, b, 4)
+
+
+def test_rounding_residue_line_has_zero_curvature():
+    # 1/(1/x) is x, but its jet f'' is rounding residue of either sign,
+    # which no tolerance resolves; its f' is 1 to rounding, so it is a line.
+    f = expression("1/(1/x)", (1.0, 2.0))
+    assert np.max(np.abs(f.d2(np.linspace(1.0, 2.0, 101)))) > 0.0
+    assert curvature(f, 1.0, 2.0) == Curvature(0.0, 0.0, (1.0, 2.0))
+    with pytest.raises(LinearTargetError):
+        optimized_partition(f, 1.0, 2.0, 4)
+    # Beside a curved component it drops out of the sum.
+    F = VectorTargetFunction(components=(f, quadratic((1.0, 2.0))))
+    assert curvature(F, 1.0, 2.0) == curvature(quadratic((1.0, 2.0)), 1.0, 2.0)
 
 
 def test_planner_edges():

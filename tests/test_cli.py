@@ -471,6 +471,30 @@ def test_faint_curvature_plans_one_segment(capsys):
     assert [r["n_segments"] for r in rows_of(out)] == ["1"] * 4
 
 
+def test_kink_between_grid_points_exits_two(capsys):
+    for text, a, b in (("sqrt((x-0.3)^2)", "0", "1"), ("sqrt(x^2)", "-1", "1.1")):
+        where = ("--function", "expr:" + text, "--interval", a, b)
+        for argv in (
+            ("plan", *where, "--tolerance", "1e-3"),
+            ("error", *where, "--segments", "8"),
+            ("partition", *where, "--segments", "8", "--partition", "optimized"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (argv, out)
+            assert "second derivative is not finite" in err
+
+
+def test_rounding_residue_line_plans_one_segment(capsys):
+    where = ("--function", "expr:1/(1/x)", "--interval", "1", "2")
+    code, out, err = run(capsys, "plan", *where, "--tolerance", "1e-3")
+    assert code == 0, err
+    assert [r["n_segments"] for r in rows_of(out)] == ["1"] * 4
+    code, out, err = run(capsys, "bench", *where, "--segments", "8", "--n-evals", "100000")
+    assert code == 0, err
+    code, out, err = run(capsys, "partition", *where, "--segments", "8", "--partition", "optimized")
+    assert code == 3 and "target is linear" in err
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     where = ("--function", "poly:0,0,0,1", "--interval", "0", "1", "--segments", "4")
     assert run(capsys, "partition", *where)[0] == 0

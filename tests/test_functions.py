@@ -123,3 +123,33 @@ def test_expression_free_of_x_has_zero_curvature():
     assert np.array_equal(f.d2(X), np.zeros_like(X))
     assert f.d2(0.5) == 0.0
     assert np.all(f.eval(X) == 2.0 * np.pi + np.e)
+
+
+# f' in closed form, with the sum of the magnitudes of its terms.
+FIRST_DERIVATIVES = {
+    "sin(x)*exp(x)": (
+        lambda x: (np.cos(x) + np.sin(x)) * np.exp(x),
+        lambda x: 2.0 * np.exp(x),
+    ),
+    "1/(1+3.0*x^2)": (
+        lambda x: -6.0 * x / (1.0 + 3.0 * x * x) ** 2,
+        lambda x: 6.0 * x / (1.0 + 3.0 * x * x) ** 2,
+    ),
+    "x^x": (
+        lambda x: x**x * (np.log(x) + 1.0),
+        lambda x: x**x * (np.abs(np.log(x)) + 1.0),
+    ),
+    "sqrt((x-1)^2)": (lambda x: np.sign(x - 1.0), lambda x: np.ones_like(x)),
+}
+
+
+@pytest.mark.parametrize("text", list(FIRST_DERIVATIVES))
+def test_first_derivative_matches_closed_form(text):
+    exact, scale = FIRST_DERIVATIVES[text]
+    f = expression(text, (0.0, 2.0))
+    got = f.first_derivative(X)
+    assert got.shape == X.shape
+    assert np.all(np.abs(got - exact(X)) <= 8.0 * EPS * scale(X)), text
+    assert abs(f.first_derivative(1.5) - exact(1.5)) <= 8.0 * EPS * scale(1.5)
+    assert expression("2*pi+e", (0.0, 1.0)).first_derivative(0.5) == 0.0
+    assert np.array_equal(expression("x", (0.0, 1.0)).first_derivative(X), np.ones_like(X))

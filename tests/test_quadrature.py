@@ -18,6 +18,10 @@ def test_polynomial_and_transcendental_closed_forms():
     assert abs(integral(np.sin, 0.0, np.pi) - 2.0) <= 1e-12
     assert abs(integral(np.exp, 0.0, 1.0) - (np.e - 1.0)) <= 1e-12
     assert abs(integral(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0) - np.pi / 4.0) <= 1e-12
+    # An interior cusp off every panel edge: sqrt|x - c|.
+    c = 1.0 / 3.0
+    cusp = integral(lambda x: np.sqrt(np.abs(x - c)), 0.0, 1.0)
+    assert abs(cusp - (2.0 / 3.0) * (c**1.5 + (1.0 - c) ** 1.5)) <= 1e-11
 
 
 def test_absolute_value_with_interior_kink():
