@@ -13,12 +13,12 @@ gradient entry is at its rounding floor.
 The crossings come from samples of e = f - g at equal steps in each
 segment.  A pair closer together than the step hides in a dip of |e|
 between samples of one sign.  Each dip is probed either side of its low
-sample; unless |e| rises both ways there, Brent's parabolic minimization
-searches it until the other sign appears or the minimum is bracketed to
-DIP_WIDTH of the segment, too narrow for a missed pair to move the
-gradient past its tolerance.  Every sign change is then narrowed by
-Chandrupatla's bracketing method to where bisection would end it: two
-adjacent floats at which e has opposite signs.  Its inverse quadratic
+sample; unless |e| rises both ways there, a grid across its bracket
+shrinks that bracket about the minimum until the other sign appears or
+the bracket is DIP_WIDTH of the segment wide, too narrow for a missed
+pair to move the gradient past its tolerance.  Every sign change is then
+narrowed by Chandrupatla's bracketing method to where bisection would end
+it: two adjacent floats at which e has opposite signs.  Its inverse quadratic
 steps give way to halving where they are not trusted, and where rounding
 leaves e nothing but its sign.  The reported cost is the sum of the smooth signed
 integrals of e between the crossings at the last ordinates.  The fit has
@@ -61,15 +61,16 @@ REG = 1e-12  # Hessian regularization, relative to each row's own diagonal
 MAX_LINE_STEPS = 30  # trial step lengths per Newton step (see _line_search)
 CURVATURE = 0.9
 # A dip of |e| holds no missed pair once its minimum is bracketed to
-# DIP_WIDTH times the segment width (see _hidden_pairs).  DIP_ROUNDS only
-# bounds a search that rounding keeps from closing; Brent's rule ends every
-# search of the reproduce sweeps within 12 rounds.
+# DIP_WIDTH times the segment width (see _hidden_pairs).  Each round of the
+# search evaluates DIP_GRID points spread across a dip's bracket.
+# DIP_ROUNDS only bounds a search that rounding keeps from closing; the grid
+# ends every search of the reproduce ops within 10 rounds.
 DIP_WIDTH = 2.4e-11
+DIP_GRID = 8
 DIP_ROUNDS = 100
 MAX_NEWTON_ITERS = 50  # an unsettled fit past this reports converged=False
 
 EPS = float(np.finfo(float).eps)
-CGOLD = (3.0 - np.sqrt(5.0)) / 2.0  # golden-section fraction of Brent's search
 
 
 @dataclass(frozen=True)
@@ -235,12 +236,13 @@ def _hidden_pairs(resid, x, e, pos, live, h):
     Such a pair hides in a dip of |e|: a sample whose neighbours have its
     sign and larger |e|.  |e| is taken to be unimodal on the dip's bracket,
     the samples either side (the one inside the segment, at its ends), and
-    _dip_search looks for its minimum there, stopping at the first point of
-    the other sign.  A dip without one ends once |e| rises both ways from
-    its lowest point, DIP_WIDTH h / 2 to either side, so that a pair that
-    escapes is narrower than DIP_WIDTH h and moves a gradient entry by less
-    than OPTIMALITY_TOL / 10 of its hat's integral.  Most dips end in the
-    first round: |e| grows away from the low sample itself.
+    _dip_search shrinks that bracket about its minimum, stopping at the
+    first point of the other sign.  A dip without one ends once |e| rises
+    both ways from its lowest point, DIP_WIDTH h / 2 to either side, or once
+    its bracket is no wider than DIP_WIDTH h, so that a pair that escapes is
+    narrower than DIP_WIDTH h and moves a gradient entry by less than
+    OPTIMALITY_TOL / 10 of its hat's integral.  Most dips end in the first
+    round: |e| grows away from the low sample itself.
     Returns, per pair: segment, sample index left of it, a point of the
     other sign, e there, sample index right of it.
     """
@@ -250,9 +252,6 @@ def _hidden_pairs(resid, x, e, pos, live, h):
     dip[:, :-1] &= (pos[:, :-1] == pos[:, 1:]) & (mag[:, :-1] <= mag[:, 1:])
     seg, k = np.nonzero(dip)
     left, right = np.maximum(k - 1, 0), np.minimum(k + 1, e.shape[1] - 1)
-    # At a segment's end the one neighbour stands in for both.
-    near = np.where(k > left, left, right)
-    far = np.where(k < right, right, left)
     toward = np.where(pos[seg, k], 1.0, -1.0)
     point, value = _dip_search(
         resid,
@@ -260,98 +259,52 @@ def _hidden_pairs(resid, x, e, pos, live, h):
         toward,
         (x[seg, left], x[seg, right]),
         (x[seg, k], mag[seg, k]),
-        (x[seg, near], mag[seg, near]),
-        (x[seg, far], mag[seg, far]),
         0.5 * DIP_WIDTH * h[seg],
     )
     found = ~np.isnan(point)
     return seg[found], left[found], point[found], (toward * value)[found], right[found]
 
 
-def _dip_search(resid, seg, toward, bracket, best, second, third, reach):
-    """Brent's minimization of toward * e over each bracket [a, b].
+def _dip_search(resid, seg, toward, bracket, best, reach):
+    """Shrink each bracket [a, b] about the minimum of toward * e.
 
-    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5.
-    ``best``, ``second`` and ``third`` are (point, value) pairs: the lowest
-    value seen, the next lowest and the one before.  Each round evaluates,
-    in one batch, the two points ``reach`` either side of the lowest and,
-    after the first round, Brent's next point: the vertex of the parabola
-    through the three where that lies inside the bracket and moves less
-    than half the step before last, a golden-section step into the larger
-    part of the bracket otherwise.  Every point updates the bracket as in
-    Brent's method, so a value that rises on both sides of the lowest
-    point closes the bracket to 2 reach about it.  A dip stops at the first
-    point of the other sign, or once its bracket is narrower than about
-    2 reach.  Returns, per dip, that point and toward * e there, or NaN for
-    both where the dip ends without one.
+    ``best`` is the lowest point seen and toward * e there.  Each round
+    evaluates, in one batch, the two probes ``reach`` either side of the
+    lowest point, clipped to the bracket, and DIP_GRID points spread evenly
+    across it.  A dip stops at the first point of the other sign, once the
+    value rises both ways from the lowest point at the probes (a probe
+    clipped to the bracket's end counts as rising), or once the bracket is
+    no wider than 2 reach plus a few ulps of the lowest point; far from the
+    origin reach can be below the float spacing, and only the ulps let such
+    a bracket close.  Otherwise the lowest point moves to the lowest value
+    seen, and the bracket closes to the nearest points evaluated on either
+    side of it, which keeps the minimum of a unimodal value inside.
+    Returns, per dip, the point of the other sign and toward * e there, or
+    NaN for both where the dip ends without one.
     """
-    s = (*bracket, *best, *second, *third)
+    (a, b), (x, fx) = bracket, best
     point, value = np.full(seg.size, np.nan), np.full(seg.size, np.nan)
-    tol = 0.5 * reach
-    d = step = s[1] - s[0]
-    going = np.ones(seg.size, dtype=bool)
-    u = None
+    spread = np.arange(1, DIP_GRID + 1) / (DIP_GRID + 1)
+    i = np.arange(seg.size)
     for _ in range(DIP_ROUNDS):
-        i = np.nonzero(going)[0]
         if i.size == 0:
             break
-        a, b, x, fx = s[:4]
-        trial = [np.maximum(x - reach, a), np.minimum(x + reach, b)] + ([] if u is None else [u])
-        k = len(trial)
-        got = np.tile(toward[i], k) * resid(np.concatenate([z[i] for z in trial]), np.tile(seg[i], k))
-        vals = np.full((k, seg.size), np.inf)
-        vals[:, i] = got.reshape(k, -1)
-        pick = np.argmin(vals, axis=0)
-        low = vals[pick, np.arange(seg.size)]
-        found = going & (low < 0.0)
-        point[found] = np.stack(trial)[pick, np.arange(seg.size)][found]
-        value[found] = low[found]
-        # Rising both ways from the lowest point ends the dip (the updates
-        # below would close its bracket to the two probes).
-        going &= ~found & ~(((trial[0] <= a) | (vals[0] > fx)) & ((trial[1] >= b) | (vals[1] > fx)))
-        if not going.any():
-            break
-        s = _brent_take(s, trial[0], vals[0], going & (trial[0] > a))
-        s = _brent_take(s, trial[1], vals[1], going & (trial[1] < b))
-        if u is not None:
-            s = _brent_take(s, u, vals[2], going)
-
-        a, b, x, fx, w, fw, v, fv = s
-        mid = 0.5 * (a + b)
-        tol1 = tol + 2.0 * EPS * np.abs(x)
-        going &= np.abs(x - mid) > 2.0 * tol1 - 0.5 * (b - a)
-        if not going.any():
-            break
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        num, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-        num, q = np.where(q > 0.0, -num, num), np.abs(q)
-        parabolic = (np.abs(step) > tol1) & (np.abs(num) < np.abs(0.5 * q * step))
-        parabolic &= (num > q * (a - x)) & (num < q * (b - x))
-        vertex = x + np.divide(num, q, out=np.zeros_like(q), where=parabolic)
-        cramped = (vertex - a < 2.0 * tol1) | (b - vertex < 2.0 * tol1)
-        gold = np.where(x >= mid, a - x, b - x)
-        step = np.where(parabolic, d, gold)
-        d = np.where(parabolic, np.where(cramped, np.copysign(tol1, mid - x), vertex - x), CGOLD * gold)
-        u = x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d))
+        r = reach[i]
+        probes = (np.maximum(x - r, a), np.minimum(x + r, b))
+        trial = np.column_stack((*probes, a[:, None] + (b - a)[:, None] * spread))
+        vals = toward[i, None] * resid(trial.ravel(), np.repeat(seg[i], trial.shape[1])).reshape(trial.shape)
+        pick = np.argmin(vals, axis=1)
+        u, fu = trial[np.arange(i.size), pick], vals[np.arange(i.size), pick]
+        found = fu < 0.0
+        point[i[found]], value[i[found]] = u[found], fu[found]
+        rising = ((trial[:, 0] <= a) | (vals[:, 0] > fx)) & ((trial[:, 1] >= b) | (vals[:, 1] > fx))
+        lower = fu < fx
+        x, fx = np.where(lower, u, x), np.where(lower, fu, fx)
+        a = np.maximum(a, np.max(trial, axis=1, initial=-np.inf, where=trial < x[:, None]))
+        b = np.minimum(b, np.min(trial, axis=1, initial=np.inf, where=trial > x[:, None]))
+        going = ~found & ~rising & (b - a > 2.0 * r + 4.0 * EPS * np.abs(x))
+        i, a, b, x, fx = i[going], a[going], b[going], x[going], fx[going]
     return point, value
-
-
-def _brent_take(s, u, fu, on):
-    """Brent's update of the search state (a, b, x, fx, w, fw, v, fv) with
-    the point u and its value fu, where ``on``."""
-    a, b, x, fx, w, fw, v, fv = s
-    lower, higher = on & (fu <= fx), on & ~(fu <= fx)
-    # A lower u moves the end behind it to x; a higher u becomes the end on
-    # its own side.
-    end, right = np.where(lower, x, u), u >= x
-    a = np.where(on & (lower == right), end, a)
-    b = np.where(on & (lower != right), end, b)
-    to_w = higher & ((fu <= fw) | (w == x))
-    to_v = higher & ~to_w & ((fu <= fv) | (v == x) | (v == w))
-    shift = lower | to_w
-    v, fv = np.where(shift, w, np.where(to_v, u, v)), np.where(shift, fw, np.where(to_v, fu, fv))
-    w, fw = np.where(lower, x, np.where(to_w, u, w)), np.where(lower, fx, np.where(to_w, fu, fw))
-    return a, b, np.where(lower, u, x), np.where(lower, fu, fx), w, fw, v, fv
 
 
 def _cost(f, p, v, state):

@@ -269,7 +269,7 @@ class KnotDistribution:
     cumulative: np.ndarray
     normalizer: float
     density: Callable
-    zeros: np.ndarray = ()
+    zeros: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("grid", "cumulative", "zeros"):

@@ -6,9 +6,9 @@ numpy array per refinement level.  Integrands may be vector valued (several
 components sharing the same sample points, as many as the integrand's output
 has columns), and absolute-value integrands get sign-aware refinement: a
 panel whose sampled values change sign is bisected until the sign is
-resolved or the panel is negligibly narrow.
-An absolute-value integrand may have several components; their absolute
-values are summed and a sign change in any one of them forces bisection.
+resolved or the panel is negligibly narrow.  In absolute mode each
+component's |value| is integrated on its own, and a sign change in any one
+of them forces bisection.
 """
 
 from __future__ import annotations
@@ -77,11 +77,10 @@ def integrate_segments(
     recorded; residuals are totalled per component and checked against
     each component's own allowance at the end.
 
-    With ``absolute=True`` the result is the integral of the sum over
-    components of |fun|, and a sign change of any component forces
-    bisection.
+    With ``absolute=True`` each component's |fun| is integrated, and a sign
+    change of any component forces bisection.
 
-    Returns an (nseg,) array, or (nseg, k) when k > 1 and not ``absolute``.
+    Returns an (nseg,) array, or (nseg, k) when k > 1.
     """
     if edges is not None:
         edges = np.asarray(edges, dtype=float)
@@ -106,10 +105,9 @@ def integrate_segments(
     lo, hi, seg = lo[keep], hi[keep], seg[keep]
     f_lo = _call(fun, lo, seg)
     columns = f_lo.shape[1]
-    nout = 1 if absolute else columns
-    totals = np.zeros((nseg, nout))
+    totals = np.zeros((nseg, columns))
     if lo.size == 0:
-        return totals[:, 0] if nout == 1 else totals
+        return totals[:, 0] if columns == 1 else totals
 
     total_width = float(np.sum(hi - lo))
     kink_floor = total_width * 2.0**-40
@@ -119,18 +117,13 @@ def integrate_segments(
     f_hi = _call(fun, hi, seg, columns)
 
     def body(values):
-        """What Simpson sums: the raw values, or in absolute mode the
-        absolute values summed over the components."""
-        if not absolute:
-            return values
-        mags = np.abs(values)
-        return mags if columns == 1 else mags.sum(axis=1, keepdims=True)
+        return np.abs(values) if absolute else values
 
     def simpson(w, va, vm, vb):
         return (w / 6.0)[:, None] * (va + 4.0 * vm + vb)
 
     S = simpson(hi - lo, body(f_lo), body(f_mid), body(f_hi))
-    leftover = np.zeros(nout)
+    leftover = np.zeros(columns)
 
     for level in range(MAX_LEVELS + 1):
         if lo.size == 0:
@@ -148,13 +141,13 @@ def integrate_segments(
         f_lm, f_rm = vals[: lo.size], vals[lo.size :]
 
         samples = (f_lo, f_lm, f_mid, f_rm, f_hi)
-        summed = [body(v) for v in samples]
+        bodies = [body(v) for v in samples]
         # Measure the children from the rounded mid they were split at: on a
         # panel only thousands of ulps wide (far from the origin) half the
         # nominal width is off by 1e-4 relative or more, and Richardson's
         # estimate never settles.
-        S_l = simpson(mid - lo, *summed[:3])
-        S_r = simpson(hi - mid, *summed[2:])
+        S_l = simpson(mid - lo, *bodies[:3])
+        S_r = simpson(hi - mid, *bodies[2:])
         S2 = S_l + S_r
         err = (S2 - S) / 15.0
 
@@ -170,20 +163,18 @@ def integrate_segments(
         # The budget is raised by a rounding floor: Richardson differences
         # below NOISE_EPS times the sampled value scale are cancellation
         # noise, and chasing them refines forever without gaining a digit.
-        vmax = functools.reduce(np.maximum, summed if absolute else map(np.abs, samples))
+        vmax = functools.reduce(np.maximum, map(np.abs, samples))
         limit = np.maximum(thr, NOISE_EPS * vmax * w[:, None])
         ok = np.all(np.abs(err) <= limit, axis=1)
 
         if absolute:
-            stacked = np.stack(samples)
-            sgn = np.sign(stacked)
+            sgn = np.sign(np.stack(samples))
             changes = (sgn.max(axis=0) > 0) & (sgn.min(axis=0) < 0)
             # A mixed panel whose whole sampled mass sits inside its own
             # budget cannot move the total by more than that budget, so the
             # crossing need not be located; near-zero residuals otherwise
             # drag the bisection into their rounding noise.
-            peak = vmax if columns == 1 else np.abs(stacked).max(axis=0)
-            changes &= peak * w[:, None] > thr
+            changes &= vmax * w[:, None] > thr
             ok &= ~np.any(changes, axis=1) | (hi - lo <= kink_floor)
 
         if level < MIN_LEVELS:
@@ -204,7 +195,7 @@ def integrate_segments(
         if np.any(ok):
             contrib = S2[ok] + err[ok]
             idx = seg[ok]
-            for c in range(nout):
+            for c in range(columns):
                 totals[:, c] += np.bincount(idx, weights=contrib[:, c], minlength=nseg)
 
         bad = ~ok
@@ -230,5 +221,5 @@ def integrate_segments(
             f"residual error {leftover[c]:.3e} in component {c} "
             "above tolerance after refinement"
         )
-    return totals[:, 0] if nout == 1 else totals
+    return totals[:, 0] if columns == 1 else totals
 

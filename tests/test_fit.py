@@ -13,7 +13,7 @@ from polylin._kernels import thomas
 from polylin.analysis import l1_distance
 from polylin.core import Partition, PolygonalFunction, TargetFunction, from_samples
 from polylin.fit import best_l1_fit, interpolant, l2_projection
-from polylin.functions import chirp, gaussian
+from polylin.functions import chirp, expression, gaussian
 from polylin.partition import optimized_partition, uniform_partition
 from polylin.quadrature import integrate_segments
 
@@ -287,27 +287,32 @@ def _two_hidden_pairs(c_edge, c_mid, half):
 
 
 def test_crossings_find_pairs_hidden_between_samples():
-    # Both pairs are 0.008 wide, a quarter of the sample spacing 1/32.  One
-    # sits between the knot sample x = 0 and its neighbour (an edge dip);
-    # the other inside a run of positive samples, off the middle of
-    # [15/32, 17/32].  Against g = 0 every sample of e = f is positive.
-    half = 0.004
-    f = _two_hidden_pairs(0.012, 0.5 + 0.4 / fit.SAMPLES, half)
+    # Each case hides two pairs 2 half wide, at most a quarter of the sample
+    # spacing 1/32.  One sits between the knot sample x = 0 and its
+    # neighbour (an edge dip); the other inside a run of positive samples,
+    # off the middle of [15/32, 17/32], or near the end of that bracket.
+    # Against g = 0 every sample of e = f is positive.  The 0.004 pairs
+    # meet the dip search's first grid; the narrower ones are found only by
+    # shrinking the brackets.
+    middle, near_end = (0.012, 0.5 + 0.4 / fit.SAMPLES), (0.0011, 0.5 + 0.97 / fit.SAMPLES)
+    cases = [(middle, 0.004), (middle, 1e-6), (middle, 1e-9), (near_end, 1e-6), (near_end, 1e-9)]
     p = Partition([0.0, 1.0])
     v = np.zeros(2)
-    assert np.all(f.eval(np.arange(fit.SAMPLES + 1) / fit.SAMPLES) > 0.0)
-    state = fit._crossings(f, p, v, fit.SAMPLES)
-    assert state.n_roots == 4
-
-    # -integral of sign(e) phi_i by a midpoint sum over 2^16 cells: exact
-    # on cells of one sign, off by at most twice the width on each of the
-    # four that hold a crossing.
     cells = 1 << 16
     t = (np.arange(cells) + 0.5) / cells
-    s = np.sign(f.eval(t))
-    oracle = -np.array([np.sum(s * (1.0 - t)), np.sum(s * t)]) / cells
-    # A pair the search missed would move the gradient by about 4 half.
-    assert np.max(np.abs(state.grad - oracle)) <= 8.0 / cells
+    for (c_edge, c_mid), half in cases:
+        f = _two_hidden_pairs(c_edge, c_mid, half)
+        assert np.all(f.eval(np.arange(fit.SAMPLES + 1) / fit.SAMPLES) > 0.0)
+        state = fit._crossings(f, p, v, fit.SAMPLES)
+        assert state.n_roots == 4, (c_edge, c_mid, half)
+
+        # -integral of sign(e) phi_i by a midpoint sum over 2^16 cells:
+        # exact on cells of one sign, off by at most twice the width on each
+        # of the four that hold a crossing.
+        s = np.sign(f.eval(t))
+        oracle = -np.array([np.sum(s * (1.0 - t)), np.sum(s * t)]) / cells
+        # A pair the search missed would move the gradient by about 4 half.
+        assert np.max(np.abs(state.grad - oracle)) <= 8.0 / cells
 
 
 def test_crossing_search_takes_few_target_batches(monkeypatch):
@@ -339,6 +344,34 @@ def test_crossing_search_takes_few_target_batches(monkeypatch):
             _g, report = best_l1_fit(counting, p)
             assert report.converged
     assert batches[0] / calls[0] <= 40.0, (batches[0], calls[0])
+
+
+def test_dips_far_from_the_origin_close(monkeypatch):
+    # On [1e6, 1e6 + 4] a dip's reach, DIP_WIDTH h / 2, is below the float
+    # spacing there, so only the few ulps of x in the width stop let its
+    # bracket close before DIP_ROUNDS.
+    rounds = []
+    search = fit._dip_search
+
+    def counted(resid, *args):
+        calls = [0]
+
+        def counting(x, seg):
+            calls[0] += 1
+            return resid(x, seg)
+
+        try:
+            return search(counting, *args)
+        finally:
+            rounds.append(calls[0])
+
+    monkeypatch.setattr(fit, "_dip_search", counted)
+    a, b = 1e6, 1e6 + 4.0
+    f = expression("exp(-(x-1000000)^2/2)", (a, b))
+    for p in (uniform_partition(a, b, 31), optimized_partition(f, a, b, 31)):
+        _g, report = best_l1_fit(f, p)
+        assert report.converged
+    assert rounds and max(rounds) <= 30, max(rounds)
 
 
 def test_sweep_fits_reach_optimality(gaussian_sweep):

@@ -32,12 +32,13 @@ def test_absolute_value_with_interior_kink():
 
 
 def test_absolute_value_sums_components_and_bisects_each_kink():
-    # |x - 0.3| + |0.6 - x| over [0, 1]: (0.09 + 0.49)/2 + (0.36 + 0.16)/2.
+    # |x - 0.3| and |0.6 - x| over [0, 1]: (0.09 + 0.49)/2 and (0.36 + 0.16)/2.
     edges = np.linspace(0.0, 1.0, 4)
     parts = integrate_segments(
         lambda x, _s: np.stack([x - 0.3, 0.6 - x], axis=1), edges, absolute=True
     )
-    assert parts.shape == (3,)
+    assert parts.shape == (3, 2)
+    assert np.max(np.abs(np.sum(parts, axis=0) - [0.29, 0.26])) <= 1e-12
     assert abs(np.sum(parts) - 0.55) <= 1e-12
     single = integrate_segments(lambda x, _s: x - 0.3, edges, absolute=True)
     stacked = integrate_segments(lambda x, _s: (x - 0.3)[:, None], edges, absolute=True)
