@@ -287,7 +287,7 @@ class KnotDistribution:
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         a, b = self.interval
-        if np.any(x < a) or np.any(x > b):
+        if not np.all((x >= a) & (x <= b)):  # NaN is outside too
             raise ValueError("x outside the tabulated interval")
         idx = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, self.grid.size - 2)
         out = np.clip(self._value_from(idx, x), 0.0, 1.0)
@@ -436,5 +436,7 @@ def _check_interval(f: TargetFunction | VectorTargetFunction, a: float, b: float
 
 
 def _check_segments(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"segment count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"need at least one segment, got {n}")

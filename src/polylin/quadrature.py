@@ -1,19 +1,25 @@
 """Batched adaptive Simpson quadrature over segmented intervals.
 
 One engine serves every integral in the package: panels are refined in
-lockstep across all segments, so the integrand is always evaluated on one
-numpy array per refinement level.  Integrands may be vector valued (several
-components sharing the same sample points, as many as the integrand's output
-has columns), and absolute-value integrands get sign-aware refinement: a
-panel whose sampled values change sign is bisected until the sign is
-resolved or the panel is negligibly narrow.  In absolute mode each
-component's |value| is integrated on its own, and a sign change in any one
-of them forces bisection.
+lockstep across all segments, so the integrand is evaluated on one numpy
+array per refinement level.  Every panel is bisected MIN_LEVELS times before
+a tolerance test may accept it, so where those forced levels sample is known
+up front and the start takes two calls: one at the panels' left ends, which
+fixes the component count, and one at the other 16 abscissae of every
+panel.  Each later level takes one call for the panels still open.
+
+Integrands may be vector valued (several components sharing the same
+sample points, as many as the integrand's output has columns), and
+absolute-value integrands get sign-aware refinement: a panel whose sampled
+values change sign is bisected until the sign is resolved or the panel is
+negligibly narrow.  In absolute mode each component's |value| is integrated
+on its own, and a sign change in any one of them forces bisection.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -51,6 +57,15 @@ def _call(fun, x, seg, columns=None):
     return vals
 
 
+def _check_cap(n):
+    """Refuse to sample a level of more than PANEL_CAP panels."""
+    if n > PANEL_CAP:
+        raise QuadratureError(
+            f"refinement reached {n} active panels; "
+            "integrand is too rough for the requested tolerance"
+        )
+
+
 def integrate_segments(
     fun,
     edges=None,
@@ -67,11 +82,11 @@ def integrate_segments(
     the segment index of every sample point so local quantities (barycentric
     coordinates, local ordinates) can be formed without searching.
 
-    Segments come either from ``edges`` (array of N+1 breakpoints -> N
-    segments) or from ``panels`` = (lo, hi, seg, nseg) for scattered panels
-    tagged with destination indices.  The absolute error is budgeted across
-    panels in proportion to width, so the summed error of each component is
-    below max(abs_tol, rel_tol * |its total|).
+    Segments come either from ``edges`` (array of N+1 finite breakpoints ->
+    N segments) or from ``panels`` = (lo, hi, seg, nseg) for scattered
+    panels with finite ends, tagged with destination indices.  The absolute
+    error is budgeted across panels in proportion to width, so the summed
+    error of each component is below max(abs_tol, rel_tol * |its total|).
 
     A panel too narrow to split further is accepted with its residual
     recorded; residuals are totalled per component and checked against
@@ -86,6 +101,8 @@ def integrate_segments(
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be strictly increasing")
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("edges must be finite")
         lo = edges[:-1].copy()
         hi = edges[1:].copy()
         seg = np.arange(edges.size - 1)
@@ -95,6 +112,8 @@ def integrate_segments(
         lo = np.asarray(lo, dtype=float).copy()
         hi = np.asarray(hi, dtype=float).copy()
         seg = np.asarray(seg, dtype=np.intp).copy()
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("panel ends must be finite")
         if np.any(hi < lo):
             raise ValueError("panel with hi < lo")
     else:
@@ -111,10 +130,7 @@ def integrate_segments(
 
     total_width = float(np.sum(hi - lo))
     kink_floor = total_width * 2.0**-40
-
-    mid = 0.5 * (lo + hi)
-    f_mid = _call(fun, mid, seg, columns)
-    f_hi = _call(fun, hi, seg, columns)
+    leftover = np.zeros(columns)
 
     def body(values):
         return np.abs(values) if absolute else values
@@ -122,34 +138,79 @@ def integrate_segments(
     def simpson(w, va, vm, vb):
         return (w / 6.0)[:, None] * (va + 4.0 * vm + vb)
 
-    S = simpson(hi - lo, body(f_lo), body(f_mid), body(f_hi))
-    leftover = np.zeros(columns)
-
-    for level in range(MAX_LEVELS + 1):
-        if lo.size == 0:
-            break
-        if lo.size > PANEL_CAP:
-            raise QuadratureError(
-                f"refinement reached {lo.size} active panels; "
-                "integrand is too rough for the requested tolerance"
-            )
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        pts = np.concatenate([lm, rm])
-        segs2 = np.concatenate([seg, seg])
-        vals = _call(fun, pts, segs2, columns)
-        f_lm, f_rm = vals[: lo.size], vals[lo.size :]
-
-        samples = (f_lo, f_lm, f_mid, f_rm, f_hi)
-        bodies = [body(v) for v in samples]
-        # Measure the children from the rounded mid they were split at: on a
+    def estimates(lo, mid, hi, samples):
+        """Simpson's rule on both halves of each panel, summed, and its
+        Richardson error against the rule on the whole panel."""
+        b_lo, b_lm, b_mid, b_rm, b_hi = (body(v) for v in samples)
+        # Measure the halves from the rounded mid they were split at: on a
         # panel only thousands of ulps wide (far from the origin) half the
         # nominal width is off by 1e-4 relative or more, and Richardson's
         # estimate never settles.
-        S_l = simpson(mid - lo, *bodies[:3])
-        S_r = simpson(hi - mid, *bodies[2:])
-        S2 = S_l + S_r
-        err = (S2 - S) / 15.0
+        halves = simpson(mid - lo, b_lo, b_lm, b_mid) + simpson(hi - mid, b_mid, b_rm, b_hi)
+        return halves, (halves - simpson(hi - lo, b_lo, b_mid, b_hi)) / 15.0
+
+    def narrow(lo, lm, rm, hi):
+        # A panel too narrow to split (midpoint collides with an endpoint, or
+        # width below the kink floor, where refinement only chases rounding
+        # jitter) cannot improve.
+        return (lm <= lo) | (rm >= hi) | (hi - lo <= kink_floor)
+
+    def children(rows, left, right):
+        # What the split rows hand their left children, then their right
+        # ones; when every row splits there is nothing to gather.
+        if rows.size < len(left):
+            left, right = np.take(left, rows, axis=0), np.take(right, rows, axis=0)
+        return np.concatenate([left, right])
+
+    def descend(rows, lo, lm, mid, rm, hi):
+        return children(rows, lo, mid), children(rows, lm, rm), children(rows, mid, hi)
+
+    def add(idx, contrib):
+        for c in range(columns):
+            totals[:, c] += np.bincount(idx, weights=contrib[:, c], minlength=nseg)
+
+    # Every panel is bisected MIN_LEVELS times before a test may accept it,
+    # so the abscissae of those levels are known before anything is sampled,
+    # and one call samples them all.  A panel too narrow to split at a
+    # forced level is accepted there with its residual recorded, and nothing
+    # inside it is sampled.
+    mid = 0.5 * (lo + hi)
+    pts, segs = [mid, hi], [seg, seg]
+    tiers, splits = [], []
+    for level in range(MIN_LEVELS + 1):
+        _check_cap(lo.size)
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        tiers.append((lo, lm, mid, rm, hi, seg))
+        pts += [lm, rm]
+        segs += [seg, seg]
+        if level < MIN_LEVELS:
+            tight = narrow(lo, lm, rm, hi)
+            split = np.flatnonzero(~tight)
+            splits.append((np.flatnonzero(tight), split))
+            lo, mid, hi = descend(split, lo, lm, mid, rm, hi)
+            seg = children(split, seg, seg)
+    vals = _call(fun, np.concatenate(pts), np.concatenate(segs), columns)
+    ends = list(itertools.accumulate(v.size for v in pts))
+    forced = iter([vals[i:j] for i, j in zip([0, *ends], ends)])
+
+    f_mid, f_hi = next(forced), next(forced)
+    for (lo, lm, mid, rm, hi, seg), (stuck, split) in zip(tiers, splits):
+        f_lm, f_rm = next(forced), next(forced)
+        samples = (f_lo, f_lm, f_mid, f_rm, f_hi)
+        if stuck.size:
+            S2, err = estimates(
+                *(np.take(v, stuck, axis=0) for v in (lo, mid, hi)),
+                [np.take(v, stuck, axis=0) for v in samples],
+            )
+            leftover += np.sum(np.abs(err), axis=0)
+            add(seg[stuck], S2 + err)
+        f_lo, f_mid, f_hi = descend(split, *samples)
+    lo, lm, mid, rm, hi, seg = tiers[MIN_LEVELS]
+    f_lm, f_rm = next(forced), next(forced)
+
+    for level in range(MIN_LEVELS, MAX_LEVELS + 1):
+        samples = (f_lo, f_lm, f_mid, f_rm, f_hi)
+        S2, err = estimates(lo, mid, hi, samples)
 
         # Width-proportional error budget, optionally scaled by a running
         # estimate of each column's total when a relative tolerance is
@@ -177,14 +238,9 @@ def integrate_segments(
             changes &= vmax * w[:, None] > thr
             ok &= ~np.any(changes, axis=1) | (hi - lo <= kink_floor)
 
-        if level < MIN_LEVELS:
-            ok &= False
-
-        # A panel too narrow to split (midpoint collides with an endpoint, or
-        # width below the kink floor, where refinement only chases rounding
-        # jitter) cannot improve; accept it and record the residual error
-        # per component.
-        degenerate = (lm <= lo) | (rm >= hi) | (w <= kink_floor)
+        # A panel too narrow to split is accepted with the residual error
+        # recorded per component.
+        degenerate = narrow(lo, lm, rm, hi)
         if level == MAX_LEVELS:
             degenerate |= True
         stuck = degenerate & ~ok
@@ -192,24 +248,20 @@ def integrate_segments(
             leftover += np.sum(np.abs(err[stuck]), axis=0)
             ok |= degenerate
 
-        if np.any(ok):
-            contrib = S2[ok] + err[ok]
-            idx = seg[ok]
-            for c in range(columns):
-                totals[:, c] += np.bincount(idx, weights=contrib[:, c], minlength=nseg)
+        done = np.flatnonzero(ok)
+        if done.size:
+            add(seg[done], np.take(S2, done, axis=0) + np.take(err, done, axis=0))
 
-        bad = ~ok
-        if not np.any(bad):
-            lo = lo[:0]
+        rows = np.flatnonzero(~ok)
+        if rows.size == 0:
             break
-        lo = np.concatenate([lo[bad], mid[bad]])
-        hi = np.concatenate([mid[bad], hi[bad]])
-        seg = np.concatenate([seg[bad], seg[bad]])
-        f_lo = np.concatenate([f_lo[bad], f_mid[bad]])
-        f_hi = np.concatenate([f_mid[bad], f_hi[bad]])
-        f_mid = np.concatenate([f_lm[bad], f_rm[bad]])
-        mid = np.concatenate([lm[bad], rm[bad]])
-        S = np.concatenate([S_l[bad], S_r[bad]])
+        lo, mid, hi = descend(rows, lo, lm, mid, rm, hi)
+        f_lo, f_mid, f_hi = descend(rows, *samples)
+        seg = children(rows, seg, seg)
+        _check_cap(lo.size)
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        vals = _call(fun, np.concatenate([lm, rm]), np.concatenate([seg, seg]), columns)
+        f_lm, f_rm = vals[: lo.size], vals[lo.size :]
 
     # Residuals are judged per component against that component's own
     # allowance.
@@ -222,4 +274,3 @@ def integrate_segments(
             "above tolerance after refinement"
         )
     return totals[:, 0] if columns == 1 else totals
-

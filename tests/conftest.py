@@ -151,8 +151,9 @@ def gaussian_sweep():
 def batches(monkeypatch):
     """batches(fn, *args): how many integrand batches fn(*args) evaluates.
 
-    A batch is one call of ``quadrature._call``: the first samples of an
-    integral, then one per refinement level, whatever the number of panels.
+    A batch is one call of ``quadrature._call``: the panels' left ends,
+    then every sample of the forced bisections, then one per later
+    refinement level, whatever the number of panels.
     Per-level overhead dominates the small integrals, so the count is the
     host-independent measure of their cost.
     """

@@ -116,6 +116,8 @@ def test_all_kinds_entry_points_match_per_kind_functions():
         assert counts[kind] == min_segments_for_tolerance(f, 0.0, 4.0, 1e-5, kind)
     with pytest.raises(ValueError):
         curv.bounds(0)
+    with pytest.raises(ValueError, match="integer"):
+        curv.bounds(2.5)
     with pytest.raises(ValueError):
         curv.counts(-1.0)
 

@@ -39,6 +39,10 @@ def test_uniform_partition_validation():
         uniform_partition(1.0, 0.0, 4)
     with pytest.raises(ValueError):
         uniform_partition(0.0, 1.0, 0)
+    for n in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            uniform_partition(0.0, 1.0, n)
+    assert uniform_partition(0.0, 4.0, np.int64(4)).n_segments == 4
 
 
 def test_knot_density_closed_forms():
@@ -63,6 +67,13 @@ def test_distribution_of_cubic_is_four_thirds_power():
     dist = build_distribution(cubic(), 0.0, 1.0)
     for x in (0.2, 0.5, 0.75):
         assert abs(dist.value(x) - x ** (4.0 / 3.0)) <= 1e-9
+
+
+def test_distribution_value_rejects_nan():
+    dist = build_distribution(gaussian(), 0.0, 4.0)
+    for x in (np.nan, [1.0, np.nan], -0.5):
+        with pytest.raises(ValueError, match="outside the tabulated interval"):
+            dist.value(x)
 
 
 def test_distribution_invariants():
@@ -264,5 +275,7 @@ def test_spacing_guard_matches_loops(points, shift, scale):
 def test_optimized_partition_validation():
     with pytest.raises(ValueError):
         optimized_partition(quadratic(), 0.0, 1.0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        optimized_partition(gaussian(), 0.0, 4.0, 2.5)
     with pytest.raises(ValueError):
         optimized_partition(quadratic(domain=(0.0, 1.0)), 0.5, 0.2, 4)

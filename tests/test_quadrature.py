@@ -157,6 +157,59 @@ def test_argument_validation():
         )
 
 
+def test_nonfinite_bounds_raise():
+    for edges in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_segments(lambda x, seg: x, np.array(edges))
+    for lo, hi in ((np.nan, 1.0), (0.0, np.inf), (np.nan, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_segments(
+                lambda x, s: x, panels=(np.array([0.0, lo]), np.array([1.0, hi]), np.array([0, 0]), 1)
+            )
+
+
+def test_smooth_integrand_is_called_twice():
+    # The left ends fix the component count; every other abscissa of the
+    # forced bisections goes in one more call, and a cubic passes the first
+    # test on every panel.
+    sizes = []
+
+    def cubic(x, _s):
+        sizes.append(x.size)
+        return x**3
+
+    out = integrate_segments(cubic, np.linspace(0.0, 1.0, 9))
+    assert sizes == [8, 16 * 8]
+    assert abs(np.sum(out) - 0.25) <= 1e-15
+
+
+def test_panels_too_narrow_for_the_forced_levels():
+    # A normal panel beside panels narrower than the kink floor (2**-40 of
+    # the total width) or only a few ulps wide, which stop splitting at the
+    # first or second forced level.  The totals were recorded with the
+    # engine that sampled each forced level in its own call.
+    floor = 0.5 * 2.0**-40
+    u = np.spacing(1e6)
+    lo = np.array([0.0, 0.5, 0.75, 1e6, 1e6 + 8 * u, 1e6 + 16 * u])
+    hi = np.array([0.5, 0.5 + 0.5 * floor, 0.75 + 1.5 * floor, 1e6 + u, 1e6 + 10 * u, 1e6 + 19 * u])
+    recorded = [
+        ["0x1.547a7121d9e5cp-2", "0x1.e2b7dddfefa67p-3"],
+        ["0x1.21bd54fc599e5p-46", "0x1.6a09e667f3ea0p-43"],
+        ["-0x1.e26ff5a96c1a7p-42", "0x1.4c8dc2e423eb2p-41"],
+        ["0x1.e93a1504ce2e6p-35", "0x1.f400000000000p-24"],
+        ["0x1.e93a1534d45b6p-34", "0x1.f400000000004p-23"],
+        ["0x1.6eeb900901380p-33", "0x1.7700000000006p-22"],
+    ]
+    recorded = np.array([[float.fromhex(v) for v in row] for row in recorded])
+
+    def fun(x, _s):
+        return np.stack([np.cos(3.0 * x), np.sqrt(x)], axis=1)
+
+    panels = (lo, hi, np.arange(6), 6)
+    assert np.array_equal(integrate_segments(fun, panels=panels), recorded)
+    assert np.array_equal(integrate_segments(fun, panels=panels, absolute=True), np.abs(recorded))
+
+
 def test_default_tolerance():
     assert inspect.signature(integrate_segments).parameters["abs_tol"].default == 1e-12
 

@@ -1,0 +1,52 @@
+"""CLI stdout pinned byte for byte on fast commands.
+
+``plan``, ``partition`` and ``error`` on every built-in target, one
+``poly:`` target and one ``expr:`` target, compared with the stdout
+recorded under ``tests/data/stdout/``.  Together they run every layer:
+curvature integrals, knot tables and their inversion, the L2 projection
+and the L1 distance.  A change that moves a printed digit says why and
+records the files again.
+
+The records pin outputs with numpy 2.4.6 (Python 3.11, x86-64 Linux).
+Another numpy build may round an elementary function differently in the
+last bit and so move a printed digit; there the files are recorded again
+rather than the program changed.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from polylin import cli
+
+DATA = Path(__file__).parent / "data" / "stdout"
+POLY = ["--function", "poly:1,-2,0.5,0.25", "--interval", "-1", "2"]
+EXPR = ["--function", "expr:sin(3*x)*exp(-x)", "--interval", "0", "3"]
+OPTIMIZED = ["--partition", "optimized"]
+
+COMMANDS = {
+    "plan_gaussian": ["plan", "--function", "gaussian", "--tolerance", "1e-3"],
+    "plan_chirp": ["plan", "--function", "chirp", "--tolerance", "1e-2"],
+    "plan_poly7": ["plan", "--function", "poly7", "--tolerance", "1e-3"],
+    "plan_poly": ["plan", *POLY, "--tolerance", "1e-3"],
+    "plan_expr": ["plan", *EXPR, "--tolerance", "1e-3"],
+    "partition_gaussian": ["partition", "--function", "gaussian", "--segments", "8", *OPTIMIZED],
+    "partition_chirp": ["partition", "--function", "chirp", "--segments", "16", *OPTIMIZED],
+    "partition_poly7": ["partition", "--function", "poly7", "--segments", "8", *OPTIMIZED],
+    "partition_poly": ["partition", *POLY, "--segments", "6", *OPTIMIZED],
+    "partition_expr": ["partition", *EXPR, "--segments", "6", *OPTIMIZED],
+    "error_gaussian_interpolant": [
+        "error", "--function", "gaussian", "--segments", "8", *OPTIMIZED, "--fit", "interpolant",
+    ],
+    "error_chirp_l2": ["error", "--function", "chirp", "--segments", "16", *OPTIMIZED, "--fit", "l2"],
+    "error_poly7_l2": ["error", "--function", "poly7", "--segments", "8", "--fit", "l2"],
+    "error_poly_interpolant": ["error", *POLY, "--segments", "6", *OPTIMIZED, "--fit", "interpolant"],
+    "error_expr_l2": ["error", *EXPR, "--segments", "6", *OPTIMIZED, "--fit", "l2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_record(capsys, name):
+    assert cli.main(COMMANDS[name]) == 0
+    out = capsys.readouterr().out
+    assert out == (DATA / f"{name}.txt").read_text(encoding="utf-8")
