@@ -7,7 +7,10 @@ is made: O(1) per point, O(log N) worst case for strongly graded knots
 stability.  Both use the right-open convention [x_{i-1}, x_i), with
 x = x_N folded into the last segment, and scalar and batch calls locate
 segments the same way.  Batch evaluation runs through the numpy kernels
-in _kernels.
+in _kernels.  A batch of more than BLOCK points goes through them one
+block at a time into a single output array.  The arithmetic is unchanged,
+so every value is the one a whole-array call gives, and peak memory is the
+output plus one block's temporaries, which stay in cache.
 
 Out-of-domain policy: under "error" an abscissa outside [a, b] raises
 ValueError; under "clamp" it is moved to the nearer end.  NaN lies in no
@@ -32,6 +35,7 @@ MODES = ("uniform_direct", "binary_search")
 OUT_OF_DOMAIN = ("error", "clamp")
 MIN_BENCH_EVALS = 100_000
 BENCH_REPETITIONS = 5
+BLOCK = 2**15  # fastest of 2^12..2^16 on 2^20-point batches; its temporaries fit a 2-MiB L2
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,13 @@ def evaluate(e: Evaluator, x: float) -> float:
 
 
 def evaluate_batch(e: Evaluator, xs) -> np.ndarray:
-    """Evaluate at an array of abscissae."""
+    """Evaluate at an array of abscissae.
+
+    A batch of more than BLOCK points runs BLOCK points at a time into one
+    output array, through the same kernel expressions, so every value is
+    bit-identical to a whole-array call.  Peak memory is the output plus
+    one block's temporaries.
+    """
     xs = np.ascontiguousarray(xs, dtype=float)
     a, b = e.source.partition.a, e.source.partition.b
     if e.out_of_domain == "error":
@@ -108,7 +118,19 @@ def evaluate_batch(e: Evaluator, xs) -> np.ndarray:
         # min propagates NaN: one pass tells whether any is present.
         if math.isnan(xs.min(initial=np.inf)):
             _reject(xs, np.isnan(xs), a, b)
-        xs = np.clip(xs, a, b)
+    if xs.size <= BLOCK:
+        return _evaluate_inside(e, xs)
+    out = np.empty(xs.shape)
+    flat, dest = xs.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, BLOCK):
+        dest[start : start + BLOCK] = _evaluate_inside(e, flat[start : start + BLOCK])
+    return out
+
+
+def _evaluate_inside(e: Evaluator, xs: np.ndarray) -> np.ndarray:
+    """Kernel values at checked abscissae, clamped first under "clamp"."""
+    if e.out_of_domain == "clamp":
+        xs = np.clip(xs, e.source.partition.a, e.source.partition.b)
     knots = e.source.partition.knots
     v = e.source.ordinates
     if e.mode == "uniform_direct":

@@ -28,6 +28,7 @@ takes runs at the package's default quadrature budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,9 @@ class FitReport:
 
     ``optimality_residual`` is max_i |integral of sign(f - g) phi_i| /
     integral of phi_i at the returned ordinates, from the located
-    crossings; it is 0 at the exact minimizer.
+    crossings; it is 0 at the exact minimizer.  ``final_cost`` is the L1
+    distance at the returned ordinates; it is NaN when the fit did not
+    converge and its last iterate is too rough for the quadrature.
     """
 
     iterations: int
@@ -376,7 +379,9 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
     entry of the exact L1 gradient reached its rounding floor and denser
     sampling found no further crossings within MAX_NEWTON_ITERS Newton
     iterations.  Divergence does not raise: the last iterate is returned
-    with converged=False.
+    with converged=False, and with final_cost NaN when the quadrature
+    cannot integrate its error.  A converged fit whose cost quadrature
+    fails raises QuadratureError.
     """
     v = l2_projection(f, p).ordinates.copy()
     state = _crossings(f, p, v, SAMPLES)
@@ -405,9 +410,17 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
             break
         v, state = v + alpha * step, trial
 
+    try:
+        cost = _cost(f, p, v, state)
+    except QuadratureError:
+        # A diverged iterate can be too rough to integrate; its failure to
+        # converge is the error to report, so the cost is left unknown.
+        if converged:
+            raise
+        cost = math.nan
     report = FitReport(
         iterations=iterations,
-        final_cost=_cost(f, p, v, state),
+        final_cost=cost,
         converged=converged,
         function_evals=evals,
         optimality_residual=float(np.max(state.residual)),

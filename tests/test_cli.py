@@ -318,6 +318,17 @@ def test_unconverged_fit_exits_3(capsys, monkeypatch):
     assert code == 3 and "converge" in err
 
 
+def test_diverged_fit_reports_non_convergence(capsys):
+    # The cost quadrature fails on the diverged ordinates; the message must
+    # name the fit's non-convergence, not that quadrature failure.
+    code, out, err = run(
+        capsys, "error", "--function", "expr:exp(-x^2/2)/sqrt(2*pi)",
+        "--interval", "0", "8", "--segments", "8", "--fit", "l1",
+    )
+    assert code == 3 and out == ""
+    assert "L1 fit did not converge" in err
+
+
 def test_environment_variables_change_nothing():
     # polylin reads no environment variable.  Each run is a fresh
     # interpreter, because a knob could be read at import.

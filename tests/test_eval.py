@@ -1,5 +1,6 @@
 """Evaluator modes, kernels, and the timing harness."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import searched_values
+from polylin import _kernels
 from polylin._kernels import backend
 from polylin.core import Partition, PolygonalFunction
-from polylin.evaluate import Evaluator, bench, evaluate, evaluate_batch, make_evaluator
-from polylin.partition import uniform_partition
+from polylin.evaluate import BLOCK, Evaluator, bench, evaluate, evaluate_batch, make_evaluator
+from polylin.functions import gaussian
+from polylin.partition import optimized_partition, uniform_partition
 
 
 def _hat():
@@ -245,3 +248,104 @@ def test_bench_validation_and_determinism():
     assert r1.mode == "uniform_direct"
     assert r1.backend == backend() == "numpy"
     assert 0.0 < r1.min_ns <= r1.mean_ns
+
+
+# -- large batches run BLOCK points at a time ---------------------------------
+
+LARGE = 3 * BLOCK + 7
+LARGE_ROWS = next(d for d in range(2, 100) if LARGE % d == 0)  # 2-D layouts of LARGE points
+BLOCK_SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, LARGE)
+
+
+def _block_cases():
+    """Evaluators under both policies: both modes on uniform knots, and the
+    table search on equalized and on strongly graded knots (crowded cells)."""
+    rng = np.random.default_rng(29)
+    f = gaussian((0.0, 4.0))
+    uniform = PolygonalFunction(uniform_partition(0.0, 4.0, 1023), rng.standard_normal(1024))
+    equalized = PolygonalFunction(optimized_partition(f, 0.0, 4.0, 1023), rng.standard_normal(1024))
+    knots = _graded_knots(rng, 4000, 1e6, True, 0.0, 4.0)
+    graded = PolygonalFunction(Partition(knots), rng.standard_normal(knots.size))
+    for g, mode in (
+        (uniform, "uniform_direct"),
+        (uniform, "binary_search"),
+        (equalized, "binary_search"),
+        (graded, "binary_search"),
+    ):
+        for policy in ("error", "clamp"):
+            yield make_evaluator(g, mode, out_of_domain=policy)
+
+
+def _whole_array(e, xs):
+    """The mode's kernel applied to the whole array in one call."""
+    a, b = e.source.partition.a, e.source.partition.b
+    if e.out_of_domain == "clamp":
+        xs = np.clip(xs, a, b)
+    v = e.source.ordinates
+    if e.mode == "uniform_direct":
+        return _kernels.eval_uniform(a, b, v, xs)
+    return _kernels.eval_guided(e._guide, v, xs)
+
+
+def _abscissae(rng, e, size):
+    a, b = e.source.partition.a, e.source.partition.b
+    pad = 0.1 * (b - a) if e.out_of_domain == "clamp" else 0.0
+    return rng.uniform(a - pad, b + pad, size)
+
+
+def test_blocks_match_one_kernel_call_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = list(_block_cases())
+    assert cases[-1]._guide.crowded is not None
+    for e in cases:
+        for size in BLOCK_SIZES:
+            xs = _abscissae(rng, e, size)
+            got = evaluate_batch(e, xs)
+            assert got.shape == (size,)
+            want = _whole_array(e, xs)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (e.mode, size)
+
+
+def test_blocked_2d_batch_keeps_its_shape():
+    rng = np.random.default_rng(37)
+    for e in _block_cases():
+        # A transposed grid: not contiguous, and blocks end inside its rows.
+        xs = _abscissae(rng, e, LARGE).reshape(LARGE_ROWS, -1).T
+        got = evaluate_batch(e, xs)
+        assert got.shape == xs.shape
+        want = _whole_array(e, np.ascontiguousarray(xs))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), e.mode
+
+
+@pytest.mark.parametrize("mode", ["uniform_direct", "binary_search"])
+@pytest.mark.parametrize("policy", ["error", "clamp"])
+def test_bad_value_in_the_last_block_names_its_index(mode, policy):
+    rng = np.random.default_rng(41)
+    g = PolygonalFunction(uniform_partition(0.0, 1.0, 16), rng.standard_normal(17))
+    e = make_evaluator(g, mode, out_of_domain=policy)
+    bad = LARGE - 3
+    xs = rng.uniform(0.0, 1.0, LARGE)
+    values = ["nan", "1.25"] if policy == "error" else ["nan"]
+    for value in values:
+        xs[bad] = float(value)
+        for batch in (xs, xs.reshape(LARGE_ROWS, -1)):
+            with pytest.raises(ValueError, match=f"x={value} at index {bad} outside"):
+                evaluate_batch(e, batch)
+
+
+@pytest.mark.parametrize("mode", ["uniform_direct", "binary_search"])
+@pytest.mark.parametrize("policy", ["error", "clamp"])
+def test_large_batch_allocates_little_beyond_its_output(mode, policy):
+    # One whole-array kernel call holds several full-size temporaries at once
+    # (33-56 MiB for this 8-MiB output); a block holds one block's worth.
+    rng = np.random.default_rng(43)
+    g = PolygonalFunction(uniform_partition(0.0, 4.0, 1023), rng.standard_normal(1024))
+    e = make_evaluator(g, mode, out_of_domain=policy)
+    xs = _abscissae(rng, e, 1 << 20)
+    tracemalloc.start()
+    try:
+        out = evaluate_batch(e, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * 2**20, peak / 2**20

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from polylin.core import Partition, PolygonalFunction, TargetFunction, from_samp
 from polylin.fit import best_l1_fit, interpolant, l2_projection
 from polylin.functions import chirp, expression, gaussian
 from polylin.partition import optimized_partition, uniform_partition
-from polylin.quadrature import integrate_segments
+from polylin.quadrature import QuadratureError, integrate_segments
 
 
 def test_interpolant_is_knot_sampling():
@@ -402,6 +403,25 @@ def test_unconverged_fit_reports_honestly(monkeypatch):
     assert np.all(np.isfinite(g.ordinates))
     assert np.isfinite(report.final_cost)
     assert 1e-6 < report.optimality_residual < 1.0
+
+
+def test_diverged_fit_reports_nan_cost():
+    # The Newton iteration runs off on this target, and its last iterate is
+    # too rough for the cost quadrature: the report says so, it does not raise.
+    f = expression("exp(-x^2/2)/sqrt(2*pi)", (0.0, 8.0))
+    g, report = best_l1_fit(f, uniform_partition(0.0, 8.0, 8))
+    assert not report.converged
+    assert math.isnan(report.final_cost)
+    assert g.ordinates.size == 9
+
+
+def test_converged_fit_still_raises_when_its_cost_fails(monkeypatch):
+    def failing_cost(*args):
+        raise QuadratureError("cost quadrature failed")
+
+    monkeypatch.setattr(fit, "_cost", failing_cost)
+    with pytest.raises(QuadratureError, match="cost quadrature failed"):
+        best_l1_fit(gaussian(), uniform_partition(0.0, 4.0, 8))
 
 
 def test_exact_gradient_matches_finite_differences():
