@@ -102,25 +102,25 @@ class PolygonalFunction:
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """Function to approximate on a closed interval, with its f''.
+    """Function to approximate on a closed interval, with its f' and f''.
 
-    ``eval`` and ``second_derivative`` must accept numpy arrays (and
-    scalars) and evaluate elementwise.  Knot placement and every error
-    estimate are only as good as f'', so it is required: the built-in
-    targets give it in closed form, and expression targets by second-order
-    jets (``polylin.functions``).
-
-    ``first_derivative`` is optional.  Where it is given, the curvature
-    integrals check that f' changes across each cell of their grid by the
-    integral of f'' (a kink between grid points breaks that), and take a
-    target whose f' is constant to rounding for a line, whose f'' is
-    rounding residue (``polylin.partition``).
+    ``eval``, ``second_derivative`` and ``first_derivative`` must accept
+    numpy arrays (and scalars) and evaluate elementwise.  Both derivatives
+    are required and should be exact to rounding: the built-in targets
+    give them in closed form, and expression targets by second-order jets
+    (``polylin.functions``).  Knot placement and every error estimate are
+    only as good as f''.  The curvature integrals check that f' changes
+    across each cell of their grid by the integral of f'' (a kink between
+    grid points breaks that), and take a target whose f' is constant to
+    rounding for a line, whose f'' is rounding residue
+    (``polylin.partition``).  The best-L1 fit weighs each crossing of
+    f - g by the slope f' - g' there (``polylin.fit``).
     """
 
     eval: Callable
     second_derivative: Callable
     domain: tuple[float, float]
-    first_derivative: Callable | None = None
+    first_derivative: Callable
 
     def __post_init__(self) -> None:
         a, b = self.domain

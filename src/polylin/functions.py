@@ -1,10 +1,11 @@
 """Built-in approximation targets and a small expression grammar.
 
-The named targets carry analytic second derivatives.  Expression targets
-are compiled from a minimal arithmetic grammar (+ - * / ^, sin, cos, exp,
-sqrt, the constants pi and e, variable x) to a postfix tape; their f runs
-the tape on values and their f' and f'' on second-order Taylor jets, so
-every target's f'' is exact to rounding.
+The named targets carry analytic first and second derivatives.
+Expression targets are compiled from a minimal arithmetic grammar (+ - * /
+^, sin, cos, exp, sqrt, the constants pi and e, variable x) to a postfix
+tape; their f runs the tape on values and their f' and f'' on
+second-order Taylor jets, so every target's f' and f'' are exact to
+rounding.
 """
 
 from __future__ import annotations
@@ -35,17 +36,21 @@ DEFAULT_INTERVALS = {
 
 
 def gaussian(domain: tuple[float, float] = (0.0, 4.0)) -> TargetFunction:
-    """Standard normal density; f'' = (x^2 - 1) f(x)."""
+    """Standard normal density; f' = -x f(x) and f'' = (x^2 - 1) f(x)."""
 
     def f(x):
         x = np.asarray(x, dtype=float)
         return np.exp(-0.5 * x * x) / SQRT_2PI
 
+    def d1(x):
+        x = np.asarray(x, dtype=float)
+        return -x * np.exp(-0.5 * x * x) / SQRT_2PI
+
     def d2(x):
         x = np.asarray(x, dtype=float)
         return (x * x - 1.0) * np.exp(-0.5 * x * x) / SQRT_2PI
 
-    return TargetFunction(f, d2, domain)
+    return TargetFunction(f, d2, domain, d1)
 
 
 def chirp(domain: tuple[float, float] = (0.0, 1.0)) -> TargetFunction:
@@ -55,13 +60,17 @@ def chirp(domain: tuple[float, float] = (0.0, 1.0)) -> TargetFunction:
         x = np.asarray(x, dtype=float)
         return np.sin(10.0 * np.pi * x * x)
 
+    def d1(x):
+        x = np.asarray(x, dtype=float)
+        return 20.0 * np.pi * x * np.cos(10.0 * np.pi * x * x)
+
     def d2(x):
         x = np.asarray(x, dtype=float)
         phase = 10.0 * np.pi * x * x
         rate = 20.0 * np.pi
         return rate * np.cos(phase) - (rate * x) ** 2 * np.sin(phase)
 
-    return TargetFunction(f, d2, domain)
+    return TargetFunction(f, d2, domain, d1)
 
 
 _POLY7_ROOTS = (-4.0, -3.0, -2.5, 0.0, 1.5, 2.0, 3.0)
@@ -74,24 +83,26 @@ def poly7(domain: tuple[float, float] = (-4.0, 3.0)) -> TargetFunction:
 
 
 def polynomial(coefficients, domain: tuple[float, float]) -> TargetFunction:
-    """Polynomial target from ascending coefficients, with analytic f''."""
+    """Polynomial target from ascending coefficients, with analytic f' and f''."""
     coefficients = tuple(float(c) for c in coefficients)
     if not coefficients:
         raise ValueError("need at least one coefficient")
     if not all(math.isfinite(c) for c in coefficients):
         raise ValueError("coefficients must be finite")
     base = np.polynomial.Polynomial(coefficients)
+    first = base.deriv(1)
     second = base.deriv(2) if len(coefficients) > 2 else np.polynomial.Polynomial([0.0])
 
     def f(x):
         return base(np.asarray(x, dtype=float))
 
+    def d1(x):
+        return first(np.asarray(x, dtype=float))
+
     def d2(x):
         return second(np.asarray(x, dtype=float))
 
-    return TargetFunction(f, d2, domain)
-
-
+    return TargetFunction(f, d2, domain, d1)
 
 
 # -- expression grammar ------------------------------------------------------
@@ -407,4 +418,4 @@ def expression(text: str, domain: tuple[float, float]) -> TargetFunction:
             _, _, out = _run_jets(tape, x)
         return _shaped(out, x)
 
-    return TargetFunction(f, d2, domain, first_derivative=d1)
+    return TargetFunction(f, d2, domain, d1)

@@ -22,10 +22,10 @@ curvature pair) is cut at them; a piece that ends at one is integrated
 through a cubic change of variable that makes the integrand smooth there
 (see ``_split_integral``).  A second derivative that is not finite at a
 point of the table grid, whose ends are a and b, raises ``ValueError``.
-So does a kink between grid points of a target that carries f' (an
-expression): f' jumps across the kink's cell by more than f'' integrates
-to there.  Such a target whose f' is constant to rounding is a line, and
-its f'', rounding residue, is left out (see ``_scan``).
+So does a kink between grid points, which every target's exact f' shows:
+f' jumps across the kink's cell by more than f'' integrates to there.  A
+target whose f' is constant to rounding is a line, and its f'', rounding
+residue, is left out (see ``_scan``).
 
 A vector target places one partition for all its components by summing
 the component curvatures before the cube root.  A scalar target is the
@@ -69,7 +69,7 @@ ROOT_ABSCISSA_TOL = 1e-12
 PLATEAU_SLACK = 1e-12
 # Floor between consecutive knots, relative to b - a.
 MIN_SPACING = 1e-12
-# A target with f' passes the kink check of ``_scan`` when f' changes
+# A target passes the kink check of ``_scan`` when its f' changes
 # across every grid cell by the integral of f'' to within this share of
 # the total curvature (plus the rounding of f'): a kink that carries less
 # moves no bound or planned count by more than this relative amount.
@@ -137,7 +137,7 @@ def _scan(
     together than the grid spacing go unseen; integrals across them still
     converge, only with more refinement.
 
-    A component that carries f' is checked on the same grid first.  Where
+    Each component's f' is checked on the same grid first.  Where
     f' is constant to rounding the component is a line, and its f'' is
     rounding residue that no integral could resolve, so it is left out of
     the curved part (None when no component is left).  Otherwise the
@@ -150,7 +150,7 @@ def _scan(
     curved, found = [], [np.empty(0)]
     for comp in _components(f):
         (d2,) = _second_derivatives(comp, x)
-        if comp.first_derivative is not None and _is_line(comp, x, d2):
+        if _is_line(comp, x, d2):
             continue
         curved.append(comp)
         noise = EPS * np.max(np.abs(d2))

@@ -27,6 +27,7 @@ def quadratic(domain=(0.0, 1.0)):
         eval=lambda x: np.asarray(x, dtype=float) ** 2,
         second_derivative=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
         domain=domain,
+        first_derivative=lambda x: 2.0 * np.asarray(x, dtype=float),
     )
 
 
@@ -35,6 +36,7 @@ def cubic(domain=(0.0, 1.0)):
         eval=lambda x: np.asarray(x, dtype=float) ** 3,
         second_derivative=lambda x: 6.0 * np.asarray(x, dtype=float),
         domain=domain,
+        first_derivative=lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
     )
 
 
@@ -43,6 +45,7 @@ def linear(domain=(0.0, 1.0), slope=2.0, intercept=-0.5):
         eval=lambda x: slope * np.asarray(x, dtype=float) + intercept,
         second_derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         domain=domain,
+        first_derivative=lambda x: np.full_like(np.asarray(x, dtype=float), slope),
     )
 
 
@@ -53,11 +56,14 @@ def shifted_gaussian(center, domain=(0.0, 4.0)):
         x = np.asarray(x, dtype=float)
         return np.exp(-0.5 * (x - c) ** 2) / np.sqrt(2.0 * np.pi)
 
+    def d1(x):
+        return -(np.asarray(x, dtype=float) - c) * val(x)
+
     def d2(x):
         x = np.asarray(x, dtype=float)
         return ((x - c) ** 2 - 1.0) * val(x)
 
-    return TargetFunction(eval=val, second_derivative=d2, domain=domain)
+    return TargetFunction(eval=val, second_derivative=d2, domain=domain, first_derivative=d1)
 
 
 def searched_values(knots, ordinates, xs):
@@ -99,9 +105,11 @@ def hat_basis(p: Partition, i: int, x):
 
 
 def as_target(g: PolygonalFunction) -> TargetFunction:
-    """View a polygonal function as a target (its own second derivative is 0 a.e.)."""
+    """View a polygonal function as a target: its f' is each segment's
+    slope (the right one at a knot), and its f'' is 0 a.e."""
     knots = g.partition.knots
     v = g.ordinates
+    slopes = np.diff(v) / np.diff(knots)
 
     def eval(x):
         x = np.asarray(x, dtype=float)
@@ -109,11 +117,16 @@ def as_target(g: PolygonalFunction) -> TargetFunction:
         out = searched_values(knots, v, np.atleast_1d(x))
         return float(out[0]) if scalar else out
 
+    def d1(x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, slopes.size - 1)
+        return slopes[i]
+
     def d2(x):
         x = np.asarray(x, dtype=float)
         return 0.0 if x.ndim == 0 else np.zeros_like(x)
 
-    return TargetFunction(eval, d2, (float(knots[0]), float(knots[-1])))
+    return TargetFunction(eval, d2, (float(knots[0]), float(knots[-1])), d1)
 
 
 @pytest.fixture(scope="session")

@@ -329,6 +329,23 @@ def test_diverged_fit_reports_non_convergence(capsys):
     assert "L1 fit did not converge" in err
 
 
+@pytest.mark.parametrize("n", ["4", "31"])
+@pytest.mark.parametrize("text", ["poly:0,1,1e-9", "expr:x+1e-9*x^2", "poly:0,1,1e-12"])
+def test_near_line_l1_fit_converges(capsys, text, n):
+    # At the crossings of a near-line's fit e' is about 1e-10 (1e-13 for
+    # the 1e-12 curvature), below the rounding of a difference quotient of
+    # f; the exact f' resolves it.
+    code, out, err = run(
+        capsys, "error", "--function", text, "--interval", "0", "1", "--segments", n, "--fit", "l1",
+    )
+    assert code == 0, err
+    (row,) = rows_of(out)
+    if "1e-9" in text:
+        # f'' is constant, so the best-L1 bound is the best fit's error.
+        bound = float(row["bound_uniform_best_l1"])
+        assert abs(float(row["measured"]) - bound) <= 1e-3 * bound
+
+
 def test_environment_variables_change_nothing():
     # polylin reads no environment variable.  Each run is a fresh
     # interpreter, because a knob could be read at import.

@@ -163,29 +163,40 @@ def test_from_samples_rejects_nonfinite_sample():
         lambda x: np.where(np.asarray(x, dtype=float) == 0.0, np.inf, 1.0),
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         (-1.0, 1.0),
+        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     with pytest.raises(ValueError, match="knot 1"):
         from_samples(uniform_partition(-1.0, 1.0, 2), f)
 
 
 def test_from_samples_rejects_scalar_only_eval():
-    f = TargetFunction(lambda x: 1.23, lambda x: 0.0, (0.0, 1.0))
+    f = TargetFunction(lambda x: 1.23, lambda x: 0.0, (0.0, 1.0), lambda x: 0.0)
     with pytest.raises(ValueError, match="elementwise"):
         from_samples(uniform_partition(0.0, 1.0, 2), f)
 
 
 def test_target_requires_a_second_derivative():
+    def square(x):
+        return np.asarray(x, dtype=float) ** 2
+
+    def twice(x):
+        return 2.0 * np.asarray(x, dtype=float)
+
     with pytest.raises(TypeError):
-        TargetFunction(lambda x: np.asarray(x, dtype=float) ** 2, domain=(0.0, 1.0))
+        TargetFunction(square, domain=(0.0, 1.0), first_derivative=twice)
+    # f' is required too: the fit and the curvature scan both read it.
+    with pytest.raises(TypeError):
+        TargetFunction(square, lambda x: np.full_like(np.asarray(x, dtype=float), 2.0), (0.0, 1.0))
     g = quadratic()
     assert float(g.d2(0.25)) == 2.0
+    assert float(g.first_derivative(0.25)) == 0.5
 
 
 def test_target_validation():
     with pytest.raises(ValueError):
-        TargetFunction(lambda x: x, lambda x: 0.0 * x, (1.0, 1.0))
+        TargetFunction(lambda x: x, lambda x: 0.0 * x, (1.0, 1.0), lambda x: 0.0 * x + 1.0)
     with pytest.raises(ValueError):
-        TargetFunction(lambda x: x, lambda x: 0.0 * x, (0.0, np.inf))
+        TargetFunction(lambda x: x, lambda x: 0.0 * x, (0.0, np.inf), lambda x: 0.0 * x + 1.0)
 
 
 def test_as_target_interpolates_linearly():
@@ -195,6 +206,7 @@ def test_as_target_interpolates_linearly():
     xs = np.linspace(0.0, 1.0, 101)
     assert np.max(np.abs(f.eval(xs) - np.interp(xs, knots, g.ordinates))) <= 1e-15
     assert np.all(f.d2(xs) == 0.0)
+    assert np.array_equal(f.first_derivative(xs), np.where(xs < 0.25, -4.0, 8.0 / 3.0))
     assert f.domain == (0.0, 1.0)
 
 

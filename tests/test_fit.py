@@ -118,6 +118,23 @@ def test_fit_of_a_line_is_the_line():
         assert np.max(np.abs(g.ordinates - y)) <= 1e-15 * np.max(np.abs(y))
 
 
+def test_near_line_settles_within_rounding():
+    # x + 1e-12 x^2 on 31 segments: the best fit's |e| (about 1e-16) is at
+    # the rounding of f, so rounding alone places the crossings and their
+    # allowance covers the whole gradient.  The fit settles at its start,
+    # within a few ulps of the optimal ordinates, while the residual from
+    # those crossings stays far above OPTIMALITY_TOL (see FitReport).
+    f = expression("x+1e-12*x^2", (0.0, 1.0))
+    p = uniform_partition(0.0, 1.0, 31)
+    g, report = best_l1_fit(f, p)
+    assert report.converged and report.iterations == 0
+    assert 0.1 <= report.optimality_residual <= 0.2
+    # For f = x + c x^2 the optimal ordinates sit 3 c h^2 / 16 below f.
+    shift = 3.0 * 1e-12 * p.widths[0] ** 2 / 16.0
+    assert np.max(np.abs(g.ordinates - f.eval(p.knots) + shift)) <= 4.0 * fit.EPS
+    assert report.final_cost <= 1e-16
+
+
 def test_best_line_segment_validation():
     with pytest.raises(ValueError):
         best_l1_fit(quadratic(), Partition([0.5, 0.5]))
@@ -279,12 +296,17 @@ def _two_hidden_pairs(c_edge, c_mid, half):
         x = np.asarray(x, dtype=float)
         return ((x - c_edge) ** 2 - half**2) * ((x - c_mid) ** 2 - half**2)
 
+    def d1(x):
+        x = np.asarray(x, dtype=float)
+        p, q = (x - c_edge) ** 2 - half**2, (x - c_mid) ** 2 - half**2
+        return 2.0 * (x - c_edge) * q + 2.0 * (x - c_mid) * p
+
     def d2(x):
         x = np.asarray(x, dtype=float)
         p, q = (x - c_edge) ** 2 - half**2, (x - c_mid) ** 2 - half**2
         return 2.0 * p + 2.0 * q + 8.0 * (x - c_edge) * (x - c_mid)
 
-    return TargetFunction(eval=val, second_derivative=d2, domain=(0.0, 1.0))
+    return TargetFunction(eval=val, second_derivative=d2, domain=(0.0, 1.0), first_derivative=d1)
 
 
 def test_crossings_find_pairs_hidden_between_samples():
@@ -405,9 +427,14 @@ def test_unconverged_fit_reports_honestly(monkeypatch):
     assert 1e-6 < report.optimality_residual < 1.0
 
 
-def test_diverged_fit_reports_nan_cost():
-    # The Newton iteration runs off on this target, and its last iterate is
-    # too rough for the cost quadrature: the report says so, it does not raise.
+def test_diverged_fit_reports_nan_cost(monkeypatch):
+    # The Newton iteration runs off on this target.  Where its last iterate
+    # is too rough for the cost quadrature (here the quadrature is made to
+    # fail), the report says so with a NaN cost; it does not raise.
+    def failing_cost(*args):
+        raise QuadratureError("cost quadrature failed")
+
+    monkeypatch.setattr(fit, "_cost", failing_cost)
     f = expression("exp(-x^2/2)/sqrt(2*pi)", (0.0, 8.0))
     g, report = best_l1_fit(f, uniform_partition(0.0, 8.0, 8))
     assert not report.converged

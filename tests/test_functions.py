@@ -1,11 +1,12 @@
-"""Expression targets: the postfix tape, its values and its second-order jets."""
+"""Targets: the built-ins' closed-form f', and expression targets (the
+postfix tape, its values and its second-order jets)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from polylin.functions import ExpressionError, expression
+from polylin.functions import _POLY7_ROOTS, ExpressionError, chirp, expression, gaussian, poly7, polynomial
 
 EPS = float(np.finfo(float).eps)
 X = np.concatenate([np.linspace(0.1, 2.0, 97), np.random.default_rng(5).uniform(0.1, 2.0, 64)])
@@ -125,7 +126,17 @@ def test_expression_free_of_x_has_zero_curvature():
     assert np.all(f.eval(X) == 2.0 * np.pi + np.e)
 
 
-# f' in closed form, with the sum of the magnitudes of its terms.
+def _polynomial_reference(coefficients):
+    """numpy's f' of a polynomial, and the same with every coefficient and
+    x made positive, which sums the magnitudes of its terms."""
+    first = np.polynomial.Polynomial(coefficients).deriv(1)
+    return first, lambda x: np.polynomial.Polynomial(np.abs(first.coef))(np.abs(x))
+
+
+# Each target's f' against a reference, with the sum of the magnitudes of
+# the reference's terms (for chirp, its phase's rounding).  Expressions
+# are checked against closed forms on [0, 2]; the built-ins against the
+# jets of the same function, or numpy's derivative of the polynomial.
 FIRST_DERIVATIVES = {
     "sin(x)*exp(x)": (
         lambda x: (np.cos(x) + np.sin(x)) * np.exp(x),
@@ -140,13 +151,29 @@ FIRST_DERIVATIVES = {
         lambda x: x**x * (np.abs(np.log(x)) + 1.0),
     ),
     "sqrt((x-1)^2)": (lambda x: np.sign(x - 1.0), lambda x: np.ones_like(x)),
+    "gaussian": (
+        expression("exp(-x^2/2)/sqrt(2*pi)", (0.0, 4.0)).first_derivative,
+        lambda x: x * np.exp(-0.5 * x * x),
+    ),
+    "chirp": (
+        expression("sin(10*pi*x^2)", (0.0, 1.0)).first_derivative,
+        lambda x: 20.0 * np.pi * x * (1.0 + 10.0 * np.pi * x * x),
+    ),
+    "poly7": _polynomial_reference(np.polynomial.Polynomial.fromroots(_POLY7_ROOTS).coef),
+    "poly:1,-2,0.5,0.25": _polynomial_reference((1.0, -2.0, 0.5, 0.25)),
+}
+BUILTINS = {
+    "gaussian": gaussian(),
+    "chirp": chirp(),
+    "poly7": poly7(),
+    "poly:1,-2,0.5,0.25": polynomial((1.0, -2.0, 0.5, 0.25), (-1.0, 2.0)),
 }
 
 
 @pytest.mark.parametrize("text", list(FIRST_DERIVATIVES))
 def test_first_derivative_matches_closed_form(text):
     exact, scale = FIRST_DERIVATIVES[text]
-    f = expression(text, (0.0, 2.0))
+    f = BUILTINS[text] if text in BUILTINS else expression(text, (0.0, 2.0))
     got = f.first_derivative(X)
     assert got.shape == X.shape
     assert np.all(np.abs(got - exact(X)) <= 8.0 * EPS * scale(X)), text

@@ -166,18 +166,33 @@ def test_inversion_through_density_cusp(n):
     assert np.max(np.abs(p.knots - np.sign(s) * np.abs(s) ** 0.75)) <= 1e-9
 
 
+def _plateau(lo, hi, domain):
+    """A C^1 target whose f'' is 2 off the band [lo, hi] and 0 on it: with
+    t = x - a, f = t^2 up to lo, its tangent line across the band, then
+    the same parabola moved right by hi - lo."""
+    a = domain[0]
+    edge, width = lo - a, hi - lo
+
+    def val(x):
+        t = np.asarray(x, dtype=float) - a
+        line = 2.0 * edge * t - edge * edge
+        return np.where(t < edge, t * t, np.where(t <= edge + width, line, (t - width) ** 2 + 2.0 * edge * width))
+
+    def d1(x):
+        t = np.asarray(x, dtype=float) - a
+        return np.where(t < edge, 2.0 * t, np.where(t <= edge + width, 2.0 * edge, 2.0 * (t - width)))
+
+    def d2(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x < lo) | (x > hi), 2.0, 0.0)
+
+    return TargetFunction(eval=val, second_derivative=d2, domain=domain, first_derivative=d1)
+
+
 def test_plateau_resolves_to_left_edge():
     # Curvature vanishes on the middle band, so the distribution is flat
     # there; the inverse must pick the leftmost point of the plateau.
-    def d2(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x < 1.0) | (x > 2.0), 2.0, 0.0)
-
-    f = TargetFunction(
-        eval=lambda x: np.asarray(x, dtype=float) ** 2,
-        second_derivative=d2,
-        domain=(0.0, 3.0),
-    )
+    f = _plateau(1.0, 2.0, (0.0, 3.0))
     p = optimized_partition(f, 0.0, 3.0, 2)
     assert abs(p.knots[1] - 1.0) <= 1e-6
 
@@ -186,16 +201,7 @@ def test_plateau_far_from_origin_terminates():
     # At 1e6, 1e-12 (b - a) is below the float spacing, so the bracket on
     # the flat stretch closes on adjacent floats rather than by width.
     a = 1e6
-
-    def d2(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x < a + 0.25) | (x > a + 0.75), 2.0, 0.0)
-
-    f = TargetFunction(
-        eval=lambda x: np.asarray(x, dtype=float) ** 2,
-        second_derivative=d2,
-        domain=(a, a + 1.0),
-    )
+    f = _plateau(a + 0.25, a + 0.75, (a, a + 1.0))
 
     def stuck(signum, frame):
         raise TimeoutError("the inversion did not terminate")
@@ -217,6 +223,7 @@ def test_interpolation_errors_are_equalized():
         eval=lambda x: np.exp(np.asarray(x, dtype=float)),
         second_derivative=lambda x: np.exp(np.asarray(x, dtype=float)),
         domain=(0.0, 2.0),
+        first_derivative=lambda x: np.exp(np.asarray(x, dtype=float)),
     )
     p = optimized_partition(f, 0.0, 2.0, 127)
     errs = per_interval_errors(f, interpolant(f, p))

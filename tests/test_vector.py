@@ -25,6 +25,7 @@ def _negated_quadratic(domain=(0.0, 1.0)):
         eval=lambda x: -np.asarray(x, dtype=float) ** 2,
         second_derivative=lambda x: np.full_like(np.asarray(x, dtype=float), -2.0),
         domain=domain,
+        first_derivative=lambda x: -2.0 * np.asarray(x, dtype=float),
     )
 
 
