@@ -74,14 +74,6 @@ class GuideTable:
         right = np.append(knots[1:-1], np.inf)
         return cls(knots, width, right, scale, first, crowded if crowded.any() else None)
 
-    def segment(self, x: float) -> int:
-        """0-based segment of one abscissa in [x0, xN]."""
-        cell = int((x - self.knots[0]) * self.scale)
-        if self.crowded is not None and self.crowded[cell]:
-            return int(np.searchsorted(self.right, x, side="right"))
-        k = int(self.first[cell])
-        return k + int(x >= self.right[k])
-
     def segments(self, xs: np.ndarray) -> np.ndarray:
         """0-based segment of every abscissa in [x0, xN]."""
         t = xs - self.knots[0]

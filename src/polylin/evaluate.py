@@ -5,12 +5,12 @@ search).  General partitions use a guide table built when the evaluator
 is made: O(1) per point, O(log N) worst case for strongly graded knots
 (see _kernels).  That mode keeps the name "binary_search" for API
 stability.  Both use the right-open convention [x_{i-1}, x_i), with
-x = x_N folded into the last segment, and scalar and batch calls locate
-segments the same way.  Batch evaluation runs through the numpy kernels
-in _kernels.  A batch of more than BLOCK points goes through them one
-block at a time into a single output array.  The arithmetic is unchanged,
-so every value is the one a whole-array call gives, and peak memory is the
-output plus one block's temporaries, which stay in cache.
+x = x_N folded into the last segment.  Evaluation runs through the numpy
+kernels in _kernels, and a scalar call is a batch of one.  A batch of more
+than BLOCK points goes through them one block at a time into a single
+output array.  The arithmetic is unchanged, so every value is the one a
+whole-array call gives, and peak memory is the output plus one block's
+temporaries, which stay in cache.
 
 Out-of-domain policy: under "error" an abscissa outside [a, b] raises
 ValueError; under "clamp" it is moved to the nearer end.  NaN lies in no
@@ -75,29 +75,13 @@ def make_evaluator(
     return Evaluator(g, mode, out_of_domain)
 
 
-def _domain_check_scalar(e: Evaluator, x: float) -> float:
-    a, b = e.source.partition.a, e.source.partition.b
-    if a <= x <= b:
-        return x
-    if e.out_of_domain == "error" or math.isnan(x):
-        raise ValueError(f"x={x} outside [{a}, {b}]")
-    return min(max(x, a), b)
-
-
 def evaluate(e: Evaluator, x: float) -> float:
-    """Evaluate at one abscissa."""
-    x = _domain_check_scalar(e, float(x))
-    knots = e.source.partition.knots
-    v = e.source.ordinates
-    n = knots.size - 1
-    if e.mode == "uniform_direct":
-        t = n * (x - knots[0]) / (knots[-1] - knots[0])
-        i = min(max(int(math.floor(t)) + 1, 1), n)
-        d = 1.0 - i + t
-    else:
-        i = e._guide.segment(x) + 1
-        d = (x - knots[i - 1]) / (knots[i] - knots[i - 1])
-    return float((1.0 - d) * v[i - 1] + d * v[i])
+    """Evaluate at one abscissa: a batch of one."""
+    x = float(x)
+    a, b = e.source.partition.a, e.source.partition.b
+    if not a <= x <= b and (e.out_of_domain == "error" or math.isnan(x)):
+        raise ValueError(f"x={x} outside [{a}, {b}]")
+    return float(_evaluate_inside(e, np.array([x]))[0])
 
 
 def evaluate_batch(e: Evaluator, xs) -> np.ndarray:

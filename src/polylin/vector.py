@@ -17,8 +17,8 @@ labeled as such.
 from __future__ import annotations
 
 from .analysis import curvature, l1_distance
-from .core import Partition, PolygonalFunction, VectorTargetFunction, from_samples
-from .fit import FitReport, best_l1_fit
+from .core import Partition, PolygonalFunction, VectorTargetFunction
+from .fit import FitReport, best_l1_fit, interpolant
 from .partition import KnotDistribution, _check_segments, build_distribution, optimized_partition
 
 __all__ = [
@@ -51,8 +51,8 @@ def vector_l1_distance(F: VectorTargetFunction, gs) -> float:
 
 
 def vector_interpolant(F: VectorTargetFunction, p: Partition) -> list[PolygonalFunction]:
-    """Componentwise interpolants on the shared partition."""
-    return [from_samples(p, f) for f in F.components]
+    """Componentwise interpolants on the shared partition, domains checked."""
+    return [interpolant(f, p) for f in F.components]
 
 
 def vector_best_l1_fit(

@@ -1,6 +1,8 @@
 """Error measurement, a-priori bounds, segment planning, layout gain."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,14 @@ from polylin.analysis import (
     partition_gain,
     per_interval_errors,
 )
+from polylin import cli, fit, functions, vector
 from polylin.core import Partition, PolygonalFunction, VectorTargetFunction
 from polylin.fit import interpolant
 from polylin.functions import chirp, expression, gaussian, poly7
 from polylin.partition import LinearTargetError, optimized_partition, uniform_partition
 from polylin.quadrature import QuadratureError, integrate_segments
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 KINDS = ("uniform_interpolant", "optimized_interpolant", "uniform_best_l1", "optimized_best_l1")
 
@@ -254,3 +259,40 @@ def test_curvature_integrals_converge_in_few_levels(batches, name):
     f, a, b = WORK_TARGETS[name]
     assert batches(curvature, f, a, b) <= 20
     assert batches(optimized_partition, f, a, b, 255) <= 40
+
+
+def _plan_verify_interpolants(monkeypatch, seed):
+    """(target, interpolant) of every case of one plan_verify seed, built as
+    the benchmark builds them; a vector case gives one per component."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads, "warm_up", lambda: None)
+    for case in workloads.PlanVerify(seed).cases:
+        a, b = case.interval
+        if case.family == "vector":
+            F = VectorTargetFunction(
+                tuple(getattr(functions, name)(*args) for name, args in case.components)
+            )
+            unit = vector.vector_bound_optimized_interpolant(F, a, b, 1)
+            p = vector.vector_optimized_partition(F, a, b, math.ceil(math.sqrt(unit / case.tau)))
+            yield from zip(F.components, vector.vector_interpolant(F, p))
+        else:
+            interval = None if case.family == "poly7" else case.interval
+            f = cli.FunctionSpec.parse(case.function, interval).resolve()
+            n = curvature(f, a, b).counts(case.tau)["optimized_interpolant"]
+            yield f, interpolant(f, optimized_partition(f, a, b, n))
+
+
+def test_l1_distance_agrees_with_the_fit_cost_between_crossings(monkeypatch):
+    # Two integrators of |f - g|: the engine's sign-aware bisection and the
+    # fit's signed integrals between located crossings.  On seed 2 the
+    # cubic at N = 150 once read 3.6e-11 apart (a lobe beside a knot where
+    # e = 0 exactly).
+    gaps = []
+    for f, g in _plan_verify_interpolants(monkeypatch, 2):
+        p, v = g.partition, g.ordinates
+        cost = fit._cost(f, p, v, fit._crossings(f, p, v, fit.SAMPLES))
+        gaps.append(abs(l1_distance(f, g) - cost))
+    assert len(gaps) == 28
+    assert max(gaps) <= 1e-12
+

@@ -329,6 +329,42 @@ def test_diverged_fit_reports_non_convergence(capsys):
     assert "L1 fit did not converge" in err
 
 
+CUBIC = "poly:-0.5802269485031875,-0.11899096250260488,-0.39539326738026737,-0.42834608443143635"
+
+
+@pytest.mark.parametrize(
+    "where, exact",
+    [
+        # Segment 59's one crossing lies h/65 left of its right knot.
+        (("--function", CUBIC, "--interval", "-2", "2", "--segments", "150", "--partition", "optimized"),
+         0.00052141263685699234),
+        # Segment 197's one crossing lies h/51 left of its right knot.
+        (("--function", "chirp", "--interval", "0", "1", "--segments", "255"), 0.0010825493209258),
+    ],
+)
+def test_interpolant_error_counts_the_lobe_beside_a_knot(capsys, where, exact):
+    # e = 0 exactly at the knots of an interpolant, so no Simpson sample
+    # shows the sign of a lobe between a knot and the panel's next sample;
+    # f' - s at the knot gives it.  References: mpmath cubic roots (cubic),
+    # a Richardson-extrapolated 2^23-cell midpoint sum (chirp).
+    code, out, err = run(capsys, "error", *where, "--fit", "interpolant", "--format", "json")
+    assert code == 0, err
+    (row,) = json.loads(out)
+    assert abs(row["measured"] - exact) <= 1e-15
+
+
+def test_infinite_slope_at_a_knot_keeps_the_measured_error(capsys):
+    # f' = inf at x = 0 leaves the knot rule without a sign there: the cost
+    # and exit codes are what they were before the rule.
+    where = ("--function", "expr:sqrt(x)", "--interval", "0", "1", "--segments", "4")
+    code, out, err = run(capsys, "fit", *where, "--fit", "interpolant", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["cost"] == 0.0233836204239201
+    code, out, err = run(capsys, "error", *where)
+    assert code == 2 and out == ""
+    assert "second derivative is not finite" in err
+
+
 @pytest.mark.parametrize("n", ["4", "31"])
 @pytest.mark.parametrize("text", ["poly:0,1,1e-9", "expr:x+1e-9*x^2", "poly:0,1,1e-12"])
 def test_near_line_l1_fit_converges(capsys, text, n):

@@ -124,7 +124,6 @@ def test_guide_table_matches_binary_search(seed, n, log_ratio, monotone, interva
     ys = evaluate_batch(e, xs)
     assert np.array_equal(ys, searched_values(knots, g.ordinates, inside))
     for j in rng.choice(xs.size, 200):
-        assert guide.segment(inside[j]) == want[j]
         assert evaluate(e, xs[j]) == ys[j]
 
 
@@ -147,7 +146,6 @@ def test_subnormal_span_searches_every_point():
     xs = np.concatenate([knots, [0.5e-310, 1.5e-310, 2.7e-310]])
     want = np.clip(np.searchsorted(knots, xs, side="right"), 1, 3) - 1
     assert np.array_equal(e._guide.segments(xs), want)
-    assert [e._guide.segment(x) for x in xs] == list(want)
     assert np.array_equal(evaluate_batch(e, knots), g.ordinates)
 
 

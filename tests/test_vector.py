@@ -88,6 +88,14 @@ def test_vector_interpolant_samples_each_component():
         assert np.array_equal(g.ordinates, from_samples(p, c).ordinates)
 
 
+def test_vector_interpolant_checks_each_domain():
+    F = VectorTargetFunction(components=(quadratic((0.0, 4.0)), cubic((0.0, 4.0))))
+    p = uniform_partition(-1.0, 5.0, 6)
+    for build in (vector_interpolant, vector_best_l1_fit):
+        with pytest.raises(ValueError, match="outside the target domain"):
+            build(F, p)
+
+
 def test_vector_fit_is_componentwise():
     F = VectorTargetFunction(components=(gaussian(), shifted_gaussian(1.0)))
     p = uniform_partition(0.0, 4.0, 15)
