@@ -38,10 +38,14 @@ MAX_CELLS_PER_SEGMENT = 8
 
 
 def eval_uniform(x0: float, xn: float, ordinates: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Values at xs, every one in [x0, xN] (the callers check or clamp)."""
     n = ordinates.size - 1
     t = n * (xs - x0) / (xn - x0)
     i = np.floor(t).astype(np.int64) + 1
-    np.clip(i, 1, n, out=i)
+    # x >= x0 gives t >= 0 and so i >= 1; only x = xN (and rounding next
+    # to it) needs folding into the last segment.  One in-place minimum
+    # gives what np.clip(i, 1, n) gave, without its per-call dispatch.
+    np.minimum(i, n, out=i)
     d = 1.0 - i + t
     return (1.0 - d) * ordinates[i - 1] + d * ordinates[i]
 

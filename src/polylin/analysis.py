@@ -19,7 +19,10 @@ curvature integrals, of |f''| and of |f''|^(1/3).  For a vector target the
 component curvatures are summed first (see ``polylin.partition``), and a
 scalar target is the one-component case.  ``curvature`` evaluates the pair
 once into a ``Curvature``, whose ``bounds`` and ``counts`` give all four
-kinds; the per-kind functions and the vector bounds read from it.
+kinds; the per-kind functions and the vector bounds read from it.  The
+pair comes from the curvature pass of ``polylin.partition``, whose
+accepted panels are also the knot table's cells (a grid that is not
+uniform), so a ``KnotDistribution`` already holds its target's pair.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ import numpy as np
 
 from .core import PolygonalFunction, TargetFunction, VectorTargetFunction
 from .partition import (
-    CUMULATIVE_REL_TOL,
+    KnotDistribution,
     LinearTargetError,
     _check_interval,
     _check_segments,
-    _curvature_sum,
+    _curvature_pass,
+    _prepared,
     _scan,
-    _split_integral,
 )
 from .quadrature import integrate_segments
 
@@ -175,38 +178,33 @@ class Curvature:
         return out
 
 
-def curvature(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> Curvature:
+def curvature(
+    f: TargetFunction | VectorTargetFunction | KnotDistribution, a: float, b: float
+) -> Curvature:
     """The curvature integrals of f over [a, b]: the one quadrature behind
     every bound and planned count.
 
     Both integrals run in one pass, cut at the zeros of every f_j'' (see
     ``polylin.partition``), so on each piece the summed |f_j''| is smooth
-    and the cube root's cusp is mapped away.  A line's f'' is 0, and so
-    are both of its integrals; so are those of a target whose f' is
-    constant to rounding.  A kink between the grid points raises
-    ``ValueError`` as a non-finite f'' does (see ``polylin.partition``).
+    and the cube root's cusp is mapped away.  The same pass tabulates the
+    knot distribution, so for a distribution from ``build_distribution``
+    in place of f its integrals are read back, and nothing is integrated
+    again.  A line's f'' is 0, and so are both of its integrals; so are
+    those of a target whose f' is constant to rounding.  A kink between
+    the grid points raises ``ValueError`` as a non-finite f'' does (see
+    ``polylin.partition``).
     """
-    _check_interval(f, a, b)
-    part, zeros = _scan(f, a, b)
-    if part is None:
-        return Curvature(0.0, 0.0, (a, b))
-    edges = np.linspace(a, b, 65)
-
-    def pair(x):
-        total = _curvature_sum(part, x)
-        return np.stack([total, np.cbrt(total)], axis=1)
-
-    parts = _split_integral(
-        pair,
-        zeros,
-        edges[:-1],
-        edges[1:],
-        np.arange(64),
-        64,
-        rel_tol=CUMULATIVE_REL_TOL,
-    )
-    total, density = np.sum(parts, axis=0)
-    return Curvature(float(total), float(density), (a, b))
+    if isinstance(f, KnotDistribution):
+        sums = _prepared(f, a, b)._sums
+        if sums is None:
+            raise ValueError("this distribution was not built by build_distribution; pass its target")
+    else:
+        _check_interval(f, a, b)
+        part, zeros = _scan(f, a, b)
+        if part is None:
+            return Curvature(0.0, 0.0, (a, b))
+        sums, _grid, _cumulative = _curvature_pass(part, zeros, a, b)
+    return Curvature(*sums, (a, b))
 
 
 def error_bound(f: TargetFunction, a: float, b: float, n: int, kind: str) -> float:

@@ -169,26 +169,33 @@ def _build_config(args) -> RunConfig:
     )
 
 
-def _segment_count(
-    cfg: RunConfig, f: TargetFunction, curv: analysis.Curvature | None = None
-) -> int:
-    """--segments, or the count planned for --tolerance; ``curv`` is f's
-    curvature when the caller has evaluated it already."""
+def _source(cfg: RunConfig, f: TargetFunction):
+    """What the curvature and the knots are read from: f's knot
+    distribution when the partition is optimized, so that one curvature
+    pass serves the planned count, the knots and the bounds; f otherwise."""
+    if cfg.partition_kind == "optimized":
+        return partition.build_distribution(f, *cfg.function.interval)
+    return f
+
+
+def _segment_count(cfg: RunConfig, source, curv: analysis.Curvature | None = None) -> int:
+    """--segments, or the count planned for --tolerance; ``curv`` is the
+    curvature of ``source`` (see ``_source``) when the caller has it."""
     if cfg.segments is not None:
         return cfg.segments
     if cfg.tolerance is None:
         raise ConfigError("pass --segments or --tolerance")
     kind = f"{cfg.partition_kind}_{FIT_TO_BOUND_KIND[cfg.fit_kind]}"
     if curv is None:
-        curv = analysis.curvature(f, *cfg.function.interval)
+        curv = analysis.curvature(source, *cfg.function.interval)
     return curv.counts(cfg.tolerance)[kind]
 
 
-def _build_partition(cfg: RunConfig, f: TargetFunction, n: int) -> Partition:
+def _build_partition(cfg: RunConfig, source, n: int) -> Partition:
     a, b = cfg.function.interval
     if cfg.partition_kind == "uniform":
         return partition.uniform_partition(a, b, n)
-    return partition.optimized_partition(f, a, b, n)
+    return partition.optimized_partition(source, a, b, n)
 
 
 def _fit_function(cfg: RunConfig, f: TargetFunction, p: Partition):
@@ -246,9 +253,9 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_partition(args) -> int:
     cfg = _build_config(args)
-    f = cfg.function.resolve()
-    n = _segment_count(cfg, f)
-    p = _build_partition(cfg, f, n)
+    source = _source(cfg, cfg.function.resolve())
+    n = _segment_count(cfg, source)
+    p = _build_partition(cfg, source, n)
     rows = [
         {"index": i, "knot": float(x)} for i, x in enumerate(p.knots)
     ]
@@ -261,8 +268,9 @@ def cmd_fit(args) -> int:
     if cfg.format == "csv":
         raise ConfigError("fit writes a JSON model; use --format json")
     f = cfg.function.resolve()
-    n = _segment_count(cfg, f)
-    p = _build_partition(cfg, f, n)
+    source = _source(cfg, f)
+    n = _segment_count(cfg, source)
+    p = _build_partition(cfg, source, n)
     g, report, cost = _fit_function(cfg, f, p)
     model = {
         "schema": 1,
@@ -328,15 +336,17 @@ def cmd_error(args) -> int:
     cfg = _build_config(args)
     f = cfg.function.resolve()
     a, b = cfg.function.interval
-    # One curvature evaluation serves the planned count and the bounds.
-    # With --segments it waits for the fit, so a target the fit rejects
-    # (say, a non-finite sample) reports that failure first.
-    curv = analysis.curvature(f, a, b) if cfg.tolerance is not None else None
-    n = _segment_count(cfg, f, curv)
-    p = _build_partition(cfg, f, n)
+    # One curvature pass serves the planned count, the knots and the
+    # bounds.  On a uniform partition with --segments it waits for the
+    # fit, so a target the fit rejects (say, a non-finite sample) reports
+    # that failure first.
+    source = _source(cfg, f)
+    curv = analysis.curvature(source, a, b) if cfg.tolerance is not None else None
+    n = _segment_count(cfg, source, curv)
+    p = _build_partition(cfg, source, n)
     g, _report, measured = _fit_function(cfg, f, p)
     if curv is None:
-        curv = analysis.curvature(f, a, b)
+        curv = analysis.curvature(source, a, b)
     row = {
         "function": cfg.function.name,
         "n_segments": n,
@@ -369,12 +379,17 @@ def cmd_bench(args) -> int:
     f = cfg.function.resolve()
     a, b = cfg.function.interval
     sweep = [cfg.segments] if cfg.segments is not None else list(SWEEP_SEGMENTS)
+    try:
+        dist = partition.build_distribution(f, a, b)
+    except LinearTargetError:
+        dist = None  # a line's search layout is uniform too
     rows = []
     for n in sweep:
         uniform = partition.uniform_partition(a, b, n)
+        graded = uniform if dist is None else partition.optimized_partition(dist, a, b, n)
         layouts = [
             ("uniform_direct", fit.interpolant(f, uniform)),
-            ("binary_search", fit.interpolant(f, _build_partition_for_bench(f, a, b, n))),
+            ("binary_search", fit.interpolant(f, graded)),
         ]
         for mode, g in layouts:
             ev = make_evaluator(g, mode)
@@ -392,13 +407,6 @@ def cmd_bench(args) -> int:
             )
     _emit(rows, cfg.format, cfg.out)
     return EXIT_OK
-
-
-def _build_partition_for_bench(f, a, b, n):
-    try:
-        return partition.optimized_partition(f, a, b, n)
-    except LinearTargetError:
-        return partition.uniform_partition(a, b, n)
 
 
 def _experiment_rows(name: str, n_values) -> list[dict]:
@@ -424,11 +432,13 @@ def _experiment_rows(name: str, n_values) -> list[dict]:
     }[name]
     f = functions.chirp(interval) if name == "chirp" else functions.gaussian(interval)
     a, b = interval
-    curv = analysis.curvature(f, a, b)
+    # One curvature pass gives the bounds and every N's knots.
+    dist = partition.build_distribution(f, a, b)
+    curv = analysis.curvature(dist, a, b)
     rows = []
     for n in n_values:
         uniform = partition.uniform_partition(a, b, n)
-        optimized = partition.optimized_partition(f, a, b, n)
+        optimized = partition.optimized_partition(dist, a, b, n)
         interp_u = analysis.l1_distance(f, fit.interpolant(f, uniform))
         interp_o = analysis.l1_distance(f, fit.interpolant(f, optimized))
         best_u, rep_u = fit.best_l1_fit(f, uniform)

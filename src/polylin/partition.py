@@ -6,26 +6,31 @@ reaches i/N.  Regions of high curvature then receive proportionally more
 knots, which (asymptotically) equalizes the approximation error that each
 segment contributes.
 
-The cumulative density is tabulated once on a dense grid; a knot is found
-inside its table cell by Newton steps on the cumulative, whose derivative
-is the density itself, with an Illinois false-position step wherever
-Newton would leave the cell's shrinking bracket (on a flat stretch, or
-next to a zero of f'').  Each step costs one adaptive tail integral for
-all open targets at once.
+The cumulative density is tabulated by the curvature pass itself: one
+adaptive quadrature integrates the summed |f''| and the density together
+(``_curvature_pass``), and the panels it accepts, each within its
+width's share of the error budget, are the table's cells.  So the grid
+is not uniform: it is fine where the density changes fast and coarse
+where it is smooth, and the same pass gives ``polylin.analysis`` its
+curvature integrals.  A knot is found inside its table cell by Newton
+steps on the cumulative, whose derivative is the density itself, with an
+Illinois false-position step wherever Newton would leave the cell's
+shrinking bracket (on a flat stretch, or next to a zero of f'').  Each
+step costs one adaptive tail integral for all open targets at once.
 
 Every target carries an exact f'' (closed form, or second-order jets for
 an expression), so every integral here is held to the same relative
 accuracy.  At a zero of f'' the density has a cube-root cusp and |f''| a
 kink.  The zeros of every f_j'' are located once, and every curvature and
-density integral (the table, the tails, and ``polylin.analysis``'s
-curvature pair) is cut at them; a piece that ends at one is integrated
-through a cubic change of variable that makes the integrand smooth there
-(see ``_split_integral``).  A second derivative that is not finite at a
-point of the table grid, whose ends are a and b, raises ``ValueError``.
-So does a kink between grid points, which every target's exact f' shows:
-f' jumps across the kink's cell by more than f'' integrates to there.  A
-target whose f' is constant to rounding is a line, and its f'', rounding
-residue, is left out (see ``_scan``).
+density integral (the pass and the tails) is cut at them; a piece that
+ends at one is integrated through a cubic change of variable that makes
+the integrand smooth there (see ``_split_integral``).  A second
+derivative that is not finite at a point of the scan grid (GRID_PANELS
+cells from a to b) raises ``ValueError``.  So does a kink between grid
+points, which every target's exact f' shows: f' jumps across the kink's
+cell by more than f'' integrates to there.  A target whose f' is
+constant to rounding is a line, and its f'', rounding residue, is left
+out (see ``_scan``).
 
 A vector target places one partition for all its components by summing
 the component curvatures before the cube root.  A scalar target is the
@@ -34,14 +39,15 @@ one-component case, so every function here takes either kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ._roots import roots
 from .core import Partition, TargetFunction, VectorTargetFunction
-from .quadrature import NOISE_EPS, QuadratureError, integrate_segments
+from .quadrature import NOISE_EPS, QuadratureError, _accepted_panels, integrate_segments
 
 __all__ = [
     "LinearTargetError",
@@ -52,10 +58,11 @@ __all__ = [
     "optimized_partition",
 ]
 
-# Dense tabulation of the cumulative density; refinement inside each cell
-# is adaptive, so the cell count only needs to localize features.
+# Cells of the uniform grid on which ``_scan`` samples f' and f'' to find
+# the zeros of f'', non-finite values and kinks.
 GRID_PANELS = 4096
-# Relative accuracy of the tabulated cumulative density.
+# Relative accuracy of the curvature pass, and so of the tabulated
+# cumulative density.
 CUMULATIVE_REL_TOL = 1e-10
 # The inversion accepts a point whose normalized cumulative value is within
 # this of its target, where the density is positive ...
@@ -129,7 +136,7 @@ def _scan(
     """The curved part of f on [a, b] and the sorted zeros of its f_j'',
     where the summed curvature has a kink and the knot density a cusp.
 
-    Each component's f'' is sampled on the table grid, both ends included,
+    Each component's f'' is sampled on the scan grid, both ends included,
     so a non-finite f'' at any grid point raises here.  A sample within
     rounding of zero (EPS times the component's largest |f''|) is a zero
     where it borders a sample outside that band; a sign change between two
@@ -204,7 +211,7 @@ def _is_line(comp: TargetFunction, x: np.ndarray, d2: np.ndarray) -> bool:
     return False
 
 
-def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
+def _split_integral(fun, zeros, lo, hi, seg, nseg, *, table=False, **quadrature):
     """Integrals of fun(x) over panels (lo, hi, seg), cut at ``zeros``.
 
     Returns per-destination totals, as ``integrate_segments`` does with
@@ -214,6 +221,10 @@ def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
     c|x - r| becomes ~u^5 and a cusp |x - r|^(1/3) ~u^3, both smooth.  A
     piece with a zero at both ends is halved first.  Pieces keep their
     widths, so the engine's width-proportional budget is unchanged.
+
+    With ``table=True`` it also returns the panels the quadrature
+    accepted, as their left ends mapped back to x and their contributions
+    (one row per panel, one column per component of fun).
     """
     z = np.concatenate([[-np.inf], zeros, [np.inf]])
     first = np.searchsorted(z, lo, side="right")  # first zero above lo
@@ -236,33 +247,96 @@ def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
     anchor = np.where(side < 0.0, p_hi, p_lo)
     width = p_hi - p_lo
 
+    def place(t, p):
+        """u and x at the points t of the mapped pieces p."""
+        u = np.abs(t - anchor[p]) / width[p]
+        return u, np.clip(anchor[p] + side[p] * width[p] * u**3, p_lo[p], p_hi[p])
+
     def mapped(t, piece):
         on = np.flatnonzero(side[piece])
         if on.size == 0:
             return fun(t)
-        p = piece[on]
-        u = np.abs(t[on] - anchor[p]) / width[p]
         x = t.copy()
-        x[on] = np.clip(anchor[p] + side[p] * width[p] * u**3, p_lo[p], p_hi[p])
+        u, x[on] = place(t[on], piece[on])
         vals = np.asarray(fun(x), dtype=float)
         jac = 3.0 * u * u
         vals[on] *= jac if vals.ndim == 1 else jac[:, None]
         return vals
 
-    pieces = integrate_segments(mapped, panels=(p_lo, p_hi, np.arange(p_lo.size), p_lo.size), **quadrature)
+    with _accepted_panels() if table else contextlib.nullcontext() as accepted:
+        pieces = integrate_segments(mapped, panels=(p_lo, p_hi, np.arange(p_lo.size), p_lo.size), **quadrature)
     if pieces.ndim == 1:
-        return np.bincount(dest, pieces, minlength=nseg)
-    return np.stack([np.bincount(dest, col, minlength=nseg) for col in pieces.T], axis=1)
+        totals = np.bincount(dest, pieces, minlength=nseg)
+    else:
+        totals = np.stack([np.bincount(dest, col, minlength=nseg) for col in pieces.T], axis=1)
+    if not table:
+        return totals
+    t, _hi, piece, values = accepted
+    # A piece's own left end is exact; every other panel end maps to x.
+    x = t.copy()
+    on = np.flatnonzero((side[piece] != 0.0) & (t > p_lo[piece]))
+    x[on] = place(t[on], piece[on])[1]
+    return totals, x, values
+
+
+# The curvature pass integrates the summed |f''| and the knot density
+# together over this many equal panels, refined adaptively inside each.
+PASS_PANELS = 64
+
+
+def _curvature_pass(part, zeros, a: float, b: float):
+    """One quadrature of the summed |f_j''| and of the knot density over
+    [a, b], cut at ``zeros``, each to CUMULATIVE_REL_TOL of its own total
+    however small that total is (the knots of c*f are those of f).
+
+    Returns the two integrals, each the sum of its PASS_PANELS panel
+    totals, and the knot table read from the panels the quadrature
+    accepted: the grid of their ends and the running sum of their density
+    contributions.  Each accepted panel met its share of the budget, in
+    proportion to its width, so the table holds the cumulative density to
+    the pass's accuracy; the cells follow the refinement (at least
+    4 * PASS_PANELS of them, narrow where the density changes fast).
+    """
+    edges = np.linspace(a, b, PASS_PANELS + 1)
+
+    def pair(x):
+        total = _curvature_sum(part, x)
+        return np.stack([total, np.cbrt(total)], axis=1)
+
+    parts, ends, values = _split_integral(
+        pair,
+        zeros,
+        edges[:-1],
+        edges[1:],
+        np.arange(PASS_PANELS),
+        PASS_PANELS,
+        abs_tol=1e-300,
+        rel_tol=CUMULATIVE_REL_TOL,
+        table=True,
+    )
+    total, density = np.sum(parts, axis=0)
+    order = np.argsort(ends)
+    x, mass = ends[order], values[order, 1]
+    # Panel ends next to a zero can map to one float: each run of panels
+    # that start at the same x makes one cell, and a run at b joins the
+    # cell before it.
+    first = np.flatnonzero(np.append(True, x[1:] > x[:-1]) & (x < b))
+    cumulative = np.concatenate([[0.0], np.cumsum(np.add.reduceat(mass, first))])
+    return (float(total), float(density)), np.append(x[first], b), cumulative
 
 
 @dataclass(frozen=True)
 class KnotDistribution:
     """Tabulated cumulative knot density, invertible to a knot placement.
 
-    ``grid``/``cumulative`` hold the running integral of the density over a
-    dense mesh of [a, b]; ``normalizer`` is the full integral, so the
-    normalized distribution is cumulative/normalizer with range [0, 1].
-    ``zeros`` are the zeros of f'' that every tail integral is cut at.
+    ``grid``/``cumulative`` hold the running integral of the density over
+    the ends of the panels that the curvature pass accepted, a mesh of
+    [a, b] that is not uniform; ``normalizer`` is the full integral, so
+    the normalized distribution is cumulative/normalizer with range
+    [0, 1].  ``zeros`` are the zeros of f'' that every tail integral is
+    cut at.  A prepared distribution stands in for its target in
+    ``optimized_partition`` and ``polylin.analysis.curvature``, so one
+    pass serves every N and the bounds.
     """
 
     grid: np.ndarray
@@ -270,6 +344,9 @@ class KnotDistribution:
     normalizer: float
     density: Callable
     zeros: np.ndarray
+    # The pass's two curvature integrals, (summed |f''|, density), as
+    # ``polylin.analysis.curvature`` reports them.
+    _sums: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("grid", "cumulative", "zeros"):
@@ -311,31 +388,21 @@ class KnotDistribution:
 def build_distribution(
     f: TargetFunction | VectorTargetFunction, a: float, b: float
 ) -> KnotDistribution:
-    """Tabulated cumulative integral of the knot density over [a, b]."""
+    """Tabulated cumulative integral of the knot density over [a, b], read
+    from the curvature pass (see ``_curvature_pass``)."""
     _check_interval(f, a, b)
     part, zeros = _scan(f, a, b)
     if part is None:
+        raise LinearTargetError(LINEAR_MESSAGE)
+    sums, grid, cumulative = _curvature_pass(part, zeros, a, b)
+    normalizer = float(cumulative[-1])
+    if normalizer <= 0.0:
         raise LinearTargetError(LINEAR_MESSAGE)
 
     def density(x):
         return knot_density(part, x)
 
-    grid = np.linspace(a, b, GRID_PANELS + 1)
-    pieces = _split_integral(
-        density,
-        zeros,
-        grid[:-1],
-        grid[1:],
-        np.arange(GRID_PANELS),
-        GRID_PANELS,
-        abs_tol=1e-300,
-        rel_tol=CUMULATIVE_REL_TOL,
-    )
-    cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
-    normalizer = float(cumulative[-1])
-    if normalizer <= 0.0:
-        raise LinearTargetError(LINEAR_MESSAGE)
-    return KnotDistribution(grid, cumulative, normalizer, density, zeros)
+    return KnotDistribution(grid, cumulative, normalizer, density, zeros, sums)
 
 
 def invert_distribution(dist: KnotDistribution, targets: np.ndarray) -> np.ndarray:
@@ -394,17 +461,33 @@ def invert_distribution(dist: KnotDistribution, targets: np.ndarray) -> np.ndarr
 
 
 def optimized_partition(
-    f: TargetFunction | VectorTargetFunction, a: float, b: float, n: int
+    f: TargetFunction | VectorTargetFunction | KnotDistribution, a: float, b: float, n: int
 ) -> Partition:
-    """Curvature-equalized partition: knot i sits at the i/N density quantile."""
+    """Curvature-equalized partition: knot i sits at the i/N density quantile.
+
+    ``f`` is a target, or its distribution over [a, b] from
+    ``build_distribution``, which a caller that needs several N builds
+    once.
+    """
     _check_segments(n)
-    dist = build_distribution(f, a, b)
+    dist = _prepared(f, a, b)
     if n == 1:
         return Partition(np.array([a, b]))
     targets = np.arange(1, n) / n
     interior = invert_distribution(dist, targets)
     knots = np.concatenate([[a], interior, [b]])
     return Partition(_enforce_spacing(knots))
+
+
+def _prepared(
+    f: TargetFunction | VectorTargetFunction | KnotDistribution, a: float, b: float
+) -> KnotDistribution:
+    """f's distribution over [a, b]: f itself when it is one already."""
+    if not isinstance(f, KnotDistribution):
+        return build_distribution(f, a, b)
+    if f.interval != (a, b):
+        raise ValueError(f"distribution tabulated on {list(f.interval)}, not [{a}, {b}]")
+    return f
 
 
 def _enforce_spacing(knots: np.ndarray) -> np.ndarray:

@@ -14,10 +14,16 @@ absolute-value integrands get sign-aware refinement: a panel whose sampled
 values change sign is bisected until the sign is resolved or the panel is
 negligibly narrow.  In absolute mode each component's |value| is integrated
 on its own, and a sign change in any one of them forces bisection.
+
+A caller that tabulates a running integral can read the panels one call
+accepted, with their ends and contributions (``_accepted_panels``), so
+the table costs no second quadrature.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 
@@ -40,6 +46,30 @@ PANEL_CAP = 4_000_000
 # accepted; MAX_LEVELS bisections reach the resolution of a double.
 MIN_LEVELS = 2
 MAX_LEVELS = 52
+
+# Where the next integrate_segments call hands its accepted panels; see
+# ``_accepted_panels``.
+_LISTENER = contextvars.ContextVar("polylin_accepted_panels", default=None)
+
+
+@contextlib.contextmanager
+def _accepted_panels():
+    """Collect the panels that the next ``integrate_segments`` call in the
+    block accepts.
+
+    Yields a list that the call, once it returns, fills with four arrays:
+    every accepted panel's ends ``lo`` and ``hi``, its destination index,
+    and its contribution to the totals (the Richardson-corrected Simpson
+    sum, one column per component), in no particular order.  The panels
+    tile the call's segments, so summing the contributions by destination
+    gives its results up to the order of the additions.
+    """
+    out = []
+    token = _LISTENER.set(out)
+    try:
+        yield out
+    finally:
+        _LISTENER.reset(token)
 
 
 def _call(fun, x, seg, columns=None):
@@ -118,6 +148,10 @@ def integrate_segments(
             raise ValueError("panel with hi < lo")
     else:
         raise ValueError("pass edges or panels")
+    listener = _LISTENER.get()
+    if listener is not None:
+        _LISTENER.set(None)  # an integrand's own quadrature is not recorded
+    accepted = []
 
     # Zero-width panels contribute nothing; drop them up front.
     keep = hi > lo
@@ -165,9 +199,12 @@ def integrate_segments(
     def descend(rows, lo, lm, mid, rm, hi):
         return children(rows, lo, mid), children(rows, lm, rm), children(rows, mid, hi)
 
-    def add(idx, contrib):
+    def add(rows, lo, hi, seg, contrib):
+        idx = seg[rows]
         for c in range(columns):
             totals[:, c] += np.bincount(idx, weights=contrib[:, c], minlength=nseg)
+        if listener is not None:
+            accepted.append((lo[rows], hi[rows], idx, contrib))
 
     # Every panel is bisected MIN_LEVELS times before a test may accept it,
     # so the abscissae of those levels are known before anything is sampled,
@@ -203,7 +240,7 @@ def integrate_segments(
                 [np.take(v, stuck, axis=0) for v in samples],
             )
             leftover += np.sum(np.abs(err), axis=0)
-            add(seg[stuck], S2 + err)
+            add(stuck, lo, hi, seg, S2 + err)
         f_lo, f_mid, f_hi = descend(split, *samples)
     lo, lm, mid, rm, hi, seg = tiers[MIN_LEVELS]
     f_lm, f_rm = next(forced), next(forced)
@@ -250,7 +287,7 @@ def integrate_segments(
 
         done = np.flatnonzero(ok)
         if done.size:
-            add(seg[done], np.take(S2, done, axis=0) + np.take(err, done, axis=0))
+            add(done, lo, hi, seg, np.take(S2, done, axis=0) + np.take(err, done, axis=0))
 
         rows = np.flatnonzero(~ok)
         if rows.size == 0:
@@ -273,4 +310,6 @@ def integrate_segments(
             f"residual error {leftover[c]:.3e} in component {c} "
             "above tolerance after refinement"
         )
+    if listener is not None:
+        listener.extend(np.concatenate(parts) for parts in zip(*accepted))
     return totals[:, 0] if columns == 1 else totals

@@ -19,11 +19,17 @@ from polylin.analysis import (
     partition_gain,
     per_interval_errors,
 )
-from polylin import cli, fit, functions, vector
+from polylin import cli, fit, functions, partition, vector
 from polylin.core import Partition, PolygonalFunction, VectorTargetFunction
 from polylin.fit import interpolant
 from polylin.functions import chirp, expression, gaussian, poly7
-from polylin.partition import LinearTargetError, optimized_partition, uniform_partition
+from polylin.partition import (
+    KnotDistribution,
+    LinearTargetError,
+    build_distribution,
+    optimized_partition,
+    uniform_partition,
+)
 from polylin.quadrature import QuadratureError, integrate_segments
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -107,6 +113,22 @@ def test_planner_on_gaussian_benchmark():
     assert error_bound(f, 0.0, 4.0, 253, "uniform_interpolant") > tol
     assert error_bound(f, 0.0, 4.0, 130, "optimized_best_l1") <= tol
     assert error_bound(f, 0.0, 4.0, 129, "optimized_best_l1") > tol
+
+
+def test_curvature_of_a_distribution_is_read_from_its_pass(monkeypatch):
+    # The knot table comes from the curvature pass, so the distribution
+    # carries the same two integrals, and reading them integrates nothing.
+    f = gaussian()
+    expected = curvature(f, 0.0, 4.0)
+    dist = build_distribution(f, 0.0, 4.0)
+    monkeypatch.setattr(partition, "integrate_segments", None)
+    assert curvature(dist, 0.0, 4.0) == expected
+    with pytest.raises(ValueError, match="tabulated on"):
+        curvature(dist, 0.0, 3.0)
+    # One put together by hand carries no integrals to read.
+    bare = KnotDistribution(dist.grid, dist.cumulative, dist.normalizer, dist.density, dist.zeros)
+    with pytest.raises(ValueError, match="pass its target"):
+        curvature(bare, 0.0, 4.0)
 
 
 def test_all_kinds_entry_points_match_per_kind_functions():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylin import cli
+from polylin import analysis, cli, partition
 from polylin.core import PolygonalFunction
 from polylin.fit import FitReport
 from polylin.partition import uniform_partition
@@ -471,6 +471,35 @@ def test_curvature_pair_evaluated_once_per_command(capsys, monkeypatch):
         code, _out, err = run(capsys, *argv)
         assert code == 0, err
         assert len(calls) == expected, (argv, calls)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("error", "--function", "gaussian", "--segments", "8", "--partition", "optimized"),
+        ("error", "--function", "chirp", "--tolerance", "1e-2", "--partition", "optimized"),
+        ("partition", "--function", "poly7", "--tolerance", "1e-3", "--partition", "optimized"),
+        ("reproduce", "chirp", "--n-values", "31,63"),
+    ],
+)
+def test_one_scan_and_one_curvature_pass_per_command(capsys, monkeypatch, argv):
+    # The knot table is read from the panels of the curvature pass, so a
+    # command that needs knots, a planned count and bounds scans the
+    # target's f'' once and integrates its curvature once, for every N.
+    calls = {"_scan": 0, "_curvature_pass": 0}
+    for name in calls:
+        original = getattr(partition, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (partition, analysis):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code, _out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert calls == {"_scan": 1, "_curvature_pass": 1}
 
 
 def test_far_interval_quadratic(capsys):

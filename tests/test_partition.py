@@ -115,6 +115,73 @@ def test_knots_invert_the_distribution():
         assert p.a == 0.0 and p.b == 4.0
 
 
+# Interior equalized knots to 30 digits, computed with mpmath 1.3.0 at 40
+# digits: the cumulative of |f''|^(1/3) integrated by tanh-sinh between
+# the zeros of f'', and each knot a bracketed root (Anderson-Bjorck) of
+# cumulative = i/N * total inside the piece that holds it.  A run at 50
+# digits gives the same 30 digits.
+REFERENCE_KNOTS = {
+    ("gaussian", 0.0, 4.0, 31): (
+        "0.0769593244648777922386984555553", "0.154380648110446793876359359162", "0.232757608076285926973070173367",
+        "0.312654161413863237454955809012", "0.394760852022205763744026089623", "0.479989501794758495594304055303",
+        "0.569656443753736236682809914012", "0.665901618437177970920798126082", "0.772922997117446811030690898101",
+        "0.903180530966990917978423774494", "1.10868583021123252734635536765", "1.24292093201767480645425834045",
+        "1.35839131603654605683375077008", "1.46590606560564696133130955141", "1.56930378958259036676562994475",
+        "1.67064648612077979168240817564", "1.77130487658833930979349278404", "1.87233761248250623634784468941",
+        "1.97466597165088101032534202638", "2.07917491028426259954804516499", "2.18678713005169153680871827276",
+        "2.29853243140883521596101504141", "2.41562808354449493363791501147", "2.53958766470918692600056662607",
+        "2.6723853483941113924539347158", "2.81672577437681651175137832902", "2.97652459156300260285982457429",
+        "3.15784648579572870714667655621", "3.37096679896418217783390646084", "3.63573924981914322656599477478",
+    ),
+    ("gaussian", 0.0, 8.0, 16): (
+        "0.157308489900765426586830541356", "0.318744952758317779757283384519", "0.489856442194045395935150867748",
+        "0.681164814929148821729375301236", "0.934137573319397404557702199056", "1.27001597883829322289181902902",
+        "1.49343032246097773753880276439", "1.70095882827258542386366511512", "1.90679302197124146981768316009",
+        "2.11924021794882992593186267645", "2.34625936193070510886071860039", "2.59829963059738889628447041306",
+        "2.89263201837400988009218843959", "3.26519540047798720843071501777", "3.82340340852912434024984261666",
+    ),
+    ("chirp", 0.0, 1.0, 16): (
+        "0.135465683318030942059541735252", "0.249009732922782868939104835891", "0.343519922493911404204554661939",
+        "0.408404708744638325052352056658", "0.481809052735089910744816911902", "0.534388115334352997324473748955",
+        "0.59460604151220379731731719129", "0.651386701708148716228110029762", "0.695037482165475695279635854632",
+        "0.745587085809732165306906821093", "0.794606868030730428360872697511", "0.835746282925793798267954410559",
+        "0.877331210847957729187356696909", "0.921087575450573189840720408431", "0.963179080564668878523797930359",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, a, b, n", sorted(REFERENCE_KNOTS))
+def test_equalized_knots_match_high_precision_references(name, a, b, n):
+    f = {"gaussian": gaussian, "chirp": chirp}[name]((a, b))
+    knots = optimized_partition(f, a, b, n).knots
+    exact = np.array([a, *map(float, REFERENCE_KNOTS[name, a, b, n]), b])
+    assert np.max(np.abs(knots - exact)) <= 5e-12 * (b - a)
+
+
+def test_prepared_distribution_serves_every_n():
+    # A distribution built once gives the knots that the target gives, and
+    # is refused on another interval.
+    f = gaussian()
+    dist = build_distribution(f, 0.0, 4.0)
+    for n in (1, 8, 31):
+        assert np.array_equal(optimized_partition(dist, 0.0, 4.0, n).knots, optimized_partition(f, 0.0, 4.0, n).knots)
+    with pytest.raises(ValueError, match="tabulated on"):
+        optimized_partition(dist, 0.0, 3.0, 8)
+
+
+def test_table_grid_is_the_pass_panels():
+    # The table's cells are the panels the curvature pass accepted: at
+    # least four per pass panel (two forced bisections), strictly
+    # increasing, and every zero of f'' is a cell end.
+    f = chirp()
+    dist = build_distribution(f, 0.0, 1.0)
+    assert dist.grid.size - 1 >= 4 * partition.PASS_PANELS
+    assert np.all(np.diff(dist.grid) > 0.0)
+    assert dist.grid[0] == 0.0 and dist.grid[-1] == 1.0
+    assert np.all(np.isin(dist.zeros, dist.grid))
+    assert np.all(np.diff(dist.cumulative) >= 0.0)
+
+
 @pytest.mark.parametrize(
     "f, a, b",
     [

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from polylin.quadrature import QuadratureError, integrate_segments
+from polylin.quadrature import QuadratureError, _accepted_panels, integrate_segments
 
 
 def integral(fun, a, b, **kwargs):
@@ -227,3 +227,26 @@ def test_constant_far_from_origin(n_edges):
     a, b, c = 1e6, 1e6 + 1e-3, 2.5
     got = np.sum(integrate_segments(lambda x, _s: np.full(x.size, c), np.linspace(a, b, n_edges)))
     assert abs(got - c * (b - a)) <= 1e-12 * c * (b - a)
+
+
+def test_accepted_panels_tile_the_segments_and_sum_to_the_totals():
+    # The recorder sees the next call only: its accepted panels tile every
+    # segment, and their contributions sum to the call's totals.
+    edges = np.array([0.0, 0.3, 1.0, 2.5])
+
+    def fun(x, _s):
+        return np.stack([np.exp(-x * x), np.abs(np.sin(5.0 * x))], axis=1)
+
+    with _accepted_panels() as accepted:
+        totals = integrate_segments(fun, edges, rel_tol=1e-10)
+        integrate_segments(fun, edges)
+    lo, hi, seg, values = accepted
+    order = np.lexsort((lo, seg))
+    lo, hi, seg, values = lo[order], hi[order], seg[order], values[order]
+    for k in range(3):
+        mine = seg == k
+        assert lo[mine][0] == edges[k] and hi[mine][-1] == edges[k + 1]
+        assert np.array_equal(lo[mine][1:], hi[mine][:-1])
+    sums = np.stack([np.bincount(seg, values[:, c], minlength=3) for c in range(2)], axis=1)
+    assert np.allclose(sums, totals, rtol=1e-14, atol=0.0)
+    assert values.shape == (lo.size, 2) and lo.size >= 4 * 3

@@ -4,8 +4,11 @@
 ``poly:`` target and one ``expr:`` target, and ``reproduce gain``,
 compared with the stdout recorded under ``tests/data/stdout/``.
 Together they run every layer: curvature integrals, knot tables and
-their inversion, the L2 projection and the L1 distance.  A change that moves a printed digit says why and
-records the files again.
+their inversion, the L2 projection and the L1 distance.  A change that
+moves a printed digit says why and records the files again, naming only
+the records it moves:
+
+    PYTHONPATH=src python tests/test_stdout_pinned.py --record NAME [NAME ...]
 
 The records pin outputs with numpy 2.4.6 (Python 3.11, x86-64 Linux).
 Another numpy build may round an elementary function differently in the
@@ -13,6 +16,10 @@ last bit and so move a printed digit; there the files are recorded again
 rather than the program changed.
 """
 
+import argparse
+import contextlib
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +58,21 @@ def test_stdout_matches_record(capsys, name):
     assert cli.main(COMMANDS[name]) == 0
     out = capsys.readouterr().out
     assert out == (DATA / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def record(names) -> None:
+    """Run the named commands and write their stdout over the records."""
+    for name in names:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(COMMANDS[name])
+        if code != 0:
+            raise SystemExit(f"{name}: polylin exited {code}; record left as it was")
+        (DATA / f"{name}.txt").write_text(out.getvalue(), encoding="utf-8")
+        print(f"recorded {name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record the pinned stdout of the named commands again.")
+    parser.add_argument("--record", nargs="+", choices=sorted(COMMANDS), required=True, metavar="NAME")
+    record(parser.parse_args().record)
