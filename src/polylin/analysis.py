@@ -203,7 +203,7 @@ def curvature(
         part, zeros = _scan(f, a, b)
         if part is None:
             return Curvature(0.0, 0.0, (a, b))
-        sums, _grid, _cumulative = _curvature_pass(part, zeros, a, b)
+        sums = _curvature_pass(part, zeros, a, b)._sums
     return Curvature(*sums, (a, b))
 
 

@@ -18,9 +18,11 @@ that depends on x is defined only for x > 0).  Between grid points an
 expr: target's f' must change across each cell by the integral of its
 f'', so a kink there (expr:sqrt((x-0.3)^2)) or a pole (expr:1/(x-0.3))
 exits 2 the same way.  An integrable singularity of f'' between grid
-points (expr:((x-0.3)^2)^0.75) is not seen, and the curvature integrals
-across it may fail to converge (exit 3).  An expr: target whose f' is constant to rounding on that grid
-(expr:1/(1/x)) is a line: one segment meets any tolerance.
+points is not seen by the grid: where the curvature integrals fail across
+it because |f''| grows without bound (expr:((x-0.3)^2)^0.75), it exits 2
+the same way, and where they converge (expr:((x-0.3)^2)^0.9) it is
+integrated.  An expr: target whose f' is constant to rounding on that
+grid (expr:1/(1/x)) is a line: one segment meets any tolerance.
 """
 
 from __future__ import annotations

@@ -12,25 +12,27 @@ adaptive quadrature integrates the summed |f''| and the density together
 width's share of the error budget, are the table's cells.  So the grid
 is not uniform: it is fine where the density changes fast and coarse
 where it is smooth, and the same pass gives ``polylin.analysis`` its
-curvature integrals.  A knot is found inside its table cell by Newton
-steps on the cumulative, whose derivative is the density itself, with an
-Illinois false-position step wherever Newton would leave the cell's
-shrinking bracket (on a flat stretch, or next to a zero of f'').  Each
-step costs one adaptive tail integral for all open targets at once.
+curvature integrals.  Each accepted panel's contribution is Boole's rule
+on its five samples, the exact integral of the quartic through them, so
+the table keeps that integral as the cell's cumulative (a quintic,
+scaled to the cell's mass).  A knot is the root of its cell's quintic,
+found by guarded Newton steps; the inversion integrates nothing (see
+``invert_distribution``).
 
 Every target carries an exact f'' (closed form, or second-order jets for
 an expression), so every integral here is held to the same relative
 accuracy.  At a zero of f'' the density has a cube-root cusp and |f''| a
-kink.  The zeros of every f_j'' are located once, and every curvature and
-density integral (the pass and the tails) is cut at them; a piece that
-ends at one is integrated through a cubic change of variable that makes
-the integrand smooth there (see ``_split_integral``).  A second
+kink.  The zeros of every f_j'' are located once, and the pass is cut at
+them; a piece that ends at one is integrated through a cubic change of
+variable t -> x that makes the integrand smooth there (see
+``_split_integral``), and its cells keep their quintics in t.  A second
 derivative that is not finite at a point of the scan grid (GRID_PANELS
 cells from a to b) raises ``ValueError``.  So does a kink between grid
 points, which every target's exact f' shows: f' jumps across the kink's
-cell by more than f'' integrates to there.  A target whose f' is
-constant to rounding is a line, and its f'', rounding residue, is left
-out (see ``_scan``).
+cell by more than f'' integrates to there, and so does a pass that fails
+where |f''| grows without bound between grid points (see
+``_unbounded``).  A target whose f' is constant to rounding is a line,
+and its f'', rounding residue, is left out (see ``_scan``).
 
 A vector target places one partition for all its components by summing
 the component curvatures before the cube root.  A scalar target is the
@@ -39,9 +41,7 @@ one-component case, so every function here takes either kind.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -64,15 +64,9 @@ GRID_PANELS = 4096
 # Relative accuracy of the curvature pass, and so of the tabulated
 # cumulative density.
 CUMULATIVE_REL_TOL = 1e-10
-# The inversion accepts a point whose normalized cumulative value is within
-# this of its target, where the density is positive ...
-ROOT_RESIDUAL_TOL = 1e-12
-# ... and otherwise stops when the bracket is this narrow, relative to
-# b - a, returning its upper end (flat stretches).
-ROOT_ABSCISSA_TOL = 1e-12
-# Plateau slack: the inversion picks the leftmost point whose cumulative
-# value reaches the target minus this, which lands on the left edge of any
-# flat stretch while staying far below meaningful density differences.
+# Plateau slack: the inversion picks the first cell whose cumulative value
+# reaches the target minus this, which lands on the left edge of any flat
+# stretch while staying far below meaningful density differences.
 PLATEAU_SLACK = 1e-12
 # Floor between consecutive knots, relative to b - a.
 MIN_SPACING = 1e-12
@@ -211,20 +205,23 @@ def _is_line(comp: TargetFunction, x: np.ndarray, d2: np.ndarray) -> bool:
     return False
 
 
-def _split_integral(fun, zeros, lo, hi, seg, nseg, *, table=False, **quadrature):
-    """Integrals of fun(x) over panels (lo, hi, seg), cut at ``zeros``.
+def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
+    """Integrals of the components of fun(x) over panels (lo, hi, seg), cut
+    at ``zeros``.
 
-    Returns per-destination totals, as ``integrate_segments`` does with
-    ``panels=(lo, hi, seg, nseg)``.  A piece that ends at a zero r is
-    integrated in t over the piece's own interval, with x = r +- L u^3,
-    u = |t - r| / L and Jacobian 3 u^2 (L the piece's width): a kink
-    c|x - r| becomes ~u^5 and a cusp |x - r|^(1/3) ~u^3, both smooth.  A
-    piece with a zero at both ends is halved first.  Pieces keep their
-    widths, so the engine's width-proportional budget is unchanged.
+    Returns per-destination totals, one column per component, as
+    ``integrate_segments`` does with ``panels=(lo, hi, seg, nseg)``.  A
+    piece that ends at a zero r is integrated in t over the piece's own
+    interval, with x = r +- L u^3, u = |t - r| / L and Jacobian 3 u^2 (L
+    the piece's width): a kink c|x - r| becomes ~u^5 and a cusp
+    |x - r|^(1/3) ~u^3, both smooth.  A piece with a zero at both ends is
+    halved first.  Pieces keep their widths, so the engine's
+    width-proportional budget is unchanged.
 
-    With ``table=True`` it also returns the panels the quadrature
-    accepted, as their left ends mapped back to x and their contributions
-    (one row per panel, one column per component of fun).
+    It also returns the panels the quadrature accepted, one row per panel:
+    their left ends in x and in t, their piece's map as (anchor, reach)
+    (see ``_cubic_map``), their contributions, and the five samples of the
+    integrand in t that each contribution weighs (see ``_accepted_panels``).
     """
     z = np.concatenate([[-np.inf], zeros, [np.inf]])
     first = np.searchsorted(z, lo, side="right")  # first zero above lo
@@ -245,57 +242,74 @@ def _split_integral(fun, zeros, lo, hi, seg, nseg, *, table=False, **quadrature)
     dest = np.concatenate([seg[owner], seg[owner][both]])
     side = np.concatenate([np.where(from_lo, 1.0, np.where(to_hi, -1.0, 0.0)), -np.ones(np.count_nonzero(both))])
     anchor = np.where(side < 0.0, p_hi, p_lo)
-    width = p_hi - p_lo
-
-    def place(t, p):
-        """u and x at the points t of the mapped pieces p."""
-        u = np.abs(t - anchor[p]) / width[p]
-        return u, np.clip(anchor[p] + side[p] * width[p] * u**3, p_lo[p], p_hi[p])
+    reach = side * (p_hi - p_lo)
 
     def mapped(t, piece):
         on = np.flatnonzero(side[piece])
         if on.size == 0:
             return fun(t)
         x = t.copy()
-        u, x[on] = place(t[on], piece[on])
+        p = piece[on]
+        u, x[on] = _cubic_map(t[on], anchor[p], reach[p])
+        x[on] = np.clip(x[on], p_lo[p], p_hi[p])
         vals = np.asarray(fun(x), dtype=float)
         jac = 3.0 * u * u
         vals[on] *= jac if vals.ndim == 1 else jac[:, None]
         return vals
 
-    with _accepted_panels() if table else contextlib.nullcontext() as accepted:
+    with _accepted_panels() as accepted:
         pieces = integrate_segments(mapped, panels=(p_lo, p_hi, np.arange(p_lo.size), p_lo.size), **quadrature)
-    if pieces.ndim == 1:
-        totals = np.bincount(dest, pieces, minlength=nseg)
-    else:
-        totals = np.stack([np.bincount(dest, col, minlength=nseg) for col in pieces.T], axis=1)
-    if not table:
-        return totals
-    t, _hi, piece, values = accepted
+    totals = np.stack([np.bincount(dest, col, minlength=nseg) for col in pieces.T], axis=1)
+    t, _hi, piece, values, samples = accepted
     # A piece's own left end is exact; every other panel end maps to x.
-    x = t.copy()
-    on = np.flatnonzero((side[piece] != 0.0) & (t > p_lo[piece]))
-    x[on] = place(t[on], piece[on])[1]
-    return totals, x, values
+    x = np.clip(_cubic_map(t, anchor[piece], reach[piece])[1], p_lo[piece], p_hi[piece])
+    x = np.where(t > p_lo[piece], x, t)
+    return totals, (x, t, anchor[piece], reach[piece], values, samples)
+
+
+def _cubic_map(t, anchor, reach):
+    """u = (t - anchor) / reach and x = anchor + reach * u^3, the change of
+    variable of a piece that ends on a zero of f''; u = 0 and x = t where
+    reach is 0 (a piece with no zero at either end)."""
+    flat = reach == 0.0
+    u = np.where(flat, 0.0, (t - anchor) / np.where(flat, 1.0, reach))
+    return u, np.where(flat, t, anchor + reach * u**3)
 
 
 # The curvature pass integrates the summed |f''| and the knot density
 # together over this many equal panels, refined adaptively inside each.
 PASS_PANELS = 64
 
+# Row j holds the coefficients of s, s^2, ..., s^5 in 90 times the
+# integral from 0 to s of the quartic that is 1 at node j of
+# (0, 1/4, 1/2, 3/4, 1) and 0 at the others.  The rows sum to Boole's
+# weights (7, 32, 12, 32, 7).
+QUARTIC_CUMULATIVE = np.array(
+    [
+        [90.0, -375.0, 700.0, -600.0, 192.0],
+        [0.0, 720.0, -2080.0, 2160.0, -768.0],
+        [0.0, -540.0, 2280.0, -2880.0, 1152.0],
+        [0.0, 240.0, -1120.0, 1680.0, -768.0],
+        [0.0, -45.0, 220.0, -360.0, 192.0],
+    ]
+)
 
-def _curvature_pass(part, zeros, a: float, b: float):
+
+def _curvature_pass(part, zeros, a: float, b: float) -> KnotDistribution:
     """One quadrature of the summed |f_j''| and of the knot density over
     [a, b], cut at ``zeros``, each to CUMULATIVE_REL_TOL of its own total
     however small that total is (the knots of c*f are those of f).
 
-    Returns the two integrals, each the sum of its PASS_PANELS panel
-    totals, and the knot table read from the panels the quadrature
-    accepted: the grid of their ends and the running sum of their density
-    contributions.  Each accepted panel met its share of the budget, in
-    proportion to its width, so the table holds the cumulative density to
-    the pass's accuracy; the cells follow the refinement (at least
-    4 * PASS_PANELS of them, narrow where the density changes fast).
+    Returns the knot table read from the panels the quadrature accepted,
+    carrying the two integrals, each the sum of its PASS_PANELS panel
+    totals, as ``_sums``.  Each accepted panel met its share of the
+    budget, in proportion to its width, so the table holds the cumulative
+    density to the pass's accuracy; the cells follow the refinement (at
+    least 4 * PASS_PANELS of them, narrow where the density changes fast).
+
+    A pass that fails where the summed |f''| grows without bound under
+    bisection (an integrable singularity between grid points) raises
+    ``ValueError`` as a non-finite f'' does; see ``_unbounded``.
     """
     edges = np.linspace(a, b, PASS_PANELS + 1)
 
@@ -303,38 +317,104 @@ def _curvature_pass(part, zeros, a: float, b: float):
         total = _curvature_sum(part, x)
         return np.stack([total, np.cbrt(total)], axis=1)
 
-    parts, ends, values = _split_integral(
-        pair,
-        zeros,
-        edges[:-1],
-        edges[1:],
-        np.arange(PASS_PANELS),
-        PASS_PANELS,
-        abs_tol=1e-300,
-        rel_tol=CUMULATIVE_REL_TOL,
-        table=True,
-    )
+    try:
+        parts, (x, t, anchor, reach, values, samples) = _split_integral(
+            pair,
+            zeros,
+            edges[:-1],
+            edges[1:],
+            np.arange(PASS_PANELS),
+            PASS_PANELS,
+            abs_tol=1e-300,
+            rel_tol=CUMULATIVE_REL_TOL,
+        )
+    except QuadratureError as exc:
+        if _unbounded(part, a, b):
+            raise ValueError("second derivative is not finite on the interval") from exc
+        raise
     total, density = np.sum(parts, axis=0)
-    order = np.argsort(ends)
-    x, mass = ends[order], values[order, 1]
-    # Panel ends next to a zero can map to one float: each run of panels
-    # that start at the same x makes one cell, and a run at b joins the
-    # cell before it.
-    first = np.flatnonzero(np.append(True, x[1:] > x[:-1]) & (x < b))
-    cumulative = np.concatenate([[0.0], np.cumsum(np.add.reduceat(mass, first))])
-    return (float(total), float(density)), np.append(x[first], b), cumulative
+    # The pieces tile [a, b] in t as they do in x, and each map is
+    # increasing, so sorting by t puts the cells in order.
+    order = np.argsort(t)
+    mass = values[order, 1]
+    coeffs = samples[order, :, 1] @ QUARTIC_CUMULATIVE
+    # Boole's rule is the panel's contribution up to the rounding of its
+    # split: scale each cell's cumulative to the table's own cell mass.
+    rule = np.sum(coeffs, axis=1)
+    coeffs *= np.divide(mass, rule, out=np.zeros_like(mass), where=rule > 0.0)[:, None]
+    cumulative = np.concatenate([[0.0], np.cumsum(mass)])
+    return KnotDistribution(
+        np.append(x[order], b),
+        cumulative,
+        float(cumulative[-1]),
+        zeros,
+        np.append(t[order], b),
+        anchor[order],
+        reach[order],
+        coeffs,
+        (float(total), float(density)),
+    )
+
+
+# Zoom levels of ``_unbounded``: each halves the window around the largest
+# sample of the summed |f''|, from the scan grid's spacing down.
+ZOOM_LEVELS = 32
+
+
+def _unbounded(part, a: float, b: float) -> bool:
+    """Whether the summed |f''| grows without bound toward some point.
+
+    From every local maximum of its samples on the scan grid, a window of
+    two grid cells is sampled at 17 points and halved around its largest
+    sample, ZOOM_LEVELS times.  A bounded |f''| (smooth, or with a jump)
+    settles to its supremum within a few halvings; one that grows like
+    |x - r|^(-p) towards r gains a factor 2^p with every halving.  So the
+    maximum more than doubling over the second half of the zoom marks an
+    unbounded one.
+    """
+    x = np.linspace(a, b, GRID_PANELS + 1)
+    v = _curvature_sum(part, x)
+    peak = np.flatnonzero(
+        (v >= np.concatenate([[-np.inf], v[:-1]])) & (v >= np.concatenate([v[1:], [-np.inf]]))
+    )
+    centre = x[peak]
+    half = np.full(peak.size, (b - a) / GRID_PANELS)
+    offsets = np.linspace(-1.0, 1.0, 17)
+    tops = []
+    for _ in range(ZOOM_LEVELS + 1):
+        pts = np.clip(centre[:, None] + half[:, None] * offsets, a, b)
+        vals = _curvature_sum(part, pts.ravel()).reshape(pts.shape)
+        best = np.argmax(vals, axis=1)
+        centre = pts[np.arange(peak.size), best]
+        tops.append(vals[np.arange(peak.size), best])
+        half = 0.5 * half
+    return bool(np.any(tops[-1] > 2.0 * tops[ZOOM_LEVELS // 2]))
 
 
 @dataclass(frozen=True)
 class KnotDistribution:
     """Tabulated cumulative knot density, invertible to a knot placement.
 
-    ``grid``/``cumulative`` hold the running integral of the density over
-    the ends of the panels that the curvature pass accepted, a mesh of
-    [a, b] that is not uniform; ``normalizer`` is the full integral, so
-    the normalized distribution is cumulative/normalizer with range
-    [0, 1].  ``zeros`` are the zeros of f'' that every tail integral is
-    cut at.  A prepared distribution stands in for its target in
+    The table's cells are the panels that the curvature pass accepted, a
+    mesh of [a, b] that is not uniform.  ``grid``/``cumulative`` hold the
+    running integral of the density at the cell ends; ``normalizer`` is
+    the full integral, so the normalized distribution is
+    cumulative/normalizer with range [0, 1].  ``zeros`` are the zeros of
+    f'' that the pass was cut at.  A run of cells next to a zero can
+    start at one float, so ``grid`` is non-decreasing.
+
+    Inside a cell the cumulative is a polynomial in the pass's own
+    variable t, whose cell ends are ``tgrid``: x = t, or, in a piece that
+    ends on a zero of f'', x = anchor + reach * u^3 with
+    u = (t - anchor) / reach (``anchor``, ``reach``; reach 0 where x = t).
+    Row i of ``coeffs`` holds the coefficients of s, ..., s^5 with
+    s = (t - tgrid[i]) / (tgrid[i+1] - tgrid[i]): the integral of the
+    quartic through the panel's five density samples, which is what the
+    pass summed (Boole's rule), scaled so that it reaches the cell's mass
+    at s = 1.  So the cumulative is known everywhere without integrating
+    again.
+
+    A prepared distribution stands in for its target in
     ``optimized_partition`` and ``polylin.analysis.curvature``, so one
     pass serves every N and the bounds.
     """
@@ -342,14 +422,17 @@ class KnotDistribution:
     grid: np.ndarray
     cumulative: np.ndarray
     normalizer: float
-    density: Callable
     zeros: np.ndarray
+    tgrid: np.ndarray
+    anchor: np.ndarray
+    reach: np.ndarray
+    coeffs: np.ndarray
     # The pass's two curvature integrals, (summed |f''|, density), as
     # ``polylin.analysis.curvature`` reports them.
     _sums: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("grid", "cumulative", "zeros"):
+        for name in ("grid", "cumulative", "zeros", "tgrid", "anchor", "reach", "coeffs"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -366,23 +449,32 @@ class KnotDistribution:
         a, b = self.interval
         if not np.all((x >= a) & (x <= b)):  # NaN is outside too
             raise ValueError("x outside the tabulated interval")
-        idx = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, self.grid.size - 2)
-        out = np.clip(self._value_from(idx, x), 0.0, 1.0)
+        cell = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, self.grid.size - 2)
+        anchor, reach = self.anchor[cell], self.reach[cell]
+        flat = reach == 0.0
+        u = np.cbrt((x - anchor) / np.where(flat, 1.0, reach))
+        t = np.where(flat, x, anchor + reach * u)
+        lo, hi = self.tgrid[cell], self.tgrid[cell + 1]
+        s = np.clip((t - lo) / (hi - lo), 0.0, 1.0)
+        out = (self.cumulative[cell] + _cell_cumulative(self.coeffs[cell], s)) / self.normalizer
+        out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 
-    def _value_from(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Normalized cumulative at x: the tabulated value at grid[idx] plus
-        the adaptive integral of the density from grid[idx] to x."""
-        tail = _split_integral(
-            self.density,
-            self.zeros,
-            self.grid[idx],
-            x,
-            np.arange(x.size),
-            x.size,
-            abs_tol=CUMULATIVE_REL_TOL * max(self.normalizer, np.finfo(float).tiny),
-        )
-        return (self.cumulative[idx] + tail) / self.normalizer
+
+def _cell_cumulative(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Sum of c[:, k] * s^(k+1): a cell's cumulative at s (Horner)."""
+    p = c[:, 4] * s
+    for k in (3, 2, 1, 0):
+        p = (p + c[:, k]) * s
+    return p
+
+
+def _cell_density(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Derivative in s of ``_cell_cumulative``."""
+    p = 5.0 * c[:, 4]
+    for k in (3, 2, 1, 0):
+        p = p * s + (k + 1) * c[:, k]
+    return p
 
 
 def build_distribution(
@@ -394,69 +486,67 @@ def build_distribution(
     part, zeros = _scan(f, a, b)
     if part is None:
         raise LinearTargetError(LINEAR_MESSAGE)
-    sums, grid, cumulative = _curvature_pass(part, zeros, a, b)
-    normalizer = float(cumulative[-1])
-    if normalizer <= 0.0:
+    dist = _curvature_pass(part, zeros, a, b)
+    if dist.normalizer <= 0.0:
         raise LinearTargetError(LINEAR_MESSAGE)
-
-    def density(x):
-        return knot_density(part, x)
-
-    return KnotDistribution(grid, cumulative, normalizer, density, zeros, sums)
+    return dist
 
 
 def invert_distribution(dist: KnotDistribution, targets: np.ndarray) -> np.ndarray:
     """Abscissae where the normalized cumulative density crosses each target.
 
-    Each target starts in its table cell at the false-position point and
-    iterates on the bracket: a Newton step (the density is the cumulative's
-    derivative) where it lands strictly inside, an Illinois step otherwise.
-    The root sought is the leftmost point whose value reaches
-    target - PLATEAU_SLACK, so a flat stretch resolves to its left edge.
+    Each target's cell is the first whose end reaches target -
+    PLATEAU_SLACK, and a target within PLATEAU_SLACK of that end lands on
+    it: a flat stretch resolves to its left edge, and a knot on a zero of
+    f'' lands on the zero, where the cumulative is too flat for its
+    rounding to place the knot.  Otherwise the cell's own polynomial is
+    solved for the target itself, clipped to the cell's mass, and t is
+    mapped back to x; nothing is integrated.
     """
     targets = np.asarray(targets, dtype=float)
-    a, b = dist.interval
     values = dist.cumulative / dist.normalizer
-    want = targets - PLATEAU_SLACK
-    hi_idx = np.clip(np.searchsorted(values, want, side="left"), 1, dist.grid.size - 1)
-    base = hi_idx - 1
-    lo, hi = dist.grid[base], dist.grid[hi_idx]
-    g_lo, g_hi = values[base] - want, values[hi_idx] - want
-    newton = np.full(targets.size, np.nan)
-    # End of the bracket the previous round replaced: -1 low, +1 high.
-    last = np.zeros(targets.size, dtype=int)
-    out = hi.copy()
-    pos = np.arange(targets.size)  # where the open targets go in out
-    width_tol = ROOT_ABSCISSA_TOL * (b - a)
+    cells = dist.coeffs.shape[0]
+    cell = np.clip(np.searchsorted(values, targets - PLATEAU_SLACK, side="left"), 1, cells) - 1
+    c = dist.coeffs[cell]
+    top = _cell_cumulative(c, np.ones(cell.size))
+    want = np.clip(targets * dist.normalizer - dist.cumulative[cell], 0.0, top)
+    want = np.where(values[cell + 1] <= targets + PLATEAU_SLACK, top, want)
+    s = _solve_cells(c, want, top)
+    lo, hi = dist.tgrid[cell], dist.tgrid[cell + 1]
+    t = np.where(s <= 0.5, lo + s * (hi - lo), hi - (1.0 - s) * (hi - lo))
+    x = np.clip(_cubic_map(t, dist.anchor[cell], dist.reach[cell])[1], dist.grid[cell], dist.grid[cell + 1])
+    # A cell's ends are exact in the table; their maps need not be.
+    return np.where(s == 0.0, dist.grid[cell], np.where(s == 1.0, dist.grid[cell + 1], x))
 
+
+def _solve_cells(c: np.ndarray, want: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """s in [0, 1] where each cell's cumulative reaches ``want``, top its
+    value at s = 1 (0 for want <= 0, 1 for want >= top).
+
+    Newton steps inside the bracket [lo, hi] that the cumulative's sign
+    keeps, with a bisection wherever a step would leave it or would not
+    halve the step before (so the steps shrink at least geometrically);
+    a step below the resolution of s ends the target's search.
+    """
+    out = np.where(want >= top, 1.0, 0.0)
+    pos = np.flatnonzero((want > 0.0) & (want < top))
+    c, want = c[pos], want[pos]
+    s = want / top[pos]
+    lo, hi = np.zeros(pos.size), np.ones(pos.size)
+    before = np.ones(pos.size)
     while pos.size:
-        # False position (the midpoint where rounding puts it on an end)
-        # unless the last Newton step landed strictly inside the bracket.
-        x = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-        x = np.where((newton > lo) & (newton < hi), newton, x)
-        g = dist._value_from(base, x) - want
-        slope = dist.density(x) / dist.normalizer
-        up = g >= 0.0
-        # Illinois: an end kept twice running has its residual halved, so
-        # the false-position point cannot stall against it.
-        g_lo = np.where(up & (last > 0), 0.5 * g_lo, g_lo)
-        g_hi = np.where(~up & (last < 0), 0.5 * g_hi, g_hi)
-        lo, g_lo = np.where(up, lo, x), np.where(up, g_lo, g)
-        hi, g_hi = np.where(up, x, hi), np.where(up, g, g_hi)
-        last = np.where(up, 1, -1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = x - g / slope
-
-        hit = (np.abs(g) <= ROOT_RESIDUAL_TOL) & (slope > 0.0)
-        mid = 0.5 * (lo + hi)
-        # A bracket of adjacent floats cannot shrink further either.
-        closed = ~hit & ((hi - lo <= width_tol) | (mid <= lo) | (mid >= hi))
-        out[pos[hit]] = x[hit]
-        out[pos[closed]] = hi[closed]
-        keep = ~(hit | closed)
-        pos, base, want, newton, last = pos[keep], base[keep], want[keep], newton[keep], last[keep]
-        lo, hi, g_lo, g_hi = lo[keep], hi[keep], g_lo[keep], g_hi[keep]
+        g = _cell_cumulative(c, s) - want
+        lo, hi = np.where(g < 0.0, s, lo), np.where(g > 0.0, s, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / _cell_density(c, s)
+        nxt = s - step
+        newton = (nxt > lo) & (nxt < hi) & (np.abs(step) <= 0.5 * np.abs(before))
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        before = nxt - s
+        done = (g == 0.0) | (np.abs(before) <= 2.0 * EPS)
+        out[pos[done]] = np.where(g[done] == 0.0, s[done], nxt[done])
+        keep = ~done
+        pos, c, want, s, lo, hi, before = (v[keep] for v in (pos, c, want, nxt, lo, hi, before))
     return out
 
 

@@ -16,8 +16,11 @@ negligibly narrow.  In absolute mode each component's |value| is integrated
 on its own, and a sign change in any one of them forces bisection.
 
 A caller that tabulates a running integral can read the panels one call
-accepted, with their ends and contributions (``_accepted_panels``), so
-the table costs no second quadrature.
+accepted, with their ends, contributions and samples
+(``_accepted_panels``), so the table costs no second quadrature.  An
+accepted panel's contribution is Boole's rule on its five samples, the
+exact integral of the quartic through them, so the running integral
+inside a panel is that quartic's too.
 """
 
 from __future__ import annotations
@@ -57,12 +60,16 @@ def _accepted_panels():
     """Collect the panels that the next ``integrate_segments`` call in the
     block accepts.
 
-    Yields a list that the call, once it returns, fills with four arrays:
+    Yields a list that the call, once it returns, fills with five arrays:
     every accepted panel's ends ``lo`` and ``hi``, its destination index,
-    and its contribution to the totals (the Richardson-corrected Simpson
-    sum, one column per component), in no particular order.  The panels
-    tile the call's segments, so summing the contributions by destination
-    gives its results up to the order of the additions.
+    its contribution to the totals (the Richardson-corrected Simpson sum,
+    one column per component), and the five samples that sum weighs, at
+    lo, the quarter points and hi (shape (panels, 5, components); |fun|
+    with ``absolute=True``), in no particular order.  The panels tile the
+    call's segments, so summing the contributions by destination gives its
+    results up to the order of the additions.  S2 + (S2 - S1)/15 is
+    Boole's rule, (hi - lo)/90 * (7, 32, 12, 32, 7) on the samples, up to
+    the rounding of the midpoint the panel was split at.
     """
     out = []
     token = _LISTENER.set(out)
@@ -199,12 +206,13 @@ def integrate_segments(
     def descend(rows, lo, lm, mid, rm, hi):
         return children(rows, lo, mid), children(rows, lm, rm), children(rows, mid, hi)
 
-    def add(rows, lo, hi, seg, contrib):
+    def add(rows, lo, hi, seg, contrib, samples):
         idx = seg[rows]
         for c in range(columns):
             totals[:, c] += np.bincount(idx, weights=contrib[:, c], minlength=nseg)
         if listener is not None:
-            accepted.append((lo[rows], hi[rows], idx, contrib))
+            weighed = np.stack([body(np.take(v, rows, axis=0)) for v in samples], axis=1)
+            accepted.append((lo[rows], hi[rows], idx, contrib, weighed))
 
     # Every panel is bisected MIN_LEVELS times before a test may accept it,
     # so the abscissae of those levels are known before anything is sampled,
@@ -240,7 +248,7 @@ def integrate_segments(
                 [np.take(v, stuck, axis=0) for v in samples],
             )
             leftover += np.sum(np.abs(err), axis=0)
-            add(stuck, lo, hi, seg, S2 + err)
+            add(stuck, lo, hi, seg, S2 + err, samples)
         f_lo, f_mid, f_hi = descend(split, *samples)
     lo, lm, mid, rm, hi, seg = tiers[MIN_LEVELS]
     f_lm, f_rm = next(forced), next(forced)
@@ -287,7 +295,7 @@ def integrate_segments(
 
         done = np.flatnonzero(ok)
         if done.size:
-            add(done, lo, hi, seg, np.take(S2, done, axis=0) + np.take(err, done, axis=0))
+            add(done, lo, hi, seg, np.take(S2, done, axis=0) + np.take(err, done, axis=0), samples)
 
         rows = np.flatnonzero(~ok)
         if rows.size == 0:

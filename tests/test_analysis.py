@@ -126,7 +126,9 @@ def test_curvature_of_a_distribution_is_read_from_its_pass(monkeypatch):
     with pytest.raises(ValueError, match="tabulated on"):
         curvature(dist, 0.0, 3.0)
     # One put together by hand carries no integrals to read.
-    bare = KnotDistribution(dist.grid, dist.cumulative, dist.normalizer, dist.density, dist.zeros)
+    bare = KnotDistribution(
+        dist.grid, dist.cumulative, dist.normalizer, dist.zeros, dist.tgrid, dist.anchor, dist.reach, dist.coeffs
+    )
     with pytest.raises(ValueError, match="pass its target"):
         curvature(bare, 0.0, 4.0)
 

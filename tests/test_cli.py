@@ -337,7 +337,7 @@ CUBIC = "poly:-0.5802269485031875,-0.11899096250260488,-0.39539326738026737,-0.4
     [
         # Segment 59's one crossing lies h/65 left of its right knot.
         (("--function", CUBIC, "--interval", "-2", "2", "--segments", "150", "--partition", "optimized"),
-         0.00052141263685699234),
+         0.00052141263685556018),
         # Segment 197's one crossing lies h/51 left of its right knot.
         (("--function", "chirp", "--interval", "0", "1", "--segments", "255"), 0.0010825493209258),
     ],
@@ -345,8 +345,10 @@ CUBIC = "poly:-0.5802269485031875,-0.11899096250260488,-0.39539326738026737,-0.4
 def test_interpolant_error_counts_the_lobe_beside_a_knot(capsys, where, exact):
     # e = 0 exactly at the knots of an interpolant, so no Simpson sample
     # shows the sign of a lobe between a knot and the panel's next sample;
-    # f' - s at the knot gives it.  References: mpmath cubic roots (cubic),
-    # a Richardson-extrapolated 2^23-cell midpoint sum (chirp).
+    # f' - s at the knot gives it.  References: mpmath 1.3.0 at 50 digits,
+    # exact integrals of |e| between the cubic's roots on the program's
+    # knots and ordinates (cubic); a Richardson-extrapolated 2^23-cell
+    # midpoint sum (chirp).
     code, out, err = run(capsys, "error", *where, "--fit", "interpolant", "--format", "json")
     assert code == 0, err
     (row,) = json.loads(out)
@@ -575,6 +577,20 @@ def test_kink_between_grid_points_exits_two(capsys):
             code, out, err = run(capsys, *argv)
             assert code == 2, (argv, out)
             assert "second derivative is not finite" in err
+
+
+def test_integrable_singularity_between_grid_points_exits_two(capsys):
+    # f'' = 1.5 |x - 0.3|^(-1/2) is integrable and finite at every grid
+    # point, so only the curvature pass meets it: its quadrature fails
+    # where |f''| grows without bound, which is a non-finite f''.
+    where = ("--function", "expr:((x-0.3)^2)^0.75", "--interval", "0", "1")
+    for argv in (
+        ("plan", *where, "--tolerance", "1e-3"),
+        ("partition", *where, "--segments", "8", "--partition", "optimized"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", (argv, err)
+        assert err == "polylin: second derivative is not finite on the interval\n"
 
 
 def test_rounding_residue_line_plans_one_segment(capsys):

@@ -231,7 +231,8 @@ def test_constant_far_from_origin(n_edges):
 
 def test_accepted_panels_tile_the_segments_and_sum_to_the_totals():
     # The recorder sees the next call only: its accepted panels tile every
-    # segment, and their contributions sum to the call's totals.
+    # segment, and their contributions sum to the call's totals.  Each
+    # contribution is Boole's rule on the panel's five handed-over samples.
     edges = np.array([0.0, 0.3, 1.0, 2.5])
 
     def fun(x, _s):
@@ -240,9 +241,9 @@ def test_accepted_panels_tile_the_segments_and_sum_to_the_totals():
     with _accepted_panels() as accepted:
         totals = integrate_segments(fun, edges, rel_tol=1e-10)
         integrate_segments(fun, edges)
-    lo, hi, seg, values = accepted
+    lo, hi, seg, values, samples = accepted
     order = np.lexsort((lo, seg))
-    lo, hi, seg, values = lo[order], hi[order], seg[order], values[order]
+    lo, hi, seg, values, samples = lo[order], hi[order], seg[order], values[order], samples[order]
     for k in range(3):
         mine = seg == k
         assert lo[mine][0] == edges[k] and hi[mine][-1] == edges[k + 1]
@@ -250,3 +251,13 @@ def test_accepted_panels_tile_the_segments_and_sum_to_the_totals():
     sums = np.stack([np.bincount(seg, values[:, c], minlength=3) for c in range(2)], axis=1)
     assert np.allclose(sums, totals, rtol=1e-14, atol=0.0)
     assert values.shape == (lo.size, 2) and lo.size >= 4 * 3
+    assert samples.shape == (lo.size, 5, 2)
+    mid = 0.5 * (lo + hi)
+    for j, at in enumerate((lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)):
+        assert np.array_equal(samples[:, j], fun(at, None))
+    boole = (hi - lo)[:, None] / 90.0 * np.einsum("j,pjc->pc", [7.0, 32.0, 12.0, 32.0, 7.0], samples)
+    # Simpson's halves are measured from the rounded midpoint, which moves
+    # the sum off Boole's rule by the split's share of the panel's width.
+    split = np.abs((mid - lo) - (hi - mid)) / (hi - lo)
+    assert np.all(np.abs(boole - values) <= (1e-14 + split[:, None]) * np.abs(values))
+    assert np.count_nonzero(split == 0.0) >= lo.size // 2

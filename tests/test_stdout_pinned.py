@@ -10,6 +10,9 @@ the records it moves:
 
     PYTHONPATH=src python tests/test_stdout_pinned.py --record NAME [NAME ...]
 
+Recording prints every line it changed as "NAME: old → new", so the list
+of moved cells can be copied from its output.
+
 The records pin outputs with numpy 2.4.6 (Python 3.11, x86-64 Linux).
 Another numpy build may round an elementary function differently in the
 last bit and so move a printed digit; there the files are recorded again
@@ -18,6 +21,7 @@ rather than the program changed.
 
 import argparse
 import contextlib
+import difflib
 import io
 import sys
 from pathlib import Path
@@ -60,15 +64,36 @@ def test_stdout_matches_record(capsys, name):
     assert out == (DATA / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def moved(old: str, new: str) -> list[str]:
+    """Every line that differs between two records, as "old → new"
+    ("(none)" on the side that lacks it)."""
+    a, b = old.splitlines(), new.splitlines()
+    out = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag == "equal":
+            continue
+        gone, came = a[i1:i2], b[j1:j2]
+        for k in range(max(len(gone), len(came))):
+            left = gone[k] if k < len(gone) else "(none)"
+            right = came[k] if k < len(came) else "(none)"
+            out.append(f"{left} → {right}")
+    return out
+
+
 def record(names) -> None:
-    """Run the named commands and write their stdout over the records."""
+    """Run the named commands, write their stdout over the records and
+    print every line that moved."""
     for name in names:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(COMMANDS[name])
         if code != 0:
             raise SystemExit(f"{name}: polylin exited {code}; record left as it was")
-        (DATA / f"{name}.txt").write_text(out.getvalue(), encoding="utf-8")
+        path = DATA / f"{name}.txt"
+        before = path.read_text(encoding="utf-8") if path.exists() else ""
+        path.write_text(out.getvalue(), encoding="utf-8")
+        for line in moved(before, out.getvalue()):
+            print(f"{name}: {line}")
         print(f"recorded {name}", file=sys.stderr)
 
 
