@@ -18,8 +18,10 @@ def backend() -> str:
 # Segments are right-open, [x_{i-1}, x_i), with x = xN folded into the last
 # segment.
 #
-# Uniform storage: the segment index comes from one multiply and a floor,
-# delta = 1 - i + N*(x - x0)/(xN - x0), using only the end knots.
+# Uniform storage: the segment comes from one multiply and a floor, using
+# only the end knots: t = (x - x0)*N/(xN - x0), low = min(floor t, N - 1)
+# (0-based), delta = t - low.  That delta is bit for bit the 1 - i + t of
+# the 1-based index i = low + 1, because 1 - (low + 1) is exactly -low.
 #
 # General storage: a guide table (Chen & Asau 1974; Devroye, Non-Uniform
 # Random Variate Generation, 1986, section III.2.4), O(1) per point.  M
@@ -33,21 +35,32 @@ def backend() -> str:
 # fit in [x0, xN], so no cell holds two knots.  Where that would take more
 # than MAX_CELLS_PER_SEGMENT * N cells (strongly graded knots), the cells
 # that hold several knots are binary-searched instead: O(log N) worst case.
+# The counts are stored as intp, so a lookup indexes with them directly.
+#
+# Both kernels write into an optional ``out``, which may be xs itself, and
+# gather with take into buffers they already hold: a call allocates
+# three arrays the size of its batch (24 bytes a point) and a bool mask.
+# Each value is delta*v[k + 1] + (1 - delta)*v[k]: floating-point addition
+# commutes, so adding the two products in this order changes no bit.
 
 MAX_CELLS_PER_SEGMENT = 8
 
 
-def eval_uniform(x0: float, xn: float, ordinates: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def eval_uniform(
+    x0: float, xn: float, ordinates: np.ndarray, xs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Values at xs, every one in [x0, xN] (the callers check or clamp)."""
     n = ordinates.size - 1
-    t = n * (xs - x0) / (xn - x0)
-    i = np.floor(t).astype(np.int64) + 1
-    # x >= x0 gives t >= 0 and so i >= 1; only x = xN (and rounding next
-    # to it) needs folding into the last segment.  One in-place minimum
-    # gives what np.clip(i, 1, n) gave, without its per-call dispatch.
-    np.minimum(i, n, out=i)
-    d = 1.0 - i + t
-    return (1.0 - d) * ordinates[i - 1] + d * ordinates[i]
+    t = np.subtract(xs, x0)
+    t *= n
+    t /= xn - x0
+    # Only x = xN (and rounding next to it) needs folding into the last
+    # segment.  The floor stays a float until t - low is taken, which
+    # saves a mixed-type pass.
+    low = np.floor(t)
+    np.minimum(low, n - 1, out=low)
+    t -= low
+    return _interpolate(ordinates, low.astype(np.intp), t, out, scratch=low)
 
 
 @dataclass(frozen=True)
@@ -58,7 +71,7 @@ class GuideTable:
     width: np.ndarray  # knots[k + 1] - knots[k]
     right: np.ndarray  # knots[k + 1], with +inf for the last segment
     scale: float  # cells per unit length
-    first: np.ndarray  # int32, M + 1 entries: interior knots left of each cell
+    first: np.ndarray  # intp, M + 1 entries: interior knots left of each cell
     crowded: np.ndarray | None  # cells holding several knots; None if there are none
 
     @classmethod
@@ -72,7 +85,7 @@ class GuideTable:
             scale = 0.0
         cells = ((knots[1:-1] - knots[0]) * scale).astype(np.intp)
         counts = np.bincount(cells, minlength=m + 1)
-        first = np.zeros(m + 1, dtype=np.int32)
+        first = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(counts[:-1], out=first[1:])
         crowded = counts > 1
         right = np.append(knots[1:-1], np.inf)
@@ -80,24 +93,40 @@ class GuideTable:
 
     def segments(self, xs: np.ndarray) -> np.ndarray:
         """0-based segment of every abscissa in [x0, xN]."""
-        t = xs - self.knots[0]
+        t = np.subtract(xs, self.knots[0])
         t *= self.scale
         cells = t.astype(np.intp)
-        k = self.first[cells].astype(np.intp)
-        k += xs >= self.right[k]
+        k = self.first[cells]
+        k += xs >= self.right.take(k, out=t, mode="clip")
         if self.crowded is not None:
             hit = self.crowded[cells]
             k[hit] = np.searchsorted(self.right, xs[hit], side="right")
         return k
 
 
-def eval_guided(table: GuideTable, ordinates: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def eval_guided(
+    table: GuideTable, ordinates: np.ndarray, xs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     k = table.segments(xs)
-    d = xs - table.knots[k]
-    d /= table.width[k]
-    out = d * ordinates[1:][k]
+    d = table.knots.take(k, mode="clip")
+    np.subtract(xs, d, out=d)
+    width = table.width.take(k, mode="clip")
+    d /= width
+    return _interpolate(ordinates, k, d, out, scratch=width)
+
+
+def _interpolate(
+    ordinates: np.ndarray, k: np.ndarray, d: np.ndarray, out: np.ndarray | None, scratch: np.ndarray
+) -> np.ndarray:
+    """(1 - d)*v[k] + d*v[k + 1] into out, overwriting d and scratch.
+
+    mode="clip" never moves an index (every k is a segment); it only lets
+    take write into out without an intermediate copy.
+    """
+    out = ordinates[1:].take(k, out=out, mode="clip")
+    out *= d
     np.subtract(1.0, d, out=d)
-    d *= ordinates[:-1][k]
+    d *= ordinates[:-1].take(k, out=scratch, mode="clip")
     out += d
     return out
 

@@ -401,6 +401,7 @@ def cmd_bench(args) -> int:
                     "n_segments": n,
                     "mode": result.mode,
                     "backend": result.backend,
+                    "workers": result.workers,
                     "n_evals": result.n_evals,
                     "mean_ns": result.mean_ns,
                     "min_ns": result.min_ns,

@@ -6,11 +6,17 @@ is made: O(1) per point, O(log N) worst case for strongly graded knots
 (see _kernels).  That mode keeps the name "binary_search" for API
 stability.  Both use the right-open convention [x_{i-1}, x_i), with
 x = x_N folded into the last segment.  Evaluation runs through the numpy
-kernels in _kernels, and a scalar call is a batch of one.  A batch of more
-than BLOCK points goes through them one block at a time into a single
-output array.  The arithmetic is unchanged, so every value is the one a
-whole-array call gives, and peak memory is the output plus one block's
-temporaries, which stay in cache.
+kernels in _kernels, and a scalar call is a batch of one.
+
+A batch of at most BLOCK points runs on the calling thread.  A larger one
+is cut into blocks and split into one contiguous run of blocks per CPU in
+the process's affinity mask; the calling thread takes one run and a pool
+of threads, made at the first large batch, the others (numpy releases
+the GIL inside each pass).  Each block is evaluated straight into its
+slice of one output array.  The arithmetic is unchanged, so every value
+is the one a whole-array call gives.  Blocks hold at most IN_FLIGHT
+points at once over all threads, so peak memory is the output plus under
+2 MiB of temporaries in total, which stay in cache.
 
 Out-of-domain policy: under "error" an abscissa outside [a, b] raises
 ValueError; under "clamp" it is moved to the nearer end.  NaN lies in no
@@ -21,6 +27,8 @@ in a batch.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +43,18 @@ MODES = ("uniform_direct", "binary_search")
 OUT_OF_DOMAIN = ("error", "clamp")
 MIN_BENCH_EVALS = 100_000
 BENCH_REPETITIONS = 5
-BLOCK = 2**15  # fastest of 2^12..2^16 on 2^20-point batches; its temporaries fit a 2-MiB L2
+# Points per kernel call: on one thread the fastest of 2^14..2^17 on
+# 2^20-point batches.  Two threads also run fastest with BLOCK points
+# each: on a 2-vCPU Xeon, halving their blocks costs 40-50% more time,
+# because a thread then waits to retake the GIL after each short numpy
+# pass.  A batch above BLOCK runs on threads, each taking min(BLOCK,
+# IN_FLIGHT // workers) points at a time, which holds the kernels'
+# temporaries (24-25 bytes a point) under 2 MiB over all of them.
+BLOCK = 2**15
+IN_FLIGHT = 2**16
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None  # threads for the runs beyond the caller's, made at the first large batch
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -85,13 +104,14 @@ def evaluate(e: Evaluator, x: float) -> float:
 
 
 def evaluate_batch(e: Evaluator, xs) -> np.ndarray:
-    """Evaluate at an array of abscissae.
+    """Evaluate at an array of abscissae; the result has the shape of xs.
 
-    A batch of more than BLOCK points runs BLOCK points at a time into one
-    output array, through the same kernel expressions, so every value is
-    bit-identical to a whole-array call.  Peak memory is the output plus
-    one block's temporaries.
+    A batch of more than BLOCK points runs in blocks on every CPU the
+    process may use, into one output array, through the same kernel
+    expressions, so every value is bit-identical to a whole-array call.
+    Peak memory is the output plus IN_FLIGHT points' temporaries.
     """
+    shape = np.shape(xs)
     xs = np.ascontiguousarray(xs, dtype=float)
     a, b = e.source.partition.a, e.source.partition.b
     if e.out_of_domain == "error":
@@ -103,27 +123,67 @@ def evaluate_batch(e: Evaluator, xs) -> np.ndarray:
         if math.isnan(xs.min(initial=np.inf)):
             _reject(xs, np.isnan(xs), a, b)
     if xs.size <= BLOCK:
-        return _evaluate_inside(e, xs)
-    out = np.empty(xs.shape)
+        out = _evaluate_inside(e, xs)
+        return out if shape else out.reshape(shape)
+    out = np.empty(shape)
     flat, dest = xs.reshape(-1), out.reshape(-1)
-    for start in range(0, flat.size, BLOCK):
-        dest[start : start + BLOCK] = _evaluate_inside(e, flat[start : start + BLOCK])
+    step = min(BLOCK, IN_FLIGHT // _WORKERS)
+    starts = range(0, flat.size, step)
+    workers = min(_WORKERS, len(starts))
+    # Contiguous runs of whole blocks, one per worker; the caller takes the first.
+    n = len(starts)
+    runs = [starts[n * w // workers : n * (w + 1) // workers] for w in range(workers)]
+    futures = [_executor().submit(_run_blocks, e, flat, dest, run, step) for run in runs[1:]]
+    try:
+        _run_blocks(e, flat, dest, runs[0], step)
+    finally:
+        for f in futures:  # no run outlives the call, even one that raised
+            f.exception()
+    for f in futures:
+        f.result()
     return out
 
 
-def _evaluate_inside(e: Evaluator, xs: np.ndarray) -> np.ndarray:
+def _run_blocks(e: Evaluator, xs: np.ndarray, out: np.ndarray, starts: range, step: int) -> None:
+    """Evaluate the checked blocks xs[lo : lo + step], lo in starts, into out."""
+    for lo in starts:
+        _evaluate_inside(e, xs[lo : lo + step], out[lo : lo + step])
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here: it costs about 3 ms, which only a large batch pays.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="polylin-evaluate")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child inherits the pool object but none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _evaluate_inside(e: Evaluator, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Kernel values at checked abscissae, clamped first under "clamp"."""
     if e.out_of_domain == "clamp":
         # max(a, x) then min(b, .) picks what np.clip picks, signed zeros
         # included, at half its per-call cost on small batches (a full
         # block pays one more pass over its points).
-        xs = np.maximum(e.source.partition.a, xs)
+        xs = np.maximum(e.source.partition.a, xs, out=out)
         np.minimum(e.source.partition.b, xs, out=xs)
     knots = e.source.partition.knots
     v = e.source.ordinates
     if e.mode == "uniform_direct":
-        return _kernels.eval_uniform(knots[0], knots[-1], v, xs)
-    return _kernels.eval_guided(e._guide, v, xs)
+        return _kernels.eval_uniform(knots[0], knots[-1], v, xs, out)
+    return _kernels.eval_guided(e._guide, v, xs, out)
 
 
 def _reject(xs: np.ndarray, bad: np.ndarray, a: float, b: float):
@@ -141,6 +201,7 @@ class BenchResult:
     checksum: float
     mode: str
     backend: str
+    workers: int  # threads each timed batch ran on
 
 
 def bench(e: Evaluator, n_evals: int, seed: int) -> BenchResult:
@@ -148,7 +209,9 @@ def bench(e: Evaluator, n_evals: int, seed: int) -> BenchResult:
 
     Inputs are generated once up front and a warm-up pass precedes timing;
     the checksum pins the outputs so the work cannot be optimized away and
-    reruns with one seed are comparable.
+    reruns with one seed are comparable.  Every batch is larger than BLOCK,
+    so it runs on ``workers`` threads, and the times per evaluation are
+    wall time across all of them.
     """
     if n_evals < MIN_BENCH_EVALS:
         raise ValueError(f"n_evals must be at least {MIN_BENCH_EVALS}")
@@ -170,4 +233,5 @@ def bench(e: Evaluator, n_evals: int, seed: int) -> BenchResult:
         checksum=float(np.sum(out)),
         mode=e.mode,
         backend=_kernels.backend(),
+        workers=_WORKERS,
     )

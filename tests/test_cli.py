@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import importlib
 import io
 import json
 import os
@@ -417,6 +418,7 @@ def test_bench_single_row_smoke(capsys):
     for r in rows:
         assert float(r["mean_ns"]) > 0.0
         assert int(r["n_evals"]) == 100000
+        assert int(r["workers"]) == importlib.import_module("polylin.evaluate")._WORKERS
 
 
 def test_bench_rejects_options_it_does_not_read(capsys):

@@ -1,5 +1,11 @@
 """Evaluator modes, kernels, and the timing harness."""
 
+import importlib
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -12,9 +18,20 @@ from conftest import searched_values
 from polylin import _kernels
 from polylin._kernels import backend
 from polylin.core import Partition, PolygonalFunction
-from polylin.evaluate import BLOCK, Evaluator, bench, evaluate, evaluate_batch, make_evaluator
+from polylin.evaluate import (
+    BLOCK,
+    MIN_BENCH_EVALS,
+    Evaluator,
+    bench,
+    evaluate,
+    evaluate_batch,
+    make_evaluator,
+)
 from polylin.functions import gaussian
 from polylin.partition import optimized_partition, uniform_partition
+
+# The package exports a function named evaluate, which shadows the module.
+evaluate_module = importlib.import_module("polylin.evaluate")
 
 
 def _hat():
@@ -165,6 +182,18 @@ def test_out_of_domain_policies():
 
 
 @pytest.mark.parametrize("mode", ["uniform_direct", "binary_search"])
+@pytest.mark.parametrize("policy", ["error", "clamp"])
+def test_zero_dimensional_batch_stays_zero_dimensional(mode, policy):
+    e = make_evaluator(_hat(), mode, out_of_domain=policy)
+    for x in (0.25, np.float64(0.25), np.array(0.25)):
+        got = evaluate_batch(e, x)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got == evaluate(e, 0.25) == 0.5
+    with pytest.raises(ValueError, match="x=nan at index 0 outside"):
+        evaluate_batch(e, np.nan)
+
+
+@pytest.mark.parametrize("mode", ["uniform_direct", "binary_search"])
 def test_error_policy_on_empty_and_trailing_nan_batches(mode):
     strict = make_evaluator(_hat(), mode, out_of_domain="error")
     assert evaluate_batch(strict, np.array([])).shape == (0,)
@@ -246,6 +275,9 @@ def test_bench_validation_and_determinism():
     assert r1.mode == "uniform_direct"
     assert r1.backend == backend() == "numpy"
     assert 0.0 < r1.min_ns <= r1.mean_ns
+    # Every timed batch takes the threaded path, on every worker.
+    assert MIN_BENCH_EVALS > BLOCK
+    assert r1.workers == evaluate_module._WORKERS >= 1
 
 
 # -- large batches run BLOCK points at a time ---------------------------------
@@ -347,3 +379,134 @@ def test_large_batch_allocates_little_beyond_its_output(mode, policy):
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 2 * 2**20, peak / 2**20
+
+
+# -- large batches run on every CPU in the affinity mask -----------------------
+
+WORKER_COUNTS = (1, 2, 3, 5)
+
+
+def test_threaded_blocks_match_one_kernel_call_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(47)
+    for e in _block_cases():
+        batches = [_abscissae(rng, e, size) for size in (BLOCK + 1, 3 * BLOCK - 7, 1 << 20)]
+        batches.append(_abscissae(rng, e, LARGE).reshape(LARGE_ROWS, -1).T)  # transposed 2-D
+        for xs in batches:
+            want = _whole_array(e, np.ascontiguousarray(xs)).reshape(xs.shape)
+            for workers in WORKER_COUNTS:
+                monkeypatch.setattr(evaluate_module, "_WORKERS", workers)
+                got = evaluate_batch(e, xs)
+                assert got.shape == xs.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (e.mode, xs.shape, workers)
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # More workers than cores, several callers at once, and a short switch
+    # interval: a block written twice or skipped would show in the bits.
+    monkeypatch.setattr(evaluate_module, "_WORKERS", 5)
+    rng = np.random.default_rng(67)
+    cases = list(_block_cases())[::3]
+    jobs = [(e, _abscissae(rng, e, 5 * BLOCK + 11)) for e in cases]
+    wants = [_whole_array(e, xs) for e, xs in jobs]
+    results = [None] * len(jobs)
+
+    def call(i):
+        e, xs = jobs[i]
+        for _ in range(4):
+            results[i] = evaluate_batch(e, xs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, wants, strict=True):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _record_threads(monkeypatch):
+    """Wrap _evaluate_inside to record the thread of every call."""
+    seen = []
+    inner = evaluate_module._evaluate_inside
+
+    def recording(*args):
+        seen.append(threading.get_ident())
+        return inner(*args)
+
+    monkeypatch.setattr(evaluate_module, "_evaluate_inside", recording)
+    return seen
+
+
+def test_small_batches_stay_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(evaluate_module, "_WORKERS", 2)
+    seen = _record_threads(monkeypatch)
+    rng = np.random.default_rng(53)
+    for e in _block_cases():
+        for size in (0, 1, 256, BLOCK):
+            evaluate_batch(e, _abscissae(rng, e, size))
+    assert set(seen) == {threading.get_ident()}
+    seen.clear()
+    evaluate_batch(e, _abscissae(rng, e, 4 * BLOCK))
+    assert len(set(seen)) == 2  # the caller and one pool thread
+
+
+class _BlockFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_caller", [False, True])
+def test_a_failing_block_raises_its_own_exception(monkeypatch, on_caller):
+    monkeypatch.setattr(evaluate_module, "_WORKERS", 3)
+    rng = np.random.default_rng(59)
+    e = next(_block_cases())
+    xs = _abscissae(rng, e, 1 << 20)
+    want = _whole_array(e, xs)
+    caller = threading.get_ident()
+    raised = []
+    inner = evaluate_module._evaluate_inside
+
+    def failing(*args):
+        if (threading.get_ident() == caller) == on_caller:
+            raised.append(_BlockFailure())
+            raise raised[-1]
+        return inner(*args)
+
+    monkeypatch.setattr(evaluate_module, "_evaluate_inside", failing)
+    with pytest.raises(_BlockFailure) as excinfo:
+        evaluate_batch(e, xs)
+    assert any(excinfo.value is r for r in raised)
+    monkeypatch.setattr(evaluate_module, "_evaluate_inside", inner)
+    assert np.array_equal(evaluate_batch(e, xs).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_evaluates_large_batches(monkeypatch):
+    # The child inherits the pool object but not its threads; without a
+    # fresh pool its first large batch would wait forever.
+    monkeypatch.setattr(evaluate_module, "_WORKERS", 2)
+    e = next(_block_cases())
+    xs = _abscissae(np.random.default_rng(61), e, 4 * BLOCK)
+    want = evaluate_batch(e, xs)  # the parent's pool now exists
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(evaluate_batch(e, xs), want) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the child's large batch did not finish"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
