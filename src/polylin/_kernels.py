@@ -134,25 +134,25 @@ def _interpolate(
 def thomas(lower, diag, upper, rhs) -> np.ndarray:
     """Tridiagonal forward elimination + back substitution, no pivoting.
 
-    A zero pivot raises ``numpy.linalg.LinAlgError``.
+    A zero pivot raises ``numpy.linalg.LinAlgError``.  The two loops run
+    on Python floats, IEEE doubles as numpy's are, so they round as a loop
+    over numpy scalars would, at a third of the cost.
     """
-    lower, diag, upper, rhs = (np.asarray(v, dtype=float) for v in (lower, diag, upper, rhs))
-    n = diag.size
-    c = np.empty(n)
-    d = np.empty(n)
-    x = np.empty(n)
+    lower, diag, upper, rhs = (np.asarray(v, dtype=float).tolist() for v in (lower, diag, upper, rhs))
     piv = diag[0]
     if piv == 0.0:
         raise np.linalg.LinAlgError("zero pivot in tridiagonal solve")
-    c[0] = upper[0] / piv if n > 1 else 0.0
-    d[0] = rhs[0] / piv
-    for k in range(1, n):
-        piv = diag[k] - lower[k - 1] * c[k - 1]
+    ck, dk = upper[0] / piv if upper else 0.0, rhs[0] / piv
+    c, d = [ck], [dk]
+    # The last row has no upper entry; the 0 it gets is never read back.
+    for low, mid, up, r in zip(lower, diag[1:], upper[1:] + [0.0], rhs[1:]):
+        piv = mid - low * ck
         if piv == 0.0:
             raise np.linalg.LinAlgError("zero pivot in tridiagonal solve")
-        c[k] = upper[k] / piv if k < n - 1 else 0.0
-        d[k] = (rhs[k] - lower[k - 1] * d[k - 1]) / piv
-    x[n - 1] = d[n - 1]
-    for k in range(n - 2, -1, -1):
-        x[k] = d[k] - c[k] * x[k + 1]
-    return x
+        ck, dk = up / piv, (r - low * dk) / piv
+        c.append(ck)
+        d.append(dk)
+    x = [dk]
+    for ck, dk in zip(c[-2::-1], d[-2::-1]):
+        x.append(dk - ck * x[-1])
+    return np.array(x[::-1])

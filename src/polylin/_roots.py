@@ -1,7 +1,8 @@
 """Bracketed root finding, vectorized over many independent brackets.
 
-Used for the crossings of f - g in the best-L1 fit and for the zeros of
-f'' that the curvature integrals are cut at.
+Used for the crossings of f - g in the best-L1 fit, for the zeros of f''
+that the curvature integrals are cut at, and for the sign changes at
+which the quadrature's absolute mode cuts a panel.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ def roots(resid, seg, lo, hi, e_lo, e_hi, noise):
     x1, f1, x2, f2, x3, f3 = hi, e_hi, lo, e_lo, lo, e_lo
     t = e_hi / (e_hi - e_lo)
     # The inverse quadratic divides by f3 - f1, which is zero only where
-    # the interpolation is already rejected.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the interpolation is already rejected; so is every quotient that
+    # overflows next to an e as small as a knot's stand-in (see
+    # polylin.fit).
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             a, b = np.minimum(x1, x2), np.maximum(x1, x2)
             mid = 0.5 * (a + b)

@@ -66,28 +66,36 @@ BOUND_KINDS = (
 )
 
 
-def _residual(f: TargetFunction, g: PolygonalFunction):
-    knots = g.partition.knots
-    h = g.partition.widths
-    v = g.ordinates
-    # The quadrature's sign rule ignores zeros, so a sample where e = 0
-    # exactly at a knot takes the sign of e' = f' - s just inside the segment
-    # at the smallest normal size, which moves no Simpson sum (see
-    # per_interval_errors).  A zero or non-finite f' - s leaves it 0.
+def _knot_signs(f: TargetFunction, knots: np.ndarray, h: np.ndarray, v: np.ndarray):
+    """The stand-ins for e = f - g where it is 0 exactly at a segment's
+    left or right knot, one pair of arrays over the segments: the sign of e
+    just inside the segment (of f' - s at the left knot and of s - f' at
+    the right one, s the segment's slope) at the smallest normal size,
+    which moves no sum of samples.  A zero or non-finite f' - s gives 0."""
     s = np.diff(v) / h
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d1 = np.asarray(f.first_derivative(knots), dtype=float)
         left, right = d1[:-1] - s, s - d1[1:]
     tiny = np.finfo(float).tiny
-    left, right = (np.where(np.isfinite(t), np.sign(t) * tiny, 0.0) for t in (left, right))
+    return tuple(np.where(np.isfinite(t), np.sign(t) * tiny, 0.0) for t in (left, right))
+
+
+def _residual(f: TargetFunction, g: PolygonalFunction):
+    knots = g.partition.knots
+    h = g.partition.widths
+    v = g.ordinates
+    # The quadrature's sign rule ignores zeros, so a sample where e = 0
+    # exactly at a knot takes the sign of e just inside the segment (see
+    # per_interval_errors).
+    left, right = _knot_signs(f, knots, h, v)
 
     def fun(x, seg):
-        d = (x - knots[seg]) / h[seg]
-        e = np.asarray(f.eval(x), dtype=float) - ((1.0 - d) * v[seg] + d * v[seg + 1])
-        zero = np.flatnonzero(e == 0.0)
+        d = (x - knots.take(seg)) / h.take(seg)
+        e = np.asarray(f.eval(x), dtype=float) - ((1.0 - d) * v.take(seg) + d * v[1:].take(seg))
+        zero = (e == 0.0).nonzero()[0]
         if zero.size:
-            z, dz = seg[zero], d[zero]
-            e[zero] = np.where(dz == 0.0, left[z], np.where(dz == 1.0, right[z], 0.0))
+            z, dz = seg.take(zero), d.take(zero)
+            e[zero] = np.where(dz == 0.0, left.take(z), np.where(dz == 1.0, right.take(z), 0.0))
         return e
 
     return fun
@@ -96,10 +104,13 @@ def _residual(f: TargetFunction, g: PolygonalFunction):
 def per_interval_errors(f: TargetFunction, g: PolygonalFunction) -> np.ndarray:
     """L1 error contributed by each segment of g's partition.
 
-    Where e = f - g is exactly 0 at a knot, as at every knot of an
-    interpolant, the sign of f' - s there (s the segment's slope) tells the
-    quadrature which sign e takes just inside the segment, so a lobe between
-    the knot and the nearest sample is still located and integrated.
+    The quadrature's absolute mode cuts each crossing of e = f - g inside
+    a segment at its root, so both sides integrate as smooth panels.
+    Where e is exactly 0 at a knot, as at every knot of an interpolant, the
+    sign of f' - s there (s the segment's slope) tells the quadrature which
+    sign e takes just inside the segment; a sign change against the knot
+    is bisected, so a lobe between the knot and the nearest sample is
+    still located and integrated.
     """
     _check_interval(f, g.partition.a, g.partition.b)
     return integrate_segments(_residual(f, g), g.partition.knots, absolute=True)

@@ -36,6 +36,7 @@ import numpy as np
 
 from ._kernels import thomas
 from ._roots import roots
+from .analysis import _knot_signs
 from .core import Partition, PolygonalFunction, TargetFunction, from_samples
 from .partition import _check_interval
 from .quadrature import QuadratureError, integrate_segments
@@ -119,9 +120,12 @@ def l2_projection(f: TargetFunction, p: Partition) -> PolygonalFunction:
     off = h / 6.0
 
     def load(x, seg):
-        d = (x - knots[seg]) / h[seg]
+        d = (x - knots.take(seg)) / h.take(seg)
         fx = np.asarray(f.eval(x), dtype=float)
-        return np.stack([fx * (1.0 - d), fx * d], axis=1)
+        out = np.empty((x.size, 2))
+        np.multiply(fx, 1.0 - d, out=out[:, 0])
+        np.multiply(fx, d, out=out[:, 1])
+        return out
 
     try:
         parts = integrate_segments(load, knots)
@@ -166,35 +170,55 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     between neighbouring samples, and every pair of them hidden between
     samples of one sign (see _hidden_pairs), is narrowed to a bracket of
     adjacent floats by roots, starting from the e values already known at
-    its ends.  A segment whose samples of e all sit within rounding of its
-    largest |f| + |g| counts as fitted: it adds nothing to the gradient or
-    the Hessian.  (Rounding of each sample's own |f| + |g| would vanish
-    where f crosses zero, and a line's noise there would read as crossings.)
+    its ends.  Where e is 0 exactly at a knot, the sign of e just inside
+    the segment stands in for it, as in ``polylin.analysis``, and a bracket
+    that ends on such a stand-in is halved.  A segment whose samples of e
+    all sit within rounding of its largest |f| + |g| counts as fitted: it
+    adds nothing to the gradient or the Hessian.  (Rounding of each
+    sample's own |f| + |g| would vanish where f crosses zero, and a line's
+    noise there would read as crossings.)
     """
     knots, h, n = p.knots, p.widths, p.n_segments
 
     def line(x, seg, w=v):
-        d = (x - knots[seg]) / h[seg]
-        return (1.0 - d) * w[seg] + d * w[seg + 1]
+        d = (x - knots.take(seg)) / h.take(seg)
+        return (1.0 - d) * w.take(seg) + d * w[1:].take(seg)
 
     def resid(x, seg):
         return np.asarray(f.eval(x), dtype=float) - line(x, seg)
 
     x = knots[:-1, None] + h[:, None] * (np.arange(samples + 1) / samples)
     x[:, -1] = knots[1:]
-    rows = np.repeat(np.arange(n), samples + 1)
+    rows = np.arange(n).repeat(samples + 1)
     fx = np.asarray(f.eval(x.ravel()), dtype=float)
     e = (fx - line(x.ravel(), rows)).reshape(x.shape)
+    # e = 0 exactly at a knot, as at every knot of an interpolant, stands
+    # in for the sign of e just inside the segment (see polylin.analysis),
+    # so a lobe between the knot and the next sample is bracketed.
+    stand_in = None
+    at_knot = e[:, [0, -1]] == 0.0
+    if at_knot.any():
+        for col, signs in zip((0, -1), _knot_signs(f, knots, h, v)):
+            e[:, col] = np.where(at_knot[:, col], signs, e[:, col])
+        stand_in = np.zeros(e.shape, dtype=bool)
+        stand_in[:, [0, -1]] = at_knot
     scale = (np.abs(fx) + line(x.ravel(), rows, np.abs(v))).reshape(x.shape)
-    emax = np.max(np.abs(e), axis=1)
-    top = np.max(scale, axis=1)
+    emax = np.abs(e).max(axis=1)
+    top = scale.max(axis=1)
     live = emax > ROOT_ULPS * EPS * top
     pos = e >= 0.0
 
-    cs, ck = np.nonzero(live[:, None] & (pos[:, :-1] != pos[:, 1:]))
+    cs, ck = (live[:, None] & (pos[:, :-1] != pos[:, 1:])).nonzero()
     ds, dl, dm, de, dr = _hidden_pairs(resid, x, e, pos, live, h)
     seg = np.concatenate([cs, ds, ds])
     e_lo = np.concatenate([e[cs, ck], e[ds, dl], de])
+    noise = EPS * top[seg]
+    if stand_in is not None:
+        # A stand-in has a sign but no size, so a bracket that ends on one
+        # is halved: a step from its value would land next to the knot, in
+        # the rounding of e, and miss the lobe.
+        ends = np.concatenate([stand_in[cs, ck] | stand_in[cs, ck + 1], stand_in[ds, dl], stand_in[ds, dr]])
+        noise[ends] = np.inf
     root = roots(
         resid,
         seg,
@@ -202,7 +226,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
         np.concatenate([x[cs, ck + 1], dm, x[ds, dr]]),
         e_lo,
         np.concatenate([e[cs, ck + 1], de, e[ds, dr]]),
-        EPS * top[seg],
+        noise,
     )
     r = (root - knots[seg]) / h[seg]
 
@@ -236,7 +260,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     reach = np.maximum(np.concatenate((emax, [0.0])), np.concatenate(([0.0], emax)))
     diag = np.maximum(diag, np.divide(np.abs(grad), reach, out=np.zeros(n + 1), where=reach > 0.0))
     diag[diag == 0.0] = 1.0
-    settled = bool(np.all(np.abs(grad) <= OPTIMALITY_TOL * mass + floor))
+    settled = bool((np.abs(grad) <= OPTIMALITY_TOL * mass + floor).all())
     return _Crossings(samples, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
 
 
@@ -257,10 +281,10 @@ def _hidden_pairs(resid, x, e, pos, live, h):
     other sign, e there, sample index right of it.
     """
     mag = np.abs(e)
-    dip = np.repeat(live[:, None], e.shape[1], axis=1)
+    dip = live[:, None].repeat(e.shape[1], axis=1)
     dip[:, 1:] &= (pos[:, 1:] == pos[:, :-1]) & (mag[:, 1:] < mag[:, :-1])
     dip[:, :-1] &= (pos[:, :-1] == pos[:, 1:]) & (mag[:, :-1] <= mag[:, 1:])
-    seg, k = np.nonzero(dip)
+    seg, k = dip.nonzero()
     left, right = np.maximum(k - 1, 0), np.minimum(k + 1, e.shape[1] - 1)
     toward = np.where(pos[seg, k], 1.0, -1.0)
     point, value = _dip_search(
@@ -299,19 +323,22 @@ def _dip_search(resid, seg, toward, bracket, best, reach):
     for _ in range(DIP_ROUNDS):
         if i.size == 0:
             break
-        r = reach[i]
-        probes = (np.maximum(x - r, a), np.minimum(x + r, b))
-        trial = np.column_stack((*probes, a[:, None] + (b - a)[:, None] * spread))
-        vals = toward[i, None] * resid(trial.ravel(), np.repeat(seg[i], trial.shape[1])).reshape(trial.shape)
-        pick = np.argmin(vals, axis=1)
+        r = reach.take(i)
+        trial = np.empty((i.size, DIP_GRID + 2))
+        np.maximum(x - r, a, out=trial[:, 0])
+        np.minimum(x + r, b, out=trial[:, 1])
+        trial[:, 2:] = a[:, None] + (b - a)[:, None] * spread
+        vals = resid(trial.ravel(), seg.take(i).repeat(trial.shape[1])).reshape(trial.shape)
+        vals *= toward.take(i)[:, None]
+        pick = vals.argmin(axis=1)
         u, fu = trial[np.arange(i.size), pick], vals[np.arange(i.size), pick]
         found = fu < 0.0
         point[i[found]], value[i[found]] = u[found], fu[found]
         rising = ((trial[:, 0] <= a) | (vals[:, 0] > fx)) & ((trial[:, 1] >= b) | (vals[:, 1] > fx))
         lower = fu < fx
         x, fx = np.where(lower, u, x), np.where(lower, fu, fx)
-        a = np.maximum(a, np.max(trial, axis=1, initial=-np.inf, where=trial < x[:, None]))
-        b = np.minimum(b, np.min(trial, axis=1, initial=np.inf, where=trial > x[:, None]))
+        a = np.maximum(a, trial.max(axis=1, initial=-np.inf, where=trial < x[:, None]))
+        b = np.minimum(b, trial.min(axis=1, initial=np.inf, where=trial > x[:, None]))
         going = ~found & ~rising & (b - a > 2.0 * r + 4.0 * EPS * np.abs(x))
         i, a, b, x, fx = i[going], a[going], b[going], x[going], fx[going]
     return point, value
@@ -340,9 +367,10 @@ def _cost(f, p, v, state):
     sign = state.start[seg] * np.where(rank % 2 == 0, 1.0, -1.0)
 
     def signed(x, piece):
-        s = seg[piece]
-        d = (x - knots[s]) / h[s]
-        return sign[piece] * (np.asarray(f.eval(x), dtype=float) - ((1.0 - d) * v[s] + d * v[s + 1]))
+        s = seg.take(piece)
+        d = (x - knots.take(s)) / h.take(s)
+        e = np.asarray(f.eval(x), dtype=float) - ((1.0 - d) * v.take(s) + d * v[1:].take(s))
+        return sign.take(piece) * e
 
     return float(np.sum(integrate_segments(signed, panels=(lo, hi, np.arange(seg.size), seg.size))))
 

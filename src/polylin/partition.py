@@ -104,7 +104,7 @@ def _second_derivatives(f: TargetFunction | VectorTargetFunction, x) -> list[np.
     rows = []
     for comp in _components(f):
         vals = np.asarray(comp.d2(x), dtype=float)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("second derivative is not finite on the interval")
         rows.append(vals)
     return rows
@@ -245,13 +245,13 @@ def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
     reach = side * (p_hi - p_lo)
 
     def mapped(t, piece):
-        on = np.flatnonzero(side[piece])
+        on = side.take(piece).nonzero()[0]
         if on.size == 0:
             return fun(t)
         x = t.copy()
-        p = piece[on]
-        u, x[on] = _cubic_map(t[on], anchor[p], reach[p])
-        x[on] = np.clip(x[on], p_lo[p], p_hi[p])
+        p = piece.take(on)
+        u, x_on = _cubic_map(t.take(on), anchor.take(p), reach.take(p))
+        x[on] = np.minimum(np.maximum(x_on, p_lo.take(p)), p_hi.take(p))
         vals = np.asarray(fun(x), dtype=float)
         jac = 3.0 * u * u
         vals[on] *= jac if vals.ndim == 1 else jac[:, None]
@@ -262,7 +262,7 @@ def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
     totals = np.stack([np.bincount(dest, col, minlength=nseg) for col in pieces.T], axis=1)
     t, _hi, piece, values, samples = accepted
     # A piece's own left end is exact; every other panel end maps to x.
-    x = np.clip(_cubic_map(t, anchor[piece], reach[piece])[1], p_lo[piece], p_hi[piece])
+    x = np.minimum(np.maximum(_cubic_map(t, anchor[piece], reach[piece])[1], p_lo[piece]), p_hi[piece])
     x = np.where(t > p_lo[piece], x, t)
     return totals, (x, t, anchor[piece], reach[piece], values, samples)
 
@@ -314,8 +314,13 @@ def _curvature_pass(part, zeros, a: float, b: float) -> KnotDistribution:
     edges = np.linspace(a, b, PASS_PANELS + 1)
 
     def pair(x):
+        # cbrt on the contiguous sums: a strided output takes numpy's
+        # scalar loop, which rounds differently from its vector one.
         total = _curvature_sum(part, x)
-        return np.stack([total, np.cbrt(total)], axis=1)
+        out = np.empty((x.size, 2))
+        out[:, 0] = total
+        out[:, 1] = np.cbrt(total)
+        return out
 
     try:
         parts, (x, t, anchor, reach, values, samples) = _split_integral(

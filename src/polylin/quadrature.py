@@ -10,10 +10,18 @@ panel.  Each later level takes one call for the panels still open.
 
 Integrands may be vector valued (several components sharing the same
 sample points, as many as the integrand's output has columns), and
-absolute-value integrands get sign-aware refinement: a panel whose sampled
-values change sign is bisected until the sign is resolved or the panel is
-negligibly narrow.  In absolute mode each component's |value| is integrated
-on its own, and a sign change in any one of them forces bisection.
+absolute-value integrands get sign-aware refinement.  In absolute mode
+each component's |value| is integrated on its own, and a panel whose
+samples of any one component change sign is cut at the crossing rather
+than bisected toward it: the crossing is narrowed to adjacent floats by
+``polylin._roots``, the panel is split there, and the shared sample is
+stored as an exact 0, so each side has one sign and refines as a smooth
+panel does.  A sign change between a segment's end and its neighbouring
+sample is still bisected until it is resolved or the panel is negligibly
+narrow: an integrand may give a zero at a segment's end the sign of its
+side (``polylin.analysis`` does), and bisection is what finds the lobe
+between that end and the crossing.  The narrowing rounds call the
+integrand too, on a few points each.
 
 A caller that tabulates a running integral can read the panels one call
 accepted, with their ends, contributions and samples
@@ -31,6 +39,8 @@ import functools
 import itertools
 
 import numpy as np
+
+from ._roots import roots
 
 __all__ = ["QuadratureError", "integrate_segments"]
 
@@ -89,7 +99,7 @@ def _call(fun, x, seg, columns=None):
         columns = max(vals.shape[1], 1)
     if vals.shape != (x.size, columns):
         raise ValueError(f"integrand returned shape {vals.shape} for {x.size} points")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise QuadratureError("non-finite integrand value")
     return vals
 
@@ -129,8 +139,12 @@ def integrate_segments(
     recorded; residuals are totalled per component and checked against
     each component's own allowance at the end.
 
-    With ``absolute=True`` each component's |fun| is integrated, and a sign
-    change of any component forces bisection.
+    With ``absolute=True`` each component's |fun| is integrated.  A panel
+    whose samples of a component change sign is cut at that component's
+    crossing, located to adjacent floats, instead of bisected toward it;
+    both sides then hold one sign, and a 0 at their shared end.  A sign
+    change against a segment's end is bisected, as in a smooth panel's
+    refinement, down to the kink floor if need be.
 
     Returns an (nseg,) array, or (nseg, k) when k > 1.
     """
@@ -169,9 +183,15 @@ def integrate_segments(
     if lo.size == 0:
         return totals[:, 0] if columns == 1 else totals
 
-    total_width = float(np.sum(hi - lo))
+    total_width = float((hi - lo).sum())
     kink_floor = total_width * 2.0**-40
     leftover = np.zeros(columns)
+    if absolute:
+        # Each segment's outer ends, where a sign change is bisected rather
+        # than cut (see crossing_cuts).
+        seg_lo, seg_hi = np.full(nseg, np.inf), np.full(nseg, -np.inf)
+        np.minimum.at(seg_lo, seg, lo)
+        np.maximum.at(seg_hi, seg, hi)
 
     def body(values):
         return np.abs(values) if absolute else values
@@ -200,19 +220,64 @@ def integrate_segments(
         # What the split rows hand their left children, then their right
         # ones; when every row splits there is nothing to gather.
         if rows.size < len(left):
-            left, right = np.take(left, rows, axis=0), np.take(right, rows, axis=0)
+            left, right = left.take(rows, axis=0), right.take(rows, axis=0)
         return np.concatenate([left, right])
 
     def descend(rows, lo, lm, mid, rm, hi):
         return children(rows, lo, mid), children(rows, lm, rm), children(rows, mid, hi)
 
     def add(rows, lo, hi, seg, contrib, samples):
-        idx = seg[rows]
+        idx = seg.take(rows)
         for c in range(columns):
             totals[:, c] += np.bincount(idx, weights=contrib[:, c], minlength=nseg)
         if listener is not None:
-            weighed = np.stack([body(np.take(v, rows, axis=0)) for v in samples], axis=1)
-            accepted.append((lo[rows], hi[rows], idx, contrib, weighed))
+            weighed = np.empty((rows.size, 5, columns))
+            for k, v in enumerate(samples):
+                weighed[:, k] = body(v.take(rows, axis=0))
+            accepted.append((lo.take(rows), hi.take(rows), idx, contrib, weighed))
+
+    def crossing_cuts(rows, ends, samples, sgn, changes):
+        """Split the rows to refine into those to bisect and those to cut at
+        a crossing: (rows to bisect, None) when none is cut, else (rows to
+        bisect, (rows to cut, their crossings, the component that crosses)).
+
+        A row is cut between its first pair of neighbouring samples of
+        opposite sign in a component whose sign change counts (``changes``),
+        unless one of the two lies on its segment's outer end: there the
+        integrand may give a zero the sign of its side (see
+        ``polylin.analysis``), and bisection keeps finding the lobe between
+        that end and the crossing.  The crossing is narrowed by ``roots`` to
+        adjacent floats.
+        """
+        mixed = changes.take(rows, axis=0).any(axis=1).nonzero()[0]
+        if mixed.size == 0:
+            return rows, None
+        panel = rows.take(mixed)
+        s = sgn.take(panel, axis=1)
+        opp = (s[:-1] * s[1:] < 0.0) & changes.take(panel, axis=0)
+        at = seg.take(panel)
+        opp[0] &= (ends[0].take(panel) != seg_lo.take(at))[:, None]
+        opp[-1] &= (ends[-1].take(panel) != seg_hi.take(at))[:, None]
+        pairs = opp.any(axis=2)
+        has = pairs.any(axis=0).nonzero()[0]
+        if has.size == 0:
+            return rows, None
+        cut, at = panel.take(has), at.take(has)
+        j = pairs.take(has, axis=1).argmax(axis=0)
+        comp = opp[j, has].argmax(axis=1)
+        k = np.arange(cut.size)
+        xs = np.array([v.take(cut) for v in ends])
+        vs = np.array([v[cut, comp] for v in samples])
+
+        def crossing(x, which):
+            return _call(fun, x, at.take(which), columns)[np.arange(x.size), comp.take(which)]
+
+        # The samples do not show the rounding of e, so none is assumed: each
+        # point keeps one float spacing from the bracket's ends.
+        r = roots(crossing, k, xs[j, k], xs[j + 1, k], vs[j, k], vs[j + 1, k], np.zeros(k.size))
+        split = np.ones(rows.size, dtype=bool)
+        split[mixed.take(has)] = False
+        return rows[split], (cut, r, comp)
 
     # Every panel is bisected MIN_LEVELS times before a test may accept it,
     # so the abscissae of those levels are known before anything is sampled,
@@ -230,8 +295,8 @@ def integrate_segments(
         segs += [seg, seg]
         if level < MIN_LEVELS:
             tight = narrow(lo, lm, rm, hi)
-            split = np.flatnonzero(~tight)
-            splits.append((np.flatnonzero(tight), split))
+            split = (~tight).nonzero()[0]
+            splits.append((tight.nonzero()[0], split))
             lo, mid, hi = descend(split, lo, lm, mid, rm, hi)
             seg = children(split, seg, seg)
     vals = _call(fun, np.concatenate(pts), np.concatenate(segs), columns)
@@ -244,10 +309,10 @@ def integrate_segments(
         samples = (f_lo, f_lm, f_mid, f_rm, f_hi)
         if stuck.size:
             S2, err = estimates(
-                *(np.take(v, stuck, axis=0) for v in (lo, mid, hi)),
-                [np.take(v, stuck, axis=0) for v in samples],
+                *(v.take(stuck, axis=0) for v in (lo, mid, hi)),
+                [v.take(stuck, axis=0) for v in samples],
             )
-            leftover += np.sum(np.abs(err), axis=0)
+            leftover += np.abs(err).sum(axis=0)
             add(stuck, lo, hi, seg, S2 + err, samples)
         f_lo, f_mid, f_hi = descend(split, *samples)
     lo, lm, mid, rm, hi, seg = tiers[MIN_LEVELS]
@@ -262,7 +327,7 @@ def integrate_segments(
         # requested.
         tol_line = abs_tol
         if rel_tol > 0.0:
-            estimate = np.sum(totals, axis=0) + np.sum(S2, axis=0)
+            estimate = totals.sum(axis=0) + S2.sum(axis=0)
             tol_line = np.maximum(abs_tol, rel_tol * np.abs(estimate))
         w = hi - lo
         thr = (tol_line / total_width) * w[:, None]
@@ -271,17 +336,17 @@ def integrate_segments(
         # noise, and chasing them refines forever without gaining a digit.
         vmax = functools.reduce(np.maximum, map(np.abs, samples))
         limit = np.maximum(thr, NOISE_EPS * vmax * w[:, None])
-        ok = np.all(np.abs(err) <= limit, axis=1)
+        ok = (np.abs(err) <= limit).all(axis=1)
 
         if absolute:
-            sgn = np.sign(np.stack(samples))
+            sgn = np.sign(samples)
             changes = (sgn.max(axis=0) > 0) & (sgn.min(axis=0) < 0)
             # A mixed panel whose whole sampled mass sits inside its own
             # budget cannot move the total by more than that budget, so the
             # crossing need not be located; near-zero residuals otherwise
-            # drag the bisection into their rounding noise.
+            # drag the refinement into their rounding noise.
             changes &= vmax * w[:, None] > thr
-            ok &= ~np.any(changes, axis=1) | (hi - lo <= kink_floor)
+            ok &= ~changes.any(axis=1) | (w <= kink_floor)
 
         # A panel too narrow to split is accepted with the residual error
         # recorded per component.
@@ -289,24 +354,50 @@ def integrate_segments(
         if level == MAX_LEVELS:
             degenerate |= True
         stuck = degenerate & ~ok
-        if np.any(stuck):
-            leftover += np.sum(np.abs(err[stuck]), axis=0)
+        if stuck.any():
+            leftover += np.abs(err[stuck]).sum(axis=0)
             ok |= degenerate
 
-        done = np.flatnonzero(ok)
+        done = ok.nonzero()[0]
         if done.size:
-            add(done, lo, hi, seg, np.take(S2, done, axis=0) + np.take(err, done, axis=0), samples)
+            add(done, lo, hi, seg, S2.take(done, axis=0) + err.take(done, axis=0), samples)
 
-        rows = np.flatnonzero(~ok)
+        rows = (~ok).nonzero()[0]
         if rows.size == 0:
             break
-        lo, mid, hi = descend(rows, lo, lm, mid, rm, hi)
+        ends = (lo, lm, mid, rm, hi)
+        rows, cuts = crossing_cuts(rows, ends, samples, sgn, changes) if absolute else (rows, None)
+        if cuts is not None:
+            # A cut row's children [lo, r] and [r, hi] meet at its crossing r.
+            cut, r, comp = cuts
+            c_lo, c_hi = np.concatenate([lo.take(cut), r]), np.concatenate([r, hi.take(cut)])
+            c_seg = np.tile(seg.take(cut), 2)
+            c_f = f_lo.take(cut, axis=0), f_hi.take(cut, axis=0)
+        lo, mid, hi = descend(rows, *ends)
         f_lo, f_mid, f_hi = descend(rows, *samples)
         seg = children(rows, seg, seg)
+        if cuts is None:
+            _check_cap(lo.size)
+            lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+            vals = _call(fun, np.concatenate([lm, rm]), np.concatenate([seg, seg]), columns)
+            f_lm, f_rm = vals[: lo.size], vals[lo.size :]
+            continue
+        # The cut children are sampled at their own midpoints too, and every
+        # component at r, where the crossing one is stored as an exact 0:
+        # so each child has one sign there, and rounding at r starts no new
+        # cut.
+        c_mid = 0.5 * (c_lo + c_hi)
+        lo, mid, hi, seg = (np.concatenate(v) for v in ((lo, c_lo), (mid, c_mid), (hi, c_hi), (seg, c_seg)))
         _check_cap(lo.size)
         lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        vals = _call(fun, np.concatenate([lm, rm]), np.concatenate([seg, seg]), columns)
-        f_lm, f_rm = vals[: lo.size], vals[lo.size :]
+        at = np.concatenate([seg, seg, c_seg, c_seg[: r.size]])
+        vals = _call(fun, np.concatenate([lm, rm, c_mid, r]), at, columns)
+        n = lo.size
+        f_lm, f_rm, f_r = vals[:n], vals[n : 2 * n], vals[2 * n + c_mid.size :]
+        f_r[np.arange(r.size), comp] = 0.0
+        f_mid = np.concatenate([f_mid, vals[2 * n : 2 * n + c_mid.size]])
+        f_lo = np.concatenate([f_lo, c_f[0], f_r])
+        f_hi = np.concatenate([f_hi, f_r, c_f[1]])
 
     # Residuals are judged per component against that component's own
     # allowance.

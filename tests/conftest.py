@@ -166,7 +166,8 @@ def batches(monkeypatch):
 
     A batch is one call of ``quadrature._call``: the panels' left ends,
     then every sample of the forced bisections, then one per later
-    refinement level, whatever the number of panels.
+    refinement level, whatever the number of panels, and in absolute mode
+    one per round of narrowing the crossings that panels are cut at.
     Per-level overhead dominates the small integrals, so the count is the
     host-independent measure of their cost.
     """

@@ -307,8 +307,31 @@ def _plan_verify_interpolants(monkeypatch, seed):
             yield f, interpolant(f, optimized_partition(f, a, b, n))
 
 
+def test_l1_distance_cuts_an_interior_crossing_at_its_root(batches):
+    # f - g crosses zero once inside a segment, in segment 20 at 0.72 of
+    # its width.  Bisected toward the kink floor that crossing took 26
+    # batches; cut there, both sides refine as smooth panels do.
+    f = gaussian()
+    g = interpolant(f, optimized_partition(f, 0.0, 4.0, 61))
+    assert batches(l1_distance, f, g) <= 12
+
+
+def test_fit_crossings_find_the_lobe_beside_a_knot():
+    # plan_verify seed 2's chirp.  On the equalized interpolant at N = 974,
+    # e = 0 at every knot, and segment 563's crossing lies between its last
+    # sample and its right knot.  A root search stepping from e = 0 there
+    # landed in the rounding of e next to the knot and missed the lobe:
+    # the cost read 3.9e-9 below the L1 distance.
+    b = 0.892282428715
+    f = chirp((0.0, b))
+    g = interpolant(f, optimized_partition(f, 0.0, b, 974))
+    p, v = g.partition, g.ordinates
+    cost = fit._cost(f, p, v, fit._crossings(f, p, v, fit.SAMPLES))
+    assert abs(cost - l1_distance(f, g)) <= 1e-12 * cost
+
+
 def test_l1_distance_agrees_with_the_fit_cost_between_crossings(monkeypatch):
-    # Two integrators of |f - g|: the engine's sign-aware bisection and the
+    # Two integrators of |f - g|: the engine's sign-aware refinement and the
     # fit's signed integrals between located crossings.  On seed 2 the
     # cubic at N = 150 once read 3.6e-11 apart (a lobe beside a knot where
     # e = 0 exactly).

@@ -331,6 +331,7 @@ def test_diverged_fit_reports_non_convergence(capsys):
 
 
 CUBIC = "poly:-0.5802269485031875,-0.11899096250260488,-0.39539326738026737,-0.42834608443143635"
+CUBIC9 = "poly:-0.5608466171004731,0.44641705909620955,-0.8507905741903008,0.8256341376485636"
 
 
 @pytest.mark.parametrize(
@@ -341,6 +342,10 @@ CUBIC = "poly:-0.5802269485031875,-0.11899096250260488,-0.39539326738026737,-0.4
          0.00052141263685556018),
         # Segment 197's one crossing lies h/51 left of its right knot.
         (("--function", "chirp", "--interval", "0", "1", "--segments", "255"), 0.0010825493209258),
+        # plan_verify seed 9: segment 265's one crossing lies h/24 left of
+        # its right knot.
+        (("--function", CUBIC9, "--interval", "-2", "2", "--segments", "433", "--partition", "optimized"),
+         0.00012118662297470464),
     ],
 )
 def test_interpolant_error_counts_the_lobe_beside_a_knot(capsys, where, exact):

@@ -522,3 +522,40 @@ def test_tridiagonal_solver_against_dense_solve():
 def test_tridiagonal_solver_reports_breakdown():
     with pytest.raises(np.linalg.LinAlgError):
         thomas(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]))
+
+
+def _thomas_on_numpy_scalars(lower, diag, upper, rhs):
+    """The elimination loops on numpy float64 scalars and arrays."""
+    n = diag.size
+    c, d, x = np.empty(n), np.empty(n), np.empty(n)
+    c[0] = upper[0] / diag[0] if n > 1 else 0.0
+    d[0] = rhs[0] / diag[0]
+    for k in range(1, n):
+        piv = diag[k] - lower[k - 1] * c[k - 1]
+        c[k] = upper[k] / piv if k < n - 1 else 0.0
+        d[k] = (rhs[k] - lower[k - 1] * d[k - 1]) / piv
+    x[n - 1] = d[n - 1]
+    for k in range(n - 2, -1, -1):
+        x[k] = d[k] - c[k] * x[k + 1]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 513])
+def test_tridiagonal_solver_rounds_as_the_numpy_scalar_loop(n):
+    # Python floats are IEEE doubles, so the loops round bit for bit as
+    # they do on numpy scalars.
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        lower = rng.uniform(-1.0, 1.0, n - 1)
+        upper = rng.uniform(-1.0, 1.0, n - 1)
+        diag = rng.choice((-1.0, 1.0), n) * rng.uniform(2.0, 5.0, n)
+        rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        x = thomas(lower, diag, upper, rhs)
+        assert x.dtype == np.float64 and x.shape == (n,)
+        assert np.array_equal(x, _thomas_on_numpy_scalars(lower, diag, upper, rhs))
+
+
+def test_tridiagonal_solver_reports_a_later_zero_pivot():
+    # Row 1's pivot is 1 - 1 * (1 / 1) = 0 exactly.
+    with pytest.raises(np.linalg.LinAlgError):
+        thomas(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 2.0]))

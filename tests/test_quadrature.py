@@ -261,3 +261,33 @@ def test_accepted_panels_tile_the_segments_and_sum_to_the_totals():
     split = np.abs((mid - lo) - (hi - mid)) / (hi - lo)
     assert np.all(np.abs(boole - values) <= (1e-14 + split[:, None]) * np.abs(values))
     assert np.count_nonzero(split == 0.0) >= lo.size // 2
+
+
+def test_absolute_value_cuts_a_crossing_at_its_root(batches):
+    # The kink of |x - 1/3| lies on no bisection point.  Bisected toward
+    # the kink floor it took 40 batches; cut at the crossing, the two sides
+    # meet at a sample stored as an exact 0, and each is a line.
+    def run():
+        return integrate_segments(lambda x, _s: x - 1.0 / 3.0, np.array([0.0, 1.0]), absolute=True)
+
+    assert batches(run) <= 8
+    with _accepted_panels() as accepted:
+        total = run()[0]
+    assert abs(total - 5.0 / 18.0) <= 1e-16
+    lo, hi, _seg, _contrib, samples = accepted
+    left, right = np.flatnonzero(samples[:, 4, 0] == 0.0), np.flatnonzero(samples[:, 0, 0] == 0.0)
+    assert left.size == right.size == 1
+    assert hi[left] == lo[right] and abs(hi[left][0] - 1.0 / 3.0) <= np.spacing(1.0 / 3.0)
+
+
+def test_absolute_value_cuts_each_component_at_its_own_crossing(batches):
+    # Both components cross inside the one panel.  The cut at 0.3 stores
+    # only the first component's sample there as 0; the second is sampled
+    # (-0.05) and cut at 0.35 a level later.
+    def run():
+        return integrate_segments(
+            lambda x, _s: np.stack([x - 0.3, x - 0.35], axis=1), np.array([0.0, 1.0]), absolute=True
+        )
+
+    assert batches(run) <= 10
+    assert np.max(np.abs(run()[0] - [0.29, 0.2725])) <= 1e-15
