@@ -12,8 +12,8 @@ import numpy as np
 __all__ = ["roots"]
 
 
-def roots(resid, seg, lo, hi, e_lo, e_hi, noise):
-    """Narrow every bracket [lo, hi] of a sign change of e to adjacent floats.
+def roots(resid, seg, lo, hi, e_lo, e_hi, noise, width=0.0):
+    """Narrow every bracket [lo, hi] of a sign change of e to ``width``.
 
     ``resid(x, seg)`` evaluates e at the points x of the brackets numbered
     seg; ``e_lo``/``e_hi`` are e at the bracket ends, which must have
@@ -23,19 +23,23 @@ def roots(resid, seg, lo, hi, e_lo, e_hi, noise):
     point is the inverse quadratic through the three where their values are
     close enough to monotone for it to be trusted, the midpoint otherwise,
     and false position through the two given ends at the first step.  Each
-    point keeps a tolerance from both ends: one float spacing, or the width
-    over which e moves by ``noise`` (its rounding) if that is wider.  A
-    point that closes in on the root from one side is then followed by one
-    past it, and where rounding blurs the sign of e the bracket is halved
-    instead of crept along.  Once every open bracket lies within that
-    rounding, where e tells no more than its sign, bisect finishes them.
-    A bracket is done when its midpoint rounds to an end, bisection's own
-    stop, and its root is that midpoint: e there and at one adjacent float
-    have opposite signs, zero counting as positive.  Finished brackets are
-    dropped whenever they are half of those carried.
+    point keeps a tolerance from both ends: one float spacing, half the
+    bracket's ``width``, or the span over which e moves by ``noise`` (its
+    rounding), whichever is widest.  A point that closes in on the root
+    from one side is then followed by one past it, and where rounding
+    blurs the sign of e the bracket is halved instead of crept along.
+    Once every open bracket lies within that rounding, where e tells no
+    more than its sign, bisect finishes them.  A bracket is done once it
+    is no wider than its ``width`` (a scalar or one per bracket), or once
+    its midpoint rounds to an end, bisection's own stop; its root is that
+    midpoint, so e changes sign within width / 2 of it.  With width 0
+    only the latter stop applies: e at the root and at one adjacent float
+    have opposite signs, zero counting as positive.  Finished brackets
+    are dropped whenever they are half of those carried.
     """
     root = np.empty(lo.size)
     idx = np.arange(lo.size)
+    width = np.broadcast_to(np.asarray(width, dtype=float), lo.shape)
     x1, f1, x2, f2, x3, f3 = hi, e_hi, lo, e_lo, lo, e_lo
     t = e_hi / (e_hi - e_lo)
     # The inverse quadratic divides by f3 - f1, which is zero only where
@@ -46,19 +50,20 @@ def roots(resid, seg, lo, hi, e_lo, e_hi, noise):
         while True:
             a, b = np.minimum(x1, x2), np.maximum(x1, x2)
             mid = 0.5 * (a + b)
-            open_ = (mid > a) & (mid < b)
+            open_ = (mid > a) & (mid < b) & (b - a > width)
             n_open = np.count_nonzero(open_)
             if 2 * n_open <= idx.size:
                 root[idx[~open_]] = mid[~open_]
                 if n_open == 0:
                     return root
-                idx, seg, x1, f1, x2, f2, x3, f3, t, a, b, mid, noise = (
-                    z[open_] for z in (idx, seg, x1, f1, x2, f2, x3, f3, t, a, b, mid, noise)
+                idx, seg, x1, f1, x2, f2, x3, f3, t, a, b, mid, noise, width = (
+                    z[open_] for z in (idx, seg, x1, f1, x2, f2, x3, f3, t, a, b, mid, noise, width)
                 )
             d12 = f1 - f2
-            clamp = np.minimum(np.maximum(np.spacing(np.maximum(-a, b)) / (b - a), noise / np.abs(d12)), 0.5)
+            tol = np.maximum(np.spacing(np.maximum(-a, b)), 0.5 * width)
+            clamp = np.minimum(np.maximum(tol / (b - a), noise / np.abs(d12)), 0.5)
             if (clamp == 0.5).all():
-                root[idx] = bisect(resid, seg, a, b, np.where(x1 == a, f1, f2) >= 0.0)
+                root[idx] = bisect(resid, seg, a, b, np.where(x1 == a, f1, f2) >= 0.0, width)
                 return root
             xt = x1 + np.minimum(np.maximum(t, clamp), 1.0 - clamp) * (x2 - x1)
             xt = np.where((xt > a) & (xt < b), xt, mid)
@@ -73,23 +78,27 @@ def roots(resid, seg, lo, hi, e_lo, e_hi, noise):
             t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), guess, 0.5)
 
 
-def bisect(resid, seg, lo, hi, lo_pos):
-    """Halve every bracket [lo, hi] of a sign change down to adjacent floats.
+def bisect(resid, seg, lo, hi, lo_pos, width):
+    """Halve every bracket [lo, hi] of a sign change down to its ``width``.
 
-    ``lo_pos`` is the sign of e at lo (zero counting as positive).  Finished
-    brackets are dropped whenever they are half of those carried.
+    ``lo_pos`` is the sign of e at lo (zero counting as positive).  A
+    bracket is done, as in roots, once it is no wider than its width or
+    its midpoint rounds to an end.  Finished brackets are dropped whenever
+    they are half of those carried.
     """
     root = np.empty(lo.size)
     idx = np.arange(lo.size)
     while True:
         mid = 0.5 * (lo + hi)
-        split = (mid > lo) & (mid < hi)
+        split = (mid > lo) & (mid < hi) & (hi - lo > width)
         n_split = np.count_nonzero(split)
         if 2 * n_split <= idx.size:
             root[idx[~split]] = mid[~split]
             if n_split == 0:
                 return root
-            idx, seg, lo, hi, lo_pos, mid, split = (z[split] for z in (idx, seg, lo, hi, lo_pos, mid, split))
+            idx, seg, lo, hi, lo_pos, mid, split, width = (
+                z[split] for z in (idx, seg, lo, hi, lo_pos, mid, split, width)
+            )
         same = (resid(mid, seg) >= 0.0) == lo_pos
         lo = np.where(split & same, mid, lo)
         hi = np.where(split & ~same, mid, hi)

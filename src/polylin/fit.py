@@ -18,12 +18,16 @@ sample; unless |e| rises both ways there, a grid across its bracket
 shrinks that bracket about the minimum until the other sign appears or
 the bracket is DIP_WIDTH of the segment wide, too narrow for a missed
 pair to move the gradient past its tolerance.  Every sign change is then
-narrowed by Chandrupatla's bracketing method to where bisection would end
-it: two adjacent floats at which e has opposite signs.  Its inverse quadratic
-steps give way to halving where they are not trusted, and where rounding
-leaves e nothing but its sign.  The reported cost is the sum of the smooth signed
-integrals of e between the crossings at the last ordinates.  The fit has
-no tuning knobs: the stopping rule is that floor, and every integral it
+narrowed by Chandrupatla's bracketing method.  Its inverse quadratic steps
+give way to halving where they are not trusted, and where rounding leaves
+e nothing but its sign.  A line-search trial narrows each bracket only to
+a width that shrinks with the square of the residual its step started
+from (an inexact Newton step), and counts that width in its rounding
+floor.  Settling is judged on a pass that narrows every crossing to where
+bisection would end it: two adjacent floats at which e has opposite
+signs.  The reported cost is the sum of the smooth signed integrals of e
+between that pass's crossings at the last ordinates.  The fit has no
+tuning knobs: the stopping rule is that floor, and every integral it
 takes runs at the package's default quadrature budget.
 """
 
@@ -62,6 +66,11 @@ ROOT_ULPS = 8.0
 REG = 1e-12  # Hessian regularization, relative to each row's own diagonal
 MAX_LINE_STEPS = 30  # trial step lengths per Newton step (see _line_search)
 CURVATURE = 0.9
+# A line-search trial narrows its crossings to FORCING r^2 of their
+# segment, at most TRIAL_WIDTH, where r is the largest residual of the
+# state its step came from (see _line_search).
+FORCING = 1e-4
+TRIAL_WIDTH = 1e-3
 # A dip of |e| holds no missed pair once its minimum is bracketed to
 # DIP_WIDTH times the segment width (see _hidden_pairs).  Each round of the
 # search evaluates DIP_GRID points spread across a dip's bracket.
@@ -81,17 +90,18 @@ class FitReport:
 
     ``optimality_residual`` is max_i |integral of sign(f - g) phi_i| /
     integral of phi_i at the returned ordinates, from the located
-    crossings; it is 0 at the exact minimizer.  ``converged`` means that
-    each of those gradient entries is within OPTIMALITY_TOL of its hat's
-    integral, plus the amount by which rounding could move it: a crossing
-    r is known only to ROOT_ULPS ulps of f and g over |e'(r)|.  Where e is
-    so flat that rounding alone locates a crossing, that allowance reaches
-    the hat's integral, and converged says only that the ordinates fit f
-    to within its rounding there; the residual then stays well above
-    OPTIMALITY_TOL (0.15 for x + 1e-12 x^2 on 31 equal segments of
-    [0, 1]).  ``final_cost`` is the L1 distance at the returned ordinates;
-    it is NaN when the fit did not converge and its last iterate is too
-    rough for the quadrature.
+    crossings (on a converged fit, those of the DENSE pass that narrows
+    each to adjacent floats); it is 0 at the exact minimizer.
+    ``converged`` means that each of those gradient entries is within
+    OPTIMALITY_TOL of its hat's integral, plus the amount by which
+    rounding could move it: a crossing r is known only to ROOT_ULPS ulps
+    of f and g over |e'(r)|.  Where e is so flat that rounding alone
+    locates a crossing, that allowance reaches the hat's integral, and
+    converged says only that the ordinates fit f to within its rounding
+    there; the residual then stays well above OPTIMALITY_TOL (0.15 for
+    x + 1e-12 x^2 on 31 equal segments of [0, 1]).  ``final_cost`` is the
+    L1 distance at the returned ordinates; it is NaN when the fit did not
+    converge and its last iterate is too rough for the quadrature.
     """
 
     iterations: int
@@ -149,6 +159,7 @@ class _Crossings:
     the crossings of f - g they come from."""
 
     samples: int
+    width: float  # each crossing's bracket width, relative to its segment; 0: adjacent floats
     roots: np.ndarray  # every located crossing, in no particular order
     segments: np.ndarray  # the segment of each root
     start: np.ndarray  # sign of e at each segment's left knot; 0 on a fitted segment
@@ -163,20 +174,24 @@ class _Crossings:
         return self.roots.size
 
 
-def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> _Crossings:
+def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, width: float = 0.0) -> _Crossings:
     """Locate the sign changes of e = f - g and assemble the Newton pieces.
 
     e is sampled at samples + 1 points per segment.  Every sign change
     between neighbouring samples, and every pair of them hidden between
-    samples of one sign (see _hidden_pairs), is narrowed to a bracket of
-    adjacent floats by roots, starting from the e values already known at
-    its ends.  Where e is 0 exactly at a knot, the sign of e just inside
-    the segment stands in for it, as in ``polylin.analysis``, and a bracket
-    that ends on such a stand-in is halved.  A segment whose samples of e
-    all sit within rounding of its largest |f| + |g| counts as fitted: it
-    adds nothing to the gradient or the Hessian.  (Rounding of each
-    sample's own |f| + |g| would vanish where f crosses zero, and a line's
-    noise there would read as crossings.)
+    samples of one sign (see _hidden_pairs), is narrowed by roots, starting
+    from the e values already known at its ends, to a bracket no wider than
+    ``width`` times its segment, or to adjacent floats where width is 0.
+    A root is then off by up to half that bracket, and a root off by delta
+    moves a gradient entry by at most 2 delta, so the settle floor counts
+    the half-width along with each root's rounding.  Where e is 0 exactly
+    at a knot, the sign of e just inside the segment stands in for it, as
+    in ``polylin.analysis``, and a bracket that ends on such a stand-in is
+    halved.  A segment whose samples of e all sit within rounding of its
+    largest |f| + |g| counts as fitted: it adds nothing to the gradient or
+    the Hessian.  (Rounding of each sample's own |f| + |g| would vanish
+    where f crosses zero, and a line's noise there would read as
+    crossings.)
     """
     knots, h, n = p.knots, p.widths, p.n_segments
 
@@ -227,6 +242,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
         e_lo,
         np.concatenate([e[cs, ck + 1], de, e[ds, dr]]),
         noise,
+        width * h[seg],
     )
     r = (root - knots[seg]) / h[seg]
 
@@ -250,6 +266,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     diag = at_roots(w * (1.0 - r) ** 2, w * r * r)
     off = np.bincount(seg, w * r * (1.0 - r), minlength=n)
     delta = ROOT_ULPS * EPS * (np.abs(fr) + line(root, seg, np.abs(v))) / slope + 2.0 * EPS * np.abs(root)
+    delta += 0.5 * width * h[seg]
     floor = at_roots(2.0 * (1.0 - r) * delta, 2.0 * r * delta)
     mass = _to_knots(0.5 * h, 0.5 * h)
 
@@ -261,7 +278,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int) -> 
     diag = np.maximum(diag, np.divide(np.abs(grad), reach, out=np.zeros(n + 1), where=reach > 0.0))
     diag[diag == 0.0] = 1.0
     settled = bool((np.abs(grad) <= OPTIMALITY_TOL * mass + floor).all())
-    return _Crossings(samples, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
+    return _Crossings(samples, width, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
 
 
 def _hidden_pairs(resid, x, e, pos, live, h):
@@ -384,12 +401,22 @@ def _line_search(f, p, v, step, state):
     shrunk to CURVATURE times its start; so is one that settles or lowers
     the gradient norm.  Otherwise a safeguarded secant on the slope moves
     alpha.  Returns (state, alpha, evaluations); state is None on failure.
+
+    Newton keeps its quadratic rate on a gradient that is off by up to a
+    forcing term of order r times the residual r it started from (inexact
+    Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19(2),
+    1982).  A crossing off by w of its segment moves a residual entry by at
+    most about w, so each trial narrows its crossings to FORCING r^2 of
+    their segment, at most TRIAL_WIDTH, with r the largest residual of
+    ``state``; its settle floor grows to match (see _crossings).  The
+    pass that judges convergence is exact (see best_l1_fit).
     """
     d0 = float(np.dot(state.grad, step))
     merit = float(np.linalg.norm(state.residual))
+    width = min(TRIAL_WIDTH, FORCING * float(np.max(state.residual)) ** 2)
     lo, d_lo, hi, d_hi, alpha = 0.0, d0, 1.0, 0.0, 1.0
     for used in range(1, MAX_LINE_STEPS + 1):
-        trial = _crossings(f, p, v + alpha * step, state.samples)
+        trial = _crossings(f, p, v + alpha * step, state.samples, width)
         slope = float(np.dot(trial.grad, step))
         if (
             trial.settled
@@ -413,22 +440,25 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
     Returns the fitted function and a report; ``converged`` means every
     entry of the exact L1 gradient reached its rounding floor and denser
     sampling found no further crossings within MAX_NEWTON_ITERS Newton
-    iterations.  Divergence does not raise: the last iterate is returned
-    with converged=False, and with final_cost NaN when the quadrature
-    cannot integrate its error.  A converged fit whose cost quadrature
-    fails raises QuadratureError.
+    iterations.  That is judged on a DENSE pass that narrows every
+    crossing to adjacent floats, whatever the line search's trials did,
+    and the reported cost and residual come from it.  Divergence does not
+    raise: the last iterate is returned with converged=False, and with
+    final_cost NaN when the quadrature cannot integrate its error.  A
+    converged fit whose cost quadrature fails raises QuadratureError.
     """
     v = l2_projection(f, p).ordinates.copy()
     state = _crossings(f, p, v, SAMPLES)
     evals, iterations, converged = 1, 0, False
     while True:
         if state.settled:
-            check = state if state.samples == DENSE else _crossings(f, p, v, DENSE)
+            exact = state.samples == DENSE and state.width == 0.0
+            check = state if exact else _crossings(f, p, v, DENSE)
             evals += check is not state
-            converged = check.n_roots == state.n_roots
+            converged = check.settled and check.n_roots == state.n_roots
+            state = check
             if converged:
                 break
-            state = check
             continue
         if iterations == MAX_NEWTON_ITERS:
             break
