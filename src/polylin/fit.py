@@ -13,22 +13,26 @@ at its rounding floor.
 
 The crossings come from samples of e = f - g at equal steps in each
 segment.  A pair closer together than the step hides in a dip of |e|
-between samples of one sign.  Each dip is probed either side of its low
-sample; unless |e| rises both ways there, a grid across its bracket
-shrinks that bracket about the minimum until the other sign appears or
-the bracket is DIP_WIDTH of the segment wide, too narrow for a missed
-pair to move the gradient past its tolerance.  Every sign change is then
-narrowed by Chandrupatla's bracketing method.  Its inverse quadratic steps
-give way to halving where they are not trusted, and where rounding leaves
-e nothing but its sign.  A line-search trial narrows each bracket only to
+between samples of one sign, around an extremum of e of the other sign.
+Where e runs down to one extremum and back up across the dip's two
+sample brackets, that extremum is the zero of e' = f' - s (s the
+segment's slope) in the bracket where e' turns e back.  The zero is
+narrowed on the target's exact f' as far as the crossings are, and e
+taken at both ends of what is left, so a pair is missed only where it is
+narrower than that, or lies within the span where rounding hides the
+sign of e'.  Where e has more than one extremum across the dip, a pair
+at another one can be missed.  Every sign change is then narrowed by
+Chandrupatla's bracketing method.  Its inverse quadratic steps give way
+to halving where they are not trusted, and where rounding leaves e
+nothing but its sign.  A line-search trial narrows each bracket only to
 a width that shrinks with the square of the residual its step started
 from (an inexact Newton step), and counts that width in its rounding
-floor.  Settling is judged on a pass that narrows every crossing to where
-bisection would end it: two adjacent floats at which e has opposite
-signs.  The reported cost is the sum of the smooth signed integrals of e
-between that pass's crossings at the last ordinates.  The fit has no
-tuning knobs: the stopping rule is that floor, and every integral it
-takes runs at the package's default quadrature budget.
+floor.  Settling is judged on a pass that narrows every crossing to
+where bisection would end it: two adjacent floats at which e has
+opposite signs.  The reported cost is the sum of the smooth signed
+integrals of e between that pass's crossings at the last ordinates.  The
+fit has no tuning knobs: the stopping rule is that floor, and every
+integral it takes runs at the package's default quadrature budget.
 """
 
 from __future__ import annotations
@@ -71,14 +75,6 @@ CURVATURE = 0.9
 # state its step came from (see _line_search).
 FORCING = 1e-4
 TRIAL_WIDTH = 1e-3
-# A dip of |e| holds no missed pair once its minimum is bracketed to
-# DIP_WIDTH times the segment width (see _hidden_pairs).  Each round of the
-# search evaluates DIP_GRID points spread across a dip's bracket.
-# DIP_ROUNDS only bounds a search that rounding keeps from closing; the grid
-# ends every search of the reproduce ops within 10 rounds.
-DIP_WIDTH = 2.4e-11
-DIP_GRID = 8
-DIP_ROUNDS = 100
 MAX_NEWTON_ITERS = 50  # an unsettled fit past this reports converged=False
 
 EPS = float(np.finfo(float).eps)
@@ -179,8 +175,9 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, wid
 
     e is sampled at samples + 1 points per segment.  Every sign change
     between neighbouring samples, and every pair of them hidden between
-    samples of one sign (see _hidden_pairs), is narrowed by roots, starting
-    from the e values already known at its ends, to a bracket no wider than
+    samples of one sign (found from the exact f'; see _hidden_pairs for
+    which can escape), is narrowed by roots, starting from the e values
+    already known at its ends, to a bracket no wider than
     ``width`` times its segment, or to adjacent floats where width is 0.
     A root is then off by up to half that bracket, and a root off by delta
     moves a gradient entry by at most 2 delta, so the settle floor counts
@@ -224,7 +221,8 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, wid
     pos = e >= 0.0
 
     cs, ck = (live[:, None] & (pos[:, :-1] != pos[:, 1:])).nonzero()
-    ds, dl, dm, de, dr = _hidden_pairs(resid, x, e, pos, live, h)
+    s = np.diff(v) / h
+    ds, dl, dm, de, dr = _hidden_pairs(f, resid, x, e, pos, live, s, width * h)
     seg = np.concatenate([cs, ds, ds])
     e_lo = np.concatenate([e[cs, ck], e[ds, dl], de])
     noise = EPS * top[seg]
@@ -250,8 +248,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, wid
     # to the rounding of their difference.
     fr = np.asarray(f.eval(root), dtype=float)
     d1 = np.asarray(f.first_derivative(root), dtype=float)
-    s = (v[seg + 1] - v[seg]) / h[seg]
-    slope = np.maximum(np.abs(d1 - s), EPS * (np.abs(d1) + np.abs(s)))
+    slope = np.maximum(np.abs(d1 - s[seg]), EPS * (np.abs(d1) + np.abs(s[seg])))
 
     def at_roots(left, right):
         return _to_knots(np.bincount(seg, left, minlength=n), np.bincount(seg, right, minlength=n))
@@ -281,19 +278,26 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, wid
     return _Crossings(samples, width, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
 
 
-def _hidden_pairs(resid, x, e, pos, live, h):
+def _hidden_pairs(f, resid, x, e, pos, live, s, width):
     """Crossing pairs closer together than the sample spacing.
 
     Such a pair hides in a dip of |e|: a sample whose neighbours have its
-    sign and larger |e|.  |e| is taken to be unimodal on the dip's bracket,
-    the samples either side (the one inside the segment, at its ends), and
-    _dip_search shrinks that bracket about its minimum, stopping at the
-    first point of the other sign.  A dip without one ends once |e| rises
-    both ways from its lowest point, DIP_WIDTH h / 2 to either side, or once
-    its bracket is no wider than DIP_WIDTH h, so that a pair that escapes is
-    narrower than DIP_WIDTH h and moves a gradient entry by less than
-    OPTIMALITY_TOL / 10 of its hat's integral.  Most dips end in the first
-    round: |e| grows away from the low sample itself.
+    sign and larger |e|.  Between its two crossings e has an extremum of
+    the other sign, at a zero of e' = f' - s (s the segment's slope, f'
+    the target's exact derivative).  f' is taken in one batch at every
+    dip's sample and its two neighbours (the one inside the segment, at
+    its ends), and the bracket next to the dip's sample across which e'
+    turns e back toward the dip's sign is kept.  Where e runs down to a
+    single extremum and back up across the dip's two brackets, as it does
+    around a pair, that extremum is the one zero of e' in the kept
+    bracket.  roots narrows that zero to ``width`` (per segment, the
+    pass's own crossing width; 0: adjacent floats), and e is taken in one
+    batch at both ends of what is left; a value of the other sign starts
+    the pair's two brackets.  A pair holding the extremum but neither end
+    lies between them, so it escapes only where it is narrower than the
+    width, or lies within the span where rounding hides the sign of e'.
+    A pair at a second extremum of e across the dip can escape: the
+    samples and f' there do not tell that such an extremum exists.
     Returns, per pair: segment, sample index left of it, a point of the
     other sign, e there, sample index right of it.
     """
@@ -302,63 +306,35 @@ def _hidden_pairs(resid, x, e, pos, live, h):
     dip[:, 1:] &= (pos[:, 1:] == pos[:, :-1]) & (mag[:, 1:] < mag[:, :-1])
     dip[:, :-1] &= (pos[:, :-1] == pos[:, 1:]) & (mag[:, :-1] <= mag[:, 1:])
     seg, k = dip.nonzero()
-    left, right = np.maximum(k - 1, 0), np.minimum(k + 1, e.shape[1] - 1)
+    none = np.empty(0, dtype=np.intp)
+    empty = none, none, np.empty(0), np.empty(0), none
+    if seg.size == 0:
+        return empty
+    near = np.stack((np.maximum(k - 1, 0), k, np.minimum(k + 1, e.shape[1] - 1)), axis=1)
     toward = np.where(pos[seg, k], 1.0, -1.0)
-    point, value = _dip_search(
-        resid,
-        seg,
-        toward,
-        (x[seg, left], x[seg, right]),
-        (x[seg, k], mag[seg, k]),
-        0.5 * DIP_WIDTH * h[seg],
-    )
-    found = ~np.isnan(point)
-    return seg[found], left[found], point[found], (toward * value)[found], right[found]
+    at = x[seg[:, None], near]
+    d1 = np.asarray(f.first_derivative(at.ravel()), dtype=float).reshape(at.shape)
+    # toward * e' runs from negative to not across the bracket that holds
+    # the extremum; at an end sample the clipped bracket is empty.
+    turn = toward[:, None] * (d1 - s[seg, None])
+    up = (turn[:, :-1] < 0.0) & (turn[:, 1:] >= 0.0)
+    j, i = up.nonzero()
+    seg, toward, lo, hi = seg[j], toward[j], near[j, i], near[j, i + 1]
+    if seg.size == 0:
+        return empty
 
+    def turn_at(u, b):
+        return toward.take(b) * (np.asarray(f.first_derivative(u), dtype=float) - s.take(seg.take(b)))
 
-def _dip_search(resid, seg, toward, bracket, best, reach):
-    """Shrink each bracket [a, b] about the minimum of toward * e.
-
-    ``best`` is the lowest point seen and toward * e there.  Each round
-    evaluates, in one batch, the two probes ``reach`` either side of the
-    lowest point, clipped to the bracket, and DIP_GRID points spread evenly
-    across it.  A dip stops at the first point of the other sign, once the
-    value rises both ways from the lowest point at the probes (a probe
-    clipped to the bracket's end counts as rising), or once the bracket is
-    no wider than 2 reach plus a few ulps of the lowest point; far from the
-    origin reach can be below the float spacing, and only the ulps let such
-    a bracket close.  Otherwise the lowest point moves to the lowest value
-    seen, and the bracket closes to the nearest points evaluated on either
-    side of it, which keeps the minimum of a unimodal value inside.
-    Returns, per dip, the point of the other sign and toward * e there, or
-    NaN for both where the dip ends without one.
-    """
-    (a, b), (x, fx) = bracket, best
-    point, value = np.full(seg.size, np.nan), np.full(seg.size, np.nan)
-    spread = np.arange(1, DIP_GRID + 1) / (DIP_GRID + 1)
-    i = np.arange(seg.size)
-    for _ in range(DIP_ROUNDS):
-        if i.size == 0:
-            break
-        r = reach.take(i)
-        trial = np.empty((i.size, DIP_GRID + 2))
-        np.maximum(x - r, a, out=trial[:, 0])
-        np.minimum(x + r, b, out=trial[:, 1])
-        trial[:, 2:] = a[:, None] + (b - a)[:, None] * spread
-        vals = resid(trial.ravel(), seg.take(i).repeat(trial.shape[1])).reshape(trial.shape)
-        vals *= toward.take(i)[:, None]
-        pick = vals.argmin(axis=1)
-        u, fu = trial[np.arange(i.size), pick], vals[np.arange(i.size), pick]
-        found = fu < 0.0
-        point[i[found]], value[i[found]] = u[found], fu[found]
-        rising = ((trial[:, 0] <= a) | (vals[:, 0] > fx)) & ((trial[:, 1] >= b) | (vals[:, 1] > fx))
-        lower = fu < fx
-        x, fx = np.where(lower, u, x), np.where(lower, fu, fx)
-        a = np.maximum(a, trial.max(axis=1, initial=-np.inf, where=trial < x[:, None]))
-        b = np.minimum(b, trial.min(axis=1, initial=np.inf, where=trial > x[:, None]))
-        going = ~found & ~rising & (b - a > 2.0 * r + 4.0 * EPS * np.abs(x))
-        i, a, b, x, fx = i[going], a[going], b[going], x[going], fx[going]
-    return point, value
+    noise = EPS * (np.maximum(np.abs(d1[j, i]), np.abs(d1[j, i + 1])) + np.abs(s[seg]))
+    w = width.take(seg)
+    mid = roots(turn_at, np.arange(seg.size), x[seg, lo], x[seg, hi], turn[j, i], turn[j, i + 1], noise, w)
+    ends = np.clip(mid[:, None] + 0.5 * w[:, None] * [-1.0, 1.0], x[seg, lo, None], x[seg, hi, None])
+    vals = resid(ends.ravel(), seg.repeat(2)).reshape(ends.shape)
+    pick = (toward[:, None] * vals).argmin(axis=1)[:, None]
+    point, value = np.take_along_axis(ends, pick, 1)[:, 0], np.take_along_axis(vals, pick, 1)[:, 0]
+    found = toward * value < 0.0
+    return seg[found], lo[found], point[found], value[found], hi[found]
 
 
 def _cost(f, p, v, state):
