@@ -40,7 +40,7 @@ import numpy as np
 from . import analysis, fit, functions, partition
 from .core import Partition, PolygonalFunction, TargetFunction
 from .evaluate import bench as bench_evaluator
-from .evaluate import make_evaluator
+from .evaluate import bench_target, make_evaluator
 from .partition import LinearTargetError
 from .quadrature import QuadratureError
 
@@ -396,6 +396,7 @@ def cmd_bench(args) -> int:
         for mode, g in layouts:
             ev = make_evaluator(g, mode)
             result = bench_evaluator(ev, args.n_evals, cfg.seed)
+            target_ns = bench_target(f.eval, a, b, args.n_evals, cfg.seed)
             rows.append(
                 {
                     "n_segments": n,
@@ -405,6 +406,7 @@ def cmd_bench(args) -> int:
                     "n_evals": result.n_evals,
                     "mean_ns": result.mean_ns,
                     "min_ns": result.min_ns,
+                    "target_ns": target_ns,
                     "checksum": result.checksum,
                 }
             )

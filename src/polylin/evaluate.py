@@ -1,12 +1,18 @@
 """Fast evaluation of polygonal functions.
 
+An evaluator builds its table once, when it is made: the ordinates and
+one difference per segment, Δv on a uniform partition and the slope per
+unit x on a general one, plus a sentinel segment at x_N whose difference
+is 0.  A point then costs v[k] + d*Δv[k] or v[k] + (x - x_k)*s[k].
 Uniform partitions locate the segment with one multiply and a floor (no
-search).  General partitions use a guide table built when the evaluator
-is made: O(1) per point, O(log N) worst case for strongly graded knots
-(see _kernels).  That mode keeps the name "binary_search" for API
-stability.  Both use the right-open convention [x_{i-1}, x_i), with
-x = x_N folded into the last segment.  Evaluation runs through the numpy
-kernels in _kernels, and a scalar call is a batch of one.
+search).  General partitions use a guide table: O(1) per point,
+O(log N) worst case for strongly graded knots (see _kernels).  That mode
+keeps the name "binary_search" for API stability.  Both use the
+right-open convention [x_{i-1}, x_i), and x = x_N lands on the sentinel.
+The guide table returns every knot's ordinate bit for bit; the uniform
+lookup does where its float position t rounds to the knot's index (see
+_kernels).  Evaluation runs through the numpy kernels in _kernels, and a
+scalar call is a batch of one.
 
 A batch of at most BLOCK points runs on the calling thread.  A larger one
 is cut into blocks and split into one contiguous run of blocks per CPU in
@@ -37,7 +43,15 @@ import numpy as np
 from . import _kernels
 from .core import PolygonalFunction
 
-__all__ = ["Evaluator", "BenchResult", "make_evaluator", "evaluate", "evaluate_batch", "bench"]
+__all__ = [
+    "Evaluator",
+    "BenchResult",
+    "make_evaluator",
+    "evaluate",
+    "evaluate_batch",
+    "bench",
+    "bench_target",
+]
 
 MODES = ("uniform_direct", "binary_search")
 OUT_OF_DOMAIN = ("error", "clamp")
@@ -64,8 +78,10 @@ class Evaluator:
     source: PolygonalFunction
     mode: str
     out_of_domain: str
-    # The binary_search mode's lookup, built here so no request pays for it.
-    _guide: _kernels.GuideTable | None = field(init=False, repr=False, compare=False)
+    # The mode's lookup table, built here so no request pays for it.
+    _table: _kernels.UniformTable | _kernels.GuideTable = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -74,10 +90,9 @@ class Evaluator:
             raise ValueError(f"unknown out-of-domain policy {self.out_of_domain!r}")
         if self.mode == "uniform_direct" and not self.source.partition.is_uniform:
             raise ValueError("uniform_direct requires a uniform partition")
-        guide = None
-        if self.mode == "binary_search":
-            guide = _kernels.GuideTable.build(self.source.partition.knots)
-        object.__setattr__(self, "_guide", guide)
+        kind = _kernels.UniformTable if self.mode == "uniform_direct" else _kernels.GuideTable
+        table = kind.build(self.source.partition.knots, self.source.ordinates)
+        object.__setattr__(self, "_table", table)
 
     def __call__(self, x):
         if np.ndim(x) == 0:
@@ -179,11 +194,7 @@ def _evaluate_inside(e: Evaluator, xs: np.ndarray, out: np.ndarray | None = None
         # block pays one more pass over its points).
         xs = np.maximum(e.source.partition.a, xs, out=out)
         np.minimum(e.source.partition.b, xs, out=xs)
-    knots = e.source.partition.knots
-    v = e.source.ordinates
-    if e.mode == "uniform_direct":
-        return _kernels.eval_uniform(knots[0], knots[-1], v, xs, out)
-    return _kernels.eval_guided(e._guide, v, xs, out)
+    return e._table.evaluate(xs, out)
 
 
 def _reject(xs: np.ndarray, bad: np.ndarray, a: float, b: float):
@@ -213,19 +224,8 @@ def bench(e: Evaluator, n_evals: int, seed: int) -> BenchResult:
     so it runs on ``workers`` threads, and the times per evaluation are
     wall time across all of them.
     """
-    if n_evals < MIN_BENCH_EVALS:
-        raise ValueError(f"n_evals must be at least {MIN_BENCH_EVALS}")
-    rng = np.random.default_rng(seed)
-    a, b = e.source.partition.a, e.source.partition.b
-    xs = rng.uniform(a, b, n_evals)
-
-    out = evaluate_batch(e, xs)  # warm-up
-    times = []
-    for _ in range(BENCH_REPETITIONS):
-        t0 = time.perf_counter_ns()
-        out = evaluate_batch(e, xs)
-        t1 = time.perf_counter_ns()
-        times.append((t1 - t0) / n_evals)
+    xs = _bench_abscissae(e.source.partition.a, e.source.partition.b, n_evals, seed)
+    times, out = _ns_per_point(lambda x: evaluate_batch(e, x), xs)
     return BenchResult(
         mean_ns=float(np.mean(times)),
         min_ns=float(np.min(times)),
@@ -235,3 +235,31 @@ def bench(e: Evaluator, n_evals: int, seed: int) -> BenchResult:
         backend=_kernels.backend(),
         workers=_WORKERS,
     )
+
+
+def bench_target(fn, a: float, b: float, n_evals: int, seed: int) -> float:
+    """Mean ns per point of fn (a target's own ``eval``) on the abscissae
+    and repetitions that bench times on [a, b] with the same n_evals and
+    seed: the cost the polygon stands in for.  fn runs on the calling
+    thread."""
+    times, _ = _ns_per_point(fn, _bench_abscissae(a, b, n_evals, seed))
+    return float(np.mean(times))
+
+
+def _bench_abscissae(a: float, b: float, n_evals: int, seed: int) -> np.ndarray:
+    if n_evals < MIN_BENCH_EVALS:
+        raise ValueError(f"n_evals must be at least {MIN_BENCH_EVALS}")
+    return np.random.default_rng(seed).uniform(a, b, n_evals)
+
+
+def _ns_per_point(fn, xs: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """ns per point of each of BENCH_REPETITIONS calls fn(xs) after one
+    warm-up call, and the last call's output."""
+    out = fn(xs)  # warm-up
+    times = []
+    for _ in range(BENCH_REPETITIONS):
+        t0 = time.perf_counter_ns()
+        out = fn(xs)
+        t1 = time.perf_counter_ns()
+        times.append((t1 - t0) / xs.size)
+    return times, out

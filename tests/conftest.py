@@ -67,15 +67,22 @@ def shifted_gaussian(center, domain=(0.0, 4.0)):
 
 
 def searched_values(knots, ordinates, xs):
-    """Polygonal values by binary search: the reference for every lookup.
+    """Polygonal values by binary search: the bit-for-bit reference for the
+    table search, with the kernel's arithmetic.
 
-    The segment is the right-open [x_{i-1}, x_i), with x = x_N folded into
-    the last segment.
+    Segment k (0-based) is the right-open [x_k, x_{k+1}), and x = x_N has
+    a segment of its own with slope 0.  The value is v[k] + (x - x_k)*s,
+    s = (v[k+1] - v[k])/(x_{k+1} - x_k), or d*v[k+1] + (1 - d)*v[k],
+    d = (x - x_k)/(x_{k+1} - x_k), where s overflows.
     """
-    i = np.searchsorted(knots, xs, side="right")
-    np.clip(i, 1, knots.size - 1, out=i)
-    d = (xs - knots[i - 1]) / (knots[i] - knots[i - 1])
-    return (1.0 - d) * ordinates[i - 1] + d * ordinates[i]
+    k = np.searchsorted(knots, xs, side="right") - 1
+    k1 = np.minimum(k + 1, knots.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dv = knots[k1] - knots[k], ordinates[k1] - ordinates[k]
+        s = np.where(k1 > k, dv / dx, 0.0)
+        d = (xs - knots[k]) / dx
+        convex = d * ordinates[k1] + (1.0 - d) * ordinates[k]
+        return np.where(np.isfinite(s), ordinates[k] + (xs - knots[k]) * s, convex)
 
 
 def hat_basis(p: Partition, i: int, x):
@@ -114,7 +121,10 @@ def as_target(g: PolygonalFunction) -> TargetFunction:
     def eval(x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        out = searched_values(knots, v, np.atleast_1d(x))
+        x = np.atleast_1d(x)
+        i = np.clip(np.searchsorted(knots, x, side="right"), 1, knots.size - 1)
+        d = (x - knots[i - 1]) / (knots[i] - knots[i - 1])
+        out = (1.0 - d) * v[i - 1] + d * v[i]
         return float(out[0]) if scalar else out
 
     def d1(x):

@@ -422,6 +422,7 @@ def test_bench_single_row_smoke(capsys):
     assert [r["mode"] for r in rows] == ["uniform_direct", "binary_search"]
     for r in rows:
         assert float(r["mean_ns"]) > 0.0
+        assert float(r["target_ns"]) > 0.0
         assert int(r["n_evals"]) == 100000
         assert int(r["workers"]) == importlib.import_module("polylin.evaluate")._WORKERS
 

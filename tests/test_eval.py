@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import searched_values
-from polylin import _kernels
 from polylin._kernels import backend
 from polylin.core import Partition, PolygonalFunction
 from polylin.evaluate import (
@@ -54,12 +53,23 @@ def test_midpoint_example():
 
 def test_knot_exactness_both_modes():
     rng = np.random.default_rng(2)
-    g = _random_polygonal(rng)
-    e_search = make_evaluator(g, "binary_search")
-    assert np.array_equal(evaluate_batch(e_search, g.partition.knots), g.ordinates)
     u = PolygonalFunction(uniform_partition(0.0, 1.0, 4), rng.standard_normal(5))
-    e_direct = make_evaluator(u, "uniform_direct")
-    assert np.array_equal(evaluate_batch(e_direct, u.partition.knots), u.ordinates)
+    # At x_N, v[N-1] + (v[N] - v[N-1]) is 0.7 + (1e-20 - 0.7) = 0, and on
+    # the second set of knots x_N - x_{N-1} = 1 + 1e-17 rounds to 1, so a
+    # difference form that puts x_N in segment N - 1 misses v[N] = 1e-20.
+    steps = PolygonalFunction(uniform_partition(0.0, 1.0, 2), [0.3, 0.7, 1e-20])
+    inexact = PolygonalFunction(Partition([-3.0, -1e-17, 1.0]), [0.3, 0.7, 1e-20])
+    for g, mode in (
+        (_random_polygonal(rng), "binary_search"),
+        (u, "uniform_direct"),
+        (steps, "uniform_direct"),
+        (steps, "binary_search"),
+        (inexact, "binary_search"),
+    ):
+        e = make_evaluator(g, mode)
+        knots = g.partition.knots
+        assert np.array_equal(evaluate_batch(e, knots), g.ordinates), (knots, mode)
+        assert [evaluate(e, x) for x in knots] == list(g.ordinates), (knots, mode)
 
 
 def test_modes_agree_on_uniform_partition():
@@ -95,8 +105,8 @@ def test_segment_lookup_against_linear_scan():
         i = 1
         while i < knots.size - 1 and x >= knots[i]:
             i += 1
-        d = (x - knots[i - 1]) / (knots[i] - knots[i - 1])
-        assert evaluate(e, x) == (1.0 - d) * v[i - 1] + d * v[i]
+        slope = (v[i] - v[i - 1]) / (knots[i] - knots[i - 1])
+        assert evaluate(e, x) == v[i - 1] + (x - knots[i - 1]) * slope
 
 
 INTERVALS = ((0.0, 1.0), (-3.0, 5.0), (1e6, 1e6 + 1e-3))
@@ -129,14 +139,14 @@ def test_guide_table_matches_binary_search(seed, n, log_ratio, monotone, interva
     knots = _graded_knots(rng, n, 10.0**log_ratio, monotone, a, b)
     g = PolygonalFunction(Partition(knots), rng.standard_normal(knots.size))
     e = make_evaluator(g, "binary_search", out_of_domain=policy)
-    guide = e._guide
+    guide = e._table
     edges = a + np.arange(guide.first.size) / guide.scale
     base = np.concatenate([rng.uniform(a, b, 1000), knots, edges[edges <= b]])
     xs = np.concatenate([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)])
     if policy == "error":
         xs = xs[(xs >= a) & (xs <= b)]
     inside = np.clip(xs, a, b)
-    want = np.clip(np.searchsorted(knots, inside, side="right"), 1, knots.size - 1) - 1
+    want = np.searchsorted(knots, inside, side="right") - 1  # x_N: the sentinel N
     assert np.array_equal(guide.segments(inside), want)
     ys = evaluate_batch(e, xs)
     assert np.array_equal(ys, searched_values(knots, g.ordinates, inside))
@@ -149,21 +159,40 @@ def test_strongly_graded_knots_take_the_search_path():
     knots = _graded_knots(rng, 4000, 1e6, True, 0.0, 1.0)
     g = PolygonalFunction(Partition(knots), rng.standard_normal(knots.size))
     e = make_evaluator(g)
-    assert e._guide.crowded is not None
+    assert e._table.crowded is not None
     xs = np.concatenate([rng.uniform(0.0, 1.0, 10_000), knots])
     assert np.array_equal(evaluate_batch(e, xs), searched_values(knots, g.ordinates, xs))
     assert [evaluate(e, x) for x in knots] == list(g.ordinates)
 
 
 def test_subnormal_span_searches_every_point():
-    # m / span overflows, so the table has one cell holding every knot.
+    # m / span overflows, so the table has one cell holding every knot, and
+    # every slope overflows, so every point takes the convex form.
     knots = np.array([0.0, 1e-310, 2.5e-310, 3e-310])
     g = PolygonalFunction(Partition(knots), [1.0, 2.0, 3.0, 4.0])
     e = make_evaluator(g, "binary_search")
     xs = np.concatenate([knots, [0.5e-310, 1.5e-310, 2.7e-310]])
-    want = np.clip(np.searchsorted(knots, xs, side="right"), 1, 3) - 1
-    assert np.array_equal(e._guide.segments(xs), want)
+    assert np.array_equal(e._table.segments(xs), np.searchsorted(knots, xs, side="right") - 1)
     assert np.array_equal(evaluate_batch(e, knots), g.ordinates)
+    inside = evaluate_batch(e, xs[4:])
+    assert np.all(np.isfinite(inside))
+    assert np.array_equal(inside, searched_values(knots, g.ordinates, xs[4:]))
+    assert [evaluate(e, x) for x in xs[4:]] == list(inside)
+
+
+@pytest.mark.parametrize("mode", ["uniform_direct", "binary_search"])
+def test_overflowing_differences_take_the_convex_form(mode):
+    # v[k+1] - v[k] overflows on both segments, so the table marks them
+    # steep and their points take d*v[k+1] + (1 - d)*v[k].
+    g = PolygonalFunction(uniform_partition(0.0, 1.0, 2), [1e308, -1e308, 1.5e308])
+    e = make_evaluator(g, mode)
+    assert e._table.steep is not None
+    xs = np.linspace(0.0, 1.0, 101)
+    got = evaluate_batch(e, xs)
+    assert np.array_equal(got[::50], g.ordinates)
+    ref = searched_values(g.partition.knots, g.ordinates, xs)
+    assert np.all(np.abs(got - ref) <= 1e-12 * 1.5e308)
+    assert [evaluate(e, x) for x in xs] == list(got)
 
 
 def test_out_of_domain_policies():
@@ -311,10 +340,7 @@ def _whole_array(e, xs):
     a, b = e.source.partition.a, e.source.partition.b
     if e.out_of_domain == "clamp":
         xs = np.clip(xs, a, b)
-    v = e.source.ordinates
-    if e.mode == "uniform_direct":
-        return _kernels.eval_uniform(a, b, v, xs)
-    return _kernels.eval_guided(e._guide, v, xs)
+    return e._table.evaluate(xs)
 
 
 def _abscissae(rng, e, size):
@@ -326,7 +352,7 @@ def _abscissae(rng, e, size):
 def test_blocks_match_one_kernel_call_bit_for_bit():
     rng = np.random.default_rng(31)
     cases = list(_block_cases())
-    assert cases[-1]._guide.crowded is not None
+    assert cases[-1]._table.crowded is not None
     for e in cases:
         for size in BLOCK_SIZES:
             xs = _abscissae(rng, e, size)
