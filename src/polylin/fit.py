@@ -12,24 +12,29 @@ from the least-squares projection, and stops once every gradient entry is
 at its rounding floor.
 
 The crossings come from samples of e = f - g at equal steps in each
-segment.  A pair closer together than the step hides in a dip of |e|
-between samples of one sign, around an extremum of e of the other sign.
-Where e runs down to one extremum and back up across the dip's two
-sample brackets, that extremum is the zero of e' = f' - s (s the
+segment; f is sampled once per grid and fit, and every pass takes e from
+those samples.  A pair closer together than the step hides in a dip of
+|e| between samples of one sign, around an extremum of e of the other
+sign.  Where e runs down to one extremum and back up across the dip's
+two sample brackets, that extremum is the zero of e' = f' - s (s the
 segment's slope) in the bracket where e' turns e back.  The zero is
-narrowed on the target's exact f' as far as the crossings are, and e
-taken at both ends of what is left, so a pair is missed only where it is
+narrowed on the target's exact f' as far as the crossings are (to
+adjacent floats on the pass that judges convergence), and e taken at
+both ends of what is left, so a pair is missed only where it is
 narrower than that, or lies within the span where rounding hides the
 sign of e'.  Where e has more than one extremum across the dip, a pair
 at another one can be missed.  Every sign change is then narrowed by
 Chandrupatla's bracketing method.  Its inverse quadratic steps give way
 to halving where they are not trusted, and where rounding leaves e
-nothing but its sign.  A line-search trial narrows each bracket only to
-a width that shrinks with the square of the residual its step started
-from (an inexact Newton step), and counts that width in its rounding
-floor.  Settling is judged on a pass that narrows every crossing to
-where bisection would end it: two adjacent floats at which e has
-opposite signs.  The reported cost is the sum of the smooth signed
+nothing but its sign.  Each pass narrows its brackets only as far as
+its settle test reads them, and counts half that width in its rounding
+floor.  A line-search trial narrows to a width that shrinks with the
+square of the residual its step started from (an inexact Newton step);
+the first pass, from the least-squares start, to that width at the
+largest residual there can be.  Settling is judged on a pass on the
+dense grid at EXACT_WIDTH, a thousandth of the optimality tolerance; a
+trial whose own width would be finer runs as that pass, and settles the
+fit without another.  The reported cost is the sum of the smooth signed
 integrals of e between that pass's crossings at the last ordinates.  The
 fit has no tuning knobs: the stopping rule is that floor, and every
 integral it takes runs at the package's default quadrature budget.
@@ -57,8 +62,9 @@ __all__ = [
 ]
 
 # Crossings of f - g are bracketed on SAMPLES equal subintervals per
-# segment.  A settled iterate is checked again on DENSE subintervals; new
-# crossings there resume the iteration on that grid.
+# segment.  A settled iterate is checked again on DENSE subintervals, where
+# the last trials of a fit also run; new crossings there resume the
+# iteration on that grid.
 SAMPLES = 32
 DENSE = 128
 # Settled once every |gradient_i| is within OPTIMALITY_TOL times the
@@ -75,6 +81,16 @@ CURVATURE = 0.9
 # state its step came from (see _line_search).
 FORCING = 1e-4
 TRIAL_WIDTH = 1e-3
+# The first pass, at the least-squares start, narrows as a trial from the
+# largest residual any ordinates can have: 1, as |integral of sign(e)
+# phi_i| <= integral of phi_i.
+FIRST_WIDTH = min(TRIAL_WIDTH, FORCING)
+# The pass that judges convergence narrows to EXACT_WIDTH of a segment.
+# Half of it counts in the settle floor: a crossing in a segment of width
+# h raises a hat's floor by at most EXACT_WIDTH h, 0.2% of the OPTIMALITY_TOL
+# h / 2 that the hat is allowed at least.  A trial whose forcing width is
+# no wider runs as that pass.
+EXACT_WIDTH = OPTIMALITY_TOL / 1000
 MAX_NEWTON_ITERS = 50  # an unsettled fit past this reports converged=False
 
 EPS = float(np.finfo(float).eps)
@@ -87,7 +103,7 @@ class FitReport:
     ``optimality_residual`` is max_i |integral of sign(f - g) phi_i| /
     integral of phi_i at the returned ordinates, from the located
     crossings (on a converged fit, those of the DENSE pass that narrows
-    each to adjacent floats); it is 0 at the exact minimizer.
+    each to EXACT_WIDTH of its segment); it is 0 at the exact minimizer.
     ``converged`` means that each of those gradient entries is within
     OPTIMALITY_TOL of its hat's integral, plus the amount by which
     rounding could move it: a crossing r is known only to ROOT_ULPS ulps
@@ -150,12 +166,36 @@ def _to_knots(left, right):
 
 
 @dataclass(frozen=True)
+class _Grid:
+    """samples + 1 equally spaced points per segment, ends on its knots, and
+    f there: what every crossing pass on this grid starts from."""
+
+    samples: int
+    x: np.ndarray  # one row of abscissae per segment
+    rows: np.ndarray  # the segment of each point of x.ravel()
+    d: np.ndarray  # (x - left knot) / width, per point of x.ravel()
+    fx: np.ndarray  # f at x.ravel()
+
+
+def _grid(f: TargetFunction, p: Partition, samples: int) -> _Grid:
+    knots, h, n = p.knots, p.widths, p.n_segments
+    x = knots[:-1, None] + h[:, None] * (np.arange(samples + 1) / samples)
+    x[:, -1] = knots[1:]
+    rows = np.arange(n).repeat(samples + 1)
+    flat = x.ravel()
+    d = (flat - knots.take(rows)) / h.take(rows)
+    return _Grid(samples, x, rows, d, np.asarray(f.eval(flat), dtype=float))
+
+
+@dataclass(frozen=True)
 class _Crossings:
     """The exact L1 gradient and generalized Hessian at some ordinates, and
     the crossings of f - g they come from."""
 
-    samples: int
-    width: float  # each crossing's bracket width, relative to its segment; 0: adjacent floats
+    grid: _Grid
+    # Each crossing's bracket width, relative to its segment: FIRST_WIDTH,
+    # a trial's forcing width or EXACT_WIDTH in a fit; 0: adjacent floats.
+    width: float
     roots: np.ndarray  # every located crossing, in no particular order
     segments: np.ndarray  # the segment of each root
     start: np.ndarray  # sign of e at each segment's left knot; 0 on a fitted segment
@@ -170,40 +210,43 @@ class _Crossings:
         return self.roots.size
 
 
-def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, width: float = 0.0) -> _Crossings:
+def _crossings(
+    f: TargetFunction, p: Partition, v: np.ndarray, grid: _Grid | int, width: float = 0.0
+) -> _Crossings:
     """Locate the sign changes of e = f - g and assemble the Newton pieces.
 
-    e is sampled at samples + 1 points per segment.  Every sign change
+    e is taken on ``grid`` (or on a grid of that many samples per segment,
+    sampled here) from the f values already there.  Every sign change
     between neighbouring samples, and every pair of them hidden between
     samples of one sign (found from the exact f'; see _hidden_pairs for
     which can escape), is narrowed by roots, starting from the e values
     already known at its ends, to a bracket no wider than
     ``width`` times its segment, or to adjacent floats where width is 0.
-    A root is then off by up to half that bracket, and a root off by delta
-    moves a gradient entry by at most 2 delta, so the settle floor counts
-    the half-width along with each root's rounding.  Where e is 0 exactly
-    at a knot, the sign of e just inside the segment stands in for it, as
-    in ``polylin.analysis``, and a bracket that ends on such a stand-in is
-    halved.  A segment whose samples of e all sit within rounding of its
-    largest |f| + |g| counts as fitted: it adds nothing to the gradient or
-    the Hessian.  (Rounding of each sample's own |f| + |g| would vanish
-    where f crosses zero, and a line's noise there would read as
-    crossings.)
+    The zeros of e' that locate hidden pairs are narrowed to the same
+    width, except on a pass at EXACT_WIDTH or finer, where they go to
+    adjacent floats.  A root is then off by up to half its bracket, and a
+    root off by delta moves a gradient entry by at most 2 delta, so the
+    settle floor counts the half-width along with each root's rounding.
+    Where e is 0 exactly at a knot, the sign of e just inside the segment
+    stands in for it, as in ``polylin.analysis``, and a bracket that ends
+    on such a stand-in is halved.  A segment whose samples of e all sit
+    within rounding of its largest |f| + |g| counts as fitted: it adds
+    nothing to the gradient or the Hessian.  (Rounding of each sample's own
+    |f| + |g| would vanish where f crosses zero, and a line's noise there
+    would read as crossings.)
     """
     knots, h, n = p.knots, p.widths, p.n_segments
+    if not isinstance(grid, _Grid):
+        grid = _grid(f, p, grid)
 
-    def line(x, seg, w=v):
-        d = (x - knots.take(seg)) / h.take(seg)
+    def line(d, seg, w=v):
         return (1.0 - d) * w.take(seg) + d * w[1:].take(seg)
 
     def resid(x, seg):
-        return np.asarray(f.eval(x), dtype=float) - line(x, seg)
+        return np.asarray(f.eval(x), dtype=float) - line((x - knots.take(seg)) / h.take(seg), seg)
 
-    x = knots[:-1, None] + h[:, None] * (np.arange(samples + 1) / samples)
-    x[:, -1] = knots[1:]
-    rows = np.arange(n).repeat(samples + 1)
-    fx = np.asarray(f.eval(x.ravel()), dtype=float)
-    e = (fx - line(x.ravel(), rows)).reshape(x.shape)
+    x, rows, fx = grid.x, grid.rows, grid.fx
+    e = (fx - line(grid.d, rows)).reshape(x.shape)
     # e = 0 exactly at a knot, as at every knot of an interpolant, stands
     # in for the sign of e just inside the segment (see polylin.analysis),
     # so a lobe between the knot and the next sample is bracketed.
@@ -214,7 +257,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, wid
             e[:, col] = np.where(at_knot[:, col], signs, e[:, col])
         stand_in = np.zeros(e.shape, dtype=bool)
         stand_in[:, [0, -1]] = at_knot
-    scale = (np.abs(fx) + line(x.ravel(), rows, np.abs(v))).reshape(x.shape)
+    scale = (np.abs(fx) + line(grid.d, rows, np.abs(v))).reshape(x.shape)
     emax = np.abs(e).max(axis=1)
     top = scale.max(axis=1)
     live = emax > ROOT_ULPS * EPS * top
@@ -222,7 +265,8 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, wid
 
     cs, ck = (live[:, None] & (pos[:, :-1] != pos[:, 1:])).nonzero()
     s = np.diff(v) / h
-    ds, dl, dm, de, dr = _hidden_pairs(f, resid, x, e, pos, live, s, width * h)
+    hidden = width if width > EXACT_WIDTH else 0.0
+    ds, dl, dm, de, dr = _hidden_pairs(f, resid, x, e, pos, live, s, hidden * h)
     seg = np.concatenate([cs, ds, ds])
     e_lo = np.concatenate([e[cs, ck], e[ds, dl], de])
     noise = EPS * top[seg]
@@ -262,7 +306,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, wid
     w = 2.0 / slope
     diag = at_roots(w * (1.0 - r) ** 2, w * r * r)
     off = np.bincount(seg, w * r * (1.0 - r), minlength=n)
-    delta = ROOT_ULPS * EPS * (np.abs(fr) + line(root, seg, np.abs(v))) / slope + 2.0 * EPS * np.abs(root)
+    delta = ROOT_ULPS * EPS * (np.abs(fr) + line(r, seg, np.abs(v))) / slope + 2.0 * EPS * np.abs(root)
     delta += 0.5 * width * h[seg]
     floor = at_roots(2.0 * (1.0 - r) * delta, 2.0 * r * delta)
     mass = _to_knots(0.5 * h, 0.5 * h)
@@ -275,7 +319,7 @@ def _crossings(f: TargetFunction, p: Partition, v: np.ndarray, samples: int, wid
     diag = np.maximum(diag, np.divide(np.abs(grad), reach, out=np.zeros(n + 1), where=reach > 0.0))
     diag[diag == 0.0] = 1.0
     settled = bool((np.abs(grad) <= OPTIMALITY_TOL * mass + floor).all())
-    return _Crossings(samples, width, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
+    return _Crossings(grid, width, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
 
 
 def _hidden_pairs(f, resid, x, e, pos, live, s, width):
@@ -290,8 +334,9 @@ def _hidden_pairs(f, resid, x, e, pos, live, s, width):
     turns e back toward the dip's sign is kept.  Where e runs down to a
     single extremum and back up across the dip's two brackets, as it does
     around a pair, that extremum is the one zero of e' in the kept
-    bracket.  roots narrows that zero to ``width`` (per segment, the
-    pass's own crossing width; 0: adjacent floats), and e is taken in one
+    bracket.  roots narrows that zero to ``width`` (per segment: the
+    pass's own crossing width, or 0, adjacent floats, on a pass at
+    EXACT_WIDTH or finer; see _crossings), and e is taken in one
     batch at both ends of what is left; a value of the other sign starts
     the pair's two brackets.  A pair holding the extremum but neither end
     lies between them, so it escapes only where it is narrower than the
@@ -368,7 +413,7 @@ def _cost(f, p, v, state):
     return float(np.sum(integrate_segments(signed, panels=(lo, hi, np.arange(seg.size), seg.size))))
 
 
-def _line_search(f, p, v, step, state):
+def _line_search(f, p, v, step, state, dense):
     """Step length along a Newton direction, from gradients alone.
 
     The cost is convex along the line, so its slope grad(v + alpha s) . s
@@ -384,15 +429,19 @@ def _line_search(f, p, v, step, state):
     1982).  A crossing off by w of its segment moves a residual entry by at
     most about w, so each trial narrows its crossings to FORCING r^2 of
     their segment, at most TRIAL_WIDTH, with r the largest residual of
-    ``state``; its settle floor grows to match (see _crossings).  The
-    pass that judges convergence is exact (see best_l1_fit).
+    ``state``; its settle floor grows to match (see _crossings).  Trials
+    take e on the grid of ``state``, but where that width is no wider than
+    EXACT_WIDTH, they run as the pass that judges convergence: on the
+    ``dense`` grid at EXACT_WIDTH (see best_l1_fit).
     """
     d0 = float(np.dot(state.grad, step))
     merit = float(np.linalg.norm(state.residual))
-    width = min(TRIAL_WIDTH, FORCING * float(np.max(state.residual)) ** 2)
+    grid, width = state.grid, min(TRIAL_WIDTH, FORCING * float(np.max(state.residual)) ** 2)
+    if width <= EXACT_WIDTH:
+        grid, width = dense, EXACT_WIDTH
     lo, d_lo, hi, d_hi, alpha = 0.0, d0, 1.0, 0.0, 1.0
     for used in range(1, MAX_LINE_STEPS + 1):
-        trial = _crossings(f, p, v + alpha * step, state.samples, width)
+        trial = _crossings(f, p, v + alpha * step, grid, width)
         slope = float(np.dot(trial.grad, step))
         if (
             trial.settled
@@ -417,19 +466,25 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
     entry of the exact L1 gradient reached its rounding floor and denser
     sampling found no further crossings within MAX_NEWTON_ITERS Newton
     iterations.  That is judged on a DENSE pass that narrows every
-    crossing to adjacent floats, whatever the line search's trials did,
-    and the reported cost and residual come from it.  Divergence does not
-    raise: the last iterate is returned with converged=False, and with
-    final_cost NaN when the quadrature cannot integrate its error.  A
-    converged fit whose cost quadrature fails raises QuadratureError.
+    crossing to EXACT_WIDTH, whatever the line search's trials did, and
+    the reported cost and residual come from it.  A settled trial that
+    already ran as that pass is the check itself; any other settled state
+    is checked by one more pass.  The first pass, from the least-squares
+    start, narrows only to FIRST_WIDTH.  f is sampled once on each grid,
+    SAMPLES and DENSE, and every pass takes e from those samples.
+    Divergence does not raise: the last iterate is returned with
+    converged=False, and with final_cost NaN when the quadrature cannot
+    integrate its error.  A converged fit whose cost quadrature fails
+    raises QuadratureError.
     """
     v = l2_projection(f, p).ordinates.copy()
-    state = _crossings(f, p, v, SAMPLES)
+    dense = _grid(f, p, DENSE)
+    state = _crossings(f, p, v, _grid(f, p, SAMPLES), FIRST_WIDTH)
     evals, iterations, converged = 1, 0, False
     while True:
         if state.settled:
-            exact = state.samples == DENSE and state.width == 0.0
-            check = state if exact else _crossings(f, p, v, DENSE)
+            exact = state.grid is dense and state.width == EXACT_WIDTH
+            check = state if exact else _crossings(f, p, v, dense, EXACT_WIDTH)
             evals += check is not state
             converged = check.settled and check.n_roots == state.n_roots
             state = check
@@ -445,7 +500,7 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
         if not np.all(np.isfinite(step)):
             break
         iterations += 1
-        trial, alpha, used = _line_search(f, p, v, step, state)
+        trial, alpha, used = _line_search(f, p, v, step, state, dense)
         evals += used
         if trial is None:
             break

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylin import analysis, cli, partition
+from polylin import analysis, cli, fit, partition
 from polylin.core import PolygonalFunction
 from polylin.fit import FitReport
 from polylin.partition import uniform_partition
+from polylin.quadrature import QuadratureError
 
 
 def run(capsys, *argv):
@@ -319,9 +320,15 @@ def test_unconverged_fit_exits_3(capsys, monkeypatch):
     assert code == 3 and "converge" in err
 
 
-def test_diverged_fit_reports_non_convergence(capsys):
-    # The cost quadrature fails on the diverged ordinates; the message must
-    # name the fit's non-convergence, not that quadrature failure.
+def test_diverged_fit_reports_non_convergence(capsys, monkeypatch):
+    # The fit is stopped before its first Newton step and its cost
+    # quadrature fails; the message must name the fit's non-convergence,
+    # not that quadrature failure.
+    def failing_cost(*args):
+        raise QuadratureError("cost quadrature failed")
+
+    monkeypatch.setattr(fit, "MAX_NEWTON_ITERS", 0)
+    monkeypatch.setattr(fit, "_cost", failing_cost)
     code, out, err = run(
         capsys, "error", "--function", "expr:exp(-x^2/2)/sqrt(2*pi)",
         "--interval", "0", "8", "--segments", "8", "--fit", "l1",

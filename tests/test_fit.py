@@ -291,10 +291,10 @@ def test_experiment_fit_cost_matches_l1_distance(name, interval, n):
 @pytest.mark.parametrize("name, interval, n", EXPERIMENT_FITS)
 def test_experiment_fit_reports_come_from_an_exact_dense_pass(name, interval, n):
     # Line-search trials narrow their crossings only partway; the reported
-    # residual and cost are those of a DENSE pass to adjacent floats.
+    # residual and cost are those of a DENSE pass to EXACT_WIDTH.
     for layout in ("uniform", "optimized"):
         f, g, report = _experiment_fit(name, interval, n, layout)
-        state = fit._crossings(f, g.partition, g.ordinates, fit.DENSE)
+        state = fit._crossings(f, g.partition, g.ordinates, fit.DENSE, fit.EXACT_WIDTH)
         assert state.settled, layout
         assert report.optimality_residual == float(np.max(state.residual)), layout
         assert report.final_cost == fit._cost(f, g.partition, g.ordinates, state), layout
@@ -302,14 +302,16 @@ def test_experiment_fit_reports_come_from_an_exact_dense_pass(name, interval, n)
 
 def test_partial_narrowing_adds_no_newton_steps():
     # The six fits of the benchmark's reproduce ops took 77 crossing passes
-    # in all when every line-search trial narrowed to adjacent floats.
+    # in all when every line-search trial narrowed to adjacent floats, and
+    # 71 once the first pass is inexact and the last trial is the exact
+    # check.
     evals = 0
     for name, interval, n in EXPERIMENT_FITS[:3]:
         for layout in ("uniform", "optimized"):
             _f, _g, report = _experiment_fit(name, interval, n, layout)
             assert report.converged, (name, interval, layout)
             evals += report.function_evals
-    assert evals <= 77
+    assert evals <= 71
 
 
 def test_coarse_trials_still_converge_on_the_exact_pass(monkeypatch):
@@ -400,57 +402,104 @@ def test_crossings_find_pairs_hidden_between_samples():
 
 
 def _count_crossing_batches(monkeypatch):
-    """Count the crossing passes, and the f and f' batches sent to a target
-    wrapped by the returned ``counting`` from inside them."""
-    calls, batches, inside = [0], [0], [False]
+    """Record the crossing passes (the state each returned), and the f and
+    f' batches sent to a target wrapped by the returned ``counting``: its
+    kind ("f" or "d1"), its size, and whether a pass sent it."""
+    passes, batches, inside = [], [], [False]
     search = fit._crossings
 
-    def counted(f, p, v, samples, width=0.0):
-        calls[0] += 1
+    def counted(f, p, v, grid, width=0.0):
         inside[0] = True
         try:
-            return search(f, p, v, samples, width)
+            state = search(f, p, v, grid, width)
         finally:
             inside[0] = False
+        passes.append(state)
+        return state
 
     def counting(f):
         def eval_counted(x, real=f.eval):
-            batches[0] += inside[0]
+            batches.append(("f", np.size(x), inside[0]))
             return real(x)
 
         def d1_counted(x, real=f.first_derivative):
-            batches[0] += inside[0]
+            batches.append(("d1", np.size(x), inside[0]))
             return real(x)
 
         return dataclasses.replace(f, eval=eval_counted, first_derivative=d1_counted)
 
     monkeypatch.setattr(fit, "_crossings", counted)
-    return calls, batches, counting
+    return passes, batches, counting
+
+
+def _counted_reproduce_fits(monkeypatch):
+    """The six fits of the benchmark's reproduce ops, each with the passes
+    and target batches it made (see _count_crossing_batches)."""
+    passes, batches, counting = _count_crossing_batches(monkeypatch)
+    fits = []
+    for name, (a, b), n in EXPERIMENT_FITS[:3]:
+        f = gaussian((a, b)) if name == "gaussian" else chirp((a, b))
+        for p in (uniform_partition(a, b, n), optimized_partition(f, a, b, n)):
+            first_pass, first_batch = len(passes), len(batches)
+            _g, report = best_l1_fit(counting(f), p)
+            assert report.converged
+            fits.append((p, report, passes[first_pass:], batches[first_batch:]))
+    return fits
 
 
 def test_crossing_search_takes_few_target_batches(monkeypatch):
-    # The three fits of the benchmark's reproduce ops, counting the batches
-    # of f and f' the crossing search sends to the target
-    # (host-independent).  The bisection and 45-step golden search it
-    # replaced sent 87 per call.
-    calls, batches, counting = _count_crossing_batches(monkeypatch)
-    ops = ((gaussian, (0.0, 4.0), 63), (chirp, (0.0, 1.0), 31), (gaussian, (0.0, 8.0), 63))
-    for target, (a, b), n in ops:
-        f = target((a, b))
-        for p in (uniform_partition(a, b, n), optimized_partition(f, a, b, n)):
-            _g, report = best_l1_fit(counting(f), p)
-            assert report.converged
-    assert batches[0] / calls[0] <= 13.0, (batches[0], calls[0])
+    # The six fits of the benchmark's reproduce ops, counting the batches of
+    # f and f' the crossing passes send to the target (host-independent).
+    # The bisection and 45-step golden search it replaced sent 87 per pass.
+    # When every exact pass narrowed to adjacent floats and each pass
+    # sampled f itself, the six sent 980 in all.
+    fits = _counted_reproduce_fits(monkeypatch)
+    n_passes = sum(len(passes) for _p, _r, passes, _b in fits)
+    inside = sum(inner for *_fit, batches in fits for _kind, _size, inner in batches)
+    assert inside <= 613, inside
+    assert inside / n_passes <= 13.0, (inside, n_passes)
+
+
+def test_each_fit_samples_each_grid_once(monkeypatch):
+    # Every pass takes e from one set of samples of f per grid.
+    for p, _report, _passes, batches in _counted_reproduce_fits(monkeypatch):
+        sizes = [size for kind, size, _inner in batches if kind == "f"]
+        assert sizes.count(p.n_segments * (fit.SAMPLES + 1)) == 1
+        assert sizes.count(p.n_segments * (fit.DENSE + 1)) == 1
+
+
+def test_converged_fit_ends_on_an_exact_dense_pass(monkeypatch):
+    # The pass that judges convergence is the last one, and the report
+    # comes from it.  On these fits it is the last line-search trial: the
+    # pass before it did not settle, so no second pass checked it.
+    for _p, report, passes, _batches in _counted_reproduce_fits(monkeypatch):
+        last = passes[-1]
+        assert (last.grid.samples, last.width) == (fit.DENSE, fit.EXACT_WIDTH)
+        assert last.settled and not passes[-2].settled
+        assert report.optimality_residual == float(np.max(last.residual))
+        assert report.function_evals == len(passes)
+
+
+def test_exact_pass_finds_the_narrowest_hidden_pairs():
+    # A pair 2e-14 wide is far narrower than EXACT_WIDTH; the exact pass
+    # still finds it, as it narrows the zeros of e' to adjacent floats.
+    p = Partition([0.0, 1.0])
+    for centres in ((0.012, 0.5 + 0.4 / fit.SAMPLES), (0.0011, 0.5 + 0.97 / fit.SAMPLES)):
+        f = _two_hidden_pairs(*centres, 1e-14)
+        assert np.all(f.eval(np.arange(fit.DENSE + 1) / fit.DENSE) > 0.0)
+        state = fit._crossings(f, p, np.zeros(2), fit.DENSE, fit.EXACT_WIDTH)
+        assert state.n_roots == 4, centres
 
 
 def test_dips_far_from_the_origin_close(monkeypatch):
     # On [1e6, 1e6 + 4] the float spacing is about 1e-10, so the zeros of
     # e' that locate hidden pairs are narrowed where few floats are left.
-    # Both fits converge in the same steps as before, and the search costs
-    # fewer target batches per pass than on the reproduce fits.  (The name
-    # dates from the dip search this once checked, whose brackets had to
-    # close there.)
-    calls, batches, counting = _count_crossing_batches(monkeypatch)
+    # Both fits converge in the same Newton steps as before (each one's last
+    # trial is now its exact check, so each takes one pass fewer than it
+    # did), and the search costs fewer target batches per pass than on
+    # the reproduce fits.  (The name dates from the dip search this once
+    # checked, whose brackets had to close there.)
+    passes, batches, counting = _count_crossing_batches(monkeypatch)
     a, b = 1e6, 1e6 + 4.0
     f = expression("exp(-(x-1000000)^2/2)", (a, b))
     steps = []
@@ -458,8 +507,9 @@ def test_dips_far_from_the_origin_close(monkeypatch):
         _g, report = best_l1_fit(counting(f), p)
         assert report.converged
         steps.append((report.iterations, report.function_evals))
-    assert steps == [(4, 6), (5, 10)]
-    assert batches[0] / calls[0] <= 11.0, (batches[0], calls[0])
+    assert steps == [(4, 5), (5, 9)]
+    inside = sum(inner for _kind, _size, inner in batches)
+    assert inside / len(passes) <= 11.0, (inside, len(passes))
 
 
 def test_sweep_fits_reach_optimality(gaussian_sweep):
@@ -493,12 +543,14 @@ def test_unconverged_fit_reports_honestly(monkeypatch):
 
 
 def test_diverged_fit_reports_nan_cost(monkeypatch):
-    # The Newton iteration runs off on this target.  Where its last iterate
-    # is too rough for the cost quadrature (here the quadrature is made to
-    # fail), the report says so with a NaN cost; it does not raise.
+    # Where the last iterate of a fit that did not converge is too rough for
+    # the cost quadrature (here the fit is stopped before its first Newton
+    # step, and the quadrature is made to fail), the report says so with a
+    # NaN cost; it does not raise.
     def failing_cost(*args):
         raise QuadratureError("cost quadrature failed")
 
+    monkeypatch.setattr(fit, "MAX_NEWTON_ITERS", 0)
     monkeypatch.setattr(fit, "_cost", failing_cost)
     f = expression("exp(-x^2/2)/sqrt(2*pi)", (0.0, 8.0))
     g, report = best_l1_fit(f, uniform_partition(0.0, 8.0, 8))
