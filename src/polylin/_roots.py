@@ -3,6 +3,13 @@
 Used for the crossings of f - g in the best-L1 fit, for the zeros of f''
 that the curvature integrals are cut at, and for the sign changes at
 which the quadrature's absolute mode cuts a panel.
+
+A value no larger in size than TINY, the smallest normal double, has a
+sign but no size: it is 0, or the stand-in that ``polylin.analysis``
+writes where e = f - g is 0 exactly at a knot.  A bracket that starts on
+such a value is halved, since a step from it would land next to that end,
+in the rounding of e, and miss a lobe between the end and the root.  This
+is the one place that reads the stand-in.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["roots"]
+
+TINY = float(np.finfo(float).tiny)
 
 
 def roots(resid, seg, lo, hi, e_lo, e_hi, noise, width=0.0):
@@ -27,7 +36,8 @@ def roots(resid, seg, lo, hi, e_lo, e_hi, noise, width=0.0):
     bracket's ``width``, or the span over which e moves by ``noise`` (its
     rounding), whichever is widest.  A point that closes in on the root
     from one side is then followed by one past it, and where rounding
-    blurs the sign of e the bracket is halved instead of crept along.
+    blurs the sign of e the bracket is halved instead of crept along; so
+    is, all the way, a bracket with an end given as no larger than TINY.
     Once every open bracket lies within that rounding, where e tells no
     more than its sign, bisect finishes them.  A bracket is done once it
     is no wider than its ``width`` (a scalar or one per bracket), or once
@@ -39,13 +49,13 @@ def roots(resid, seg, lo, hi, e_lo, e_hi, noise, width=0.0):
     """
     root = np.empty(lo.size)
     idx = np.arange(lo.size)
+    noise = np.where((np.abs(e_lo) <= TINY) | (np.abs(e_hi) <= TINY), np.inf, noise)
     width = np.broadcast_to(np.asarray(width, dtype=float), lo.shape)
     x1, f1, x2, f2, x3, f3 = hi, e_hi, lo, e_lo, lo, e_lo
     t = e_hi / (e_hi - e_lo)
     # The inverse quadratic divides by f3 - f1, which is zero only where
     # the interpolation is already rejected; so is every quotient that
-    # overflows next to an e as small as a knot's stand-in (see
-    # polylin.fit).
+    # overflows next to an e as small as TINY.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             a, b = np.minimum(x1, x2), np.maximum(x1, x2)

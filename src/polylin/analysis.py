@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import TINY
 from .core import PolygonalFunction, TargetFunction, VectorTargetFunction
 from .partition import (
     KnotDistribution,
@@ -70,14 +71,14 @@ def _knot_signs(f: TargetFunction, knots: np.ndarray, h: np.ndarray, v: np.ndarr
     """The stand-ins for e = f - g where it is 0 exactly at a segment's
     left or right knot, one pair of arrays over the segments: the sign of e
     just inside the segment (of f' - s at the left knot and of s - f' at
-    the right one, s the segment's slope) at the smallest normal size,
-    which moves no sum of samples.  A zero or non-finite f' - s gives 0."""
+    the right one, s the segment's slope) at size TINY, which moves no sum
+    of samples, and which ``polylin._roots`` reads as a sign alone.  A zero
+    or non-finite f' - s gives 0."""
     s = np.diff(v) / h
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d1 = np.asarray(f.first_derivative(knots), dtype=float)
         left, right = d1[:-1] - s, s - d1[1:]
-    tiny = np.finfo(float).tiny
-    return tuple(np.where(np.isfinite(t), np.sign(t) * tiny, 0.0) for t in (left, right))
+    return tuple(np.where(np.isfinite(t), np.sign(t) * TINY, 0.0) for t in (left, right))
 
 
 def _residual(f: TargetFunction, g: PolygonalFunction):
@@ -104,13 +105,13 @@ def _residual(f: TargetFunction, g: PolygonalFunction):
 def per_interval_errors(f: TargetFunction, g: PolygonalFunction) -> np.ndarray:
     """L1 error contributed by each segment of g's partition.
 
-    The quadrature's absolute mode cuts each crossing of e = f - g inside
-    a segment at its root, so both sides integrate as smooth panels.
-    Where e is exactly 0 at a knot, as at every knot of an interpolant, the
-    sign of f' - s there (s the segment's slope) tells the quadrature which
-    sign e takes just inside the segment; a sign change against the knot
-    is bisected, so a lobe between the knot and the nearest sample is
-    still located and integrated.
+    The quadrature's absolute mode cuts each crossing of e = f - g at its
+    root, so both sides integrate as smooth panels.  Where e is exactly 0
+    at a knot, as at every knot of an interpolant, the sign of f' - s there
+    (s the segment's slope) tells the quadrature which sign e takes just
+    inside the segment; the root finder halves a bracket that starts on
+    that sign, so a lobe between the knot and the nearest sample is still
+    located and integrated.
     """
     _check_interval(f, g.partition.a, g.partition.b)
     return integrate_segments(_residual(f, g), g.partition.knots, absolute=True)

@@ -77,14 +77,11 @@ REG = 1e-12  # Hessian regularization, relative to each row's own diagonal
 MAX_LINE_STEPS = 30  # trial step lengths per Newton step (see _line_search)
 CURVATURE = 0.9
 # A line-search trial narrows its crossings to FORCING r^2 of their
-# segment, at most TRIAL_WIDTH, where r is the largest residual of the
-# state its step came from (see _line_search).
+# segment, where r is the largest residual of the state its step came from
+# (see _line_search).  No residual exceeds 1, as |integral of sign(e)
+# phi_i| <= integral of phi_i, so the first pass, at the least-squares
+# start, narrows as a trial from that largest residual: to FORCING.
 FORCING = 1e-4
-TRIAL_WIDTH = 1e-3
-# The first pass, at the least-squares start, narrows as a trial from the
-# largest residual any ordinates can have: 1, as |integral of sign(e)
-# phi_i| <= integral of phi_i.
-FIRST_WIDTH = min(TRIAL_WIDTH, FORCING)
 # The pass that judges convergence narrows to EXACT_WIDTH of a segment.
 # Half of it counts in the settle floor: a crossing in a segment of width
 # h raises a hat's floor by at most EXACT_WIDTH h, 0.2% of the OPTIMALITY_TOL
@@ -193,8 +190,9 @@ class _Crossings:
     the crossings of f - g they come from."""
 
     grid: _Grid
-    # Each crossing's bracket width, relative to its segment: FIRST_WIDTH,
-    # a trial's forcing width or EXACT_WIDTH in a fit; 0: adjacent floats.
+    # Each crossing's bracket width, relative to its segment: FORCING on
+    # the first pass, a trial's forcing width or EXACT_WIDTH in a fit; 0:
+    # adjacent floats.
     width: float
     roots: np.ndarray  # every located crossing, in no particular order
     segments: np.ndarray  # the segment of each root
@@ -228,12 +226,12 @@ def _crossings(
     root off by delta moves a gradient entry by at most 2 delta, so the
     settle floor counts the half-width along with each root's rounding.
     Where e is 0 exactly at a knot, the sign of e just inside the segment
-    stands in for it, as in ``polylin.analysis``, and a bracket that ends
-    on such a stand-in is halved.  A segment whose samples of e all sit
-    within rounding of its largest |f| + |g| counts as fitted: it adds
-    nothing to the gradient or the Hessian.  (Rounding of each sample's own
-    |f| + |g| would vanish where f crosses zero, and a line's noise there
-    would read as crossings.)
+    stands in for it, as in ``polylin.analysis``, and roots halves a
+    bracket that starts on such a stand-in.  A segment whose samples of e
+    all sit within rounding of its largest |f| + |g| counts as fitted: it
+    adds nothing to the gradient or the Hessian.  (Rounding of each
+    sample's own |f| + |g| would vanish where f crosses zero, and a line's
+    noise there would read as crossings.)
     """
     knots, h, n = p.knots, p.widths, p.n_segments
     if not isinstance(grid, _Grid):
@@ -249,14 +247,12 @@ def _crossings(
     e = (fx - line(grid.d, rows)).reshape(x.shape)
     # e = 0 exactly at a knot, as at every knot of an interpolant, stands
     # in for the sign of e just inside the segment (see polylin.analysis),
-    # so a lobe between the knot and the next sample is bracketed.
-    stand_in = None
+    # so a lobe between the knot and the next sample is bracketed; roots
+    # halves a bracket that starts on the stand-in, so the lobe is found.
     at_knot = e[:, [0, -1]] == 0.0
     if at_knot.any():
         for col, signs in zip((0, -1), _knot_signs(f, knots, h, v)):
             e[:, col] = np.where(at_knot[:, col], signs, e[:, col])
-        stand_in = np.zeros(e.shape, dtype=bool)
-        stand_in[:, [0, -1]] = at_knot
     scale = (np.abs(fx) + line(grid.d, rows, np.abs(v))).reshape(x.shape)
     emax = np.abs(e).max(axis=1)
     top = scale.max(axis=1)
@@ -269,13 +265,6 @@ def _crossings(
     ds, dl, dm, de, dr = _hidden_pairs(f, resid, x, e, pos, live, s, hidden * h)
     seg = np.concatenate([cs, ds, ds])
     e_lo = np.concatenate([e[cs, ck], e[ds, dl], de])
-    noise = EPS * top[seg]
-    if stand_in is not None:
-        # A stand-in has a sign but no size, so a bracket that ends on one
-        # is halved: a step from its value would land next to the knot, in
-        # the rounding of e, and miss the lobe.
-        ends = np.concatenate([stand_in[cs, ck] | stand_in[cs, ck + 1], stand_in[ds, dl], stand_in[ds, dr]])
-        noise[ends] = np.inf
     root = roots(
         resid,
         seg,
@@ -283,7 +272,7 @@ def _crossings(
         np.concatenate([x[cs, ck + 1], dm, x[ds, dr]]),
         e_lo,
         np.concatenate([e[cs, ck + 1], de, e[ds, dr]]),
-        noise,
+        EPS * top[seg],
         width * h[seg],
     )
     r = (root - knots[seg]) / h[seg]
@@ -428,15 +417,15 @@ def _line_search(f, p, v, step, state, dense):
     Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19(2),
     1982).  A crossing off by w of its segment moves a residual entry by at
     most about w, so each trial narrows its crossings to FORCING r^2 of
-    their segment, at most TRIAL_WIDTH, with r the largest residual of
-    ``state``; its settle floor grows to match (see _crossings).  Trials
-    take e on the grid of ``state``, but where that width is no wider than
-    EXACT_WIDTH, they run as the pass that judges convergence: on the
-    ``dense`` grid at EXACT_WIDTH (see best_l1_fit).
+    their segment, with r the largest residual of ``state``; its settle
+    floor grows to match (see _crossings).  Trials take e on the grid of
+    ``state``, but where that width is no wider than EXACT_WIDTH, they run
+    as the pass that judges convergence: on the ``dense`` grid at
+    EXACT_WIDTH (see best_l1_fit).
     """
     d0 = float(np.dot(state.grad, step))
     merit = float(np.linalg.norm(state.residual))
-    grid, width = state.grid, min(TRIAL_WIDTH, FORCING * float(np.max(state.residual)) ** 2)
+    grid, width = state.grid, FORCING * float(np.max(state.residual)) ** 2
     if width <= EXACT_WIDTH:
         grid, width = dense, EXACT_WIDTH
     lo, d_lo, hi, d_hi, alpha = 0.0, d0, 1.0, 0.0, 1.0
@@ -470,7 +459,7 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
     the reported cost and residual come from it.  A settled trial that
     already ran as that pass is the check itself; any other settled state
     is checked by one more pass.  The first pass, from the least-squares
-    start, narrows only to FIRST_WIDTH.  f is sampled once on each grid,
+    start, narrows only to FORCING.  f is sampled once on each grid,
     SAMPLES and DENSE, and every pass takes e from those samples.
     Divergence does not raise: the last iterate is returned with
     converged=False, and with final_cost NaN when the quadrature cannot
@@ -479,7 +468,7 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
     """
     v = l2_projection(f, p).ordinates.copy()
     dense = _grid(f, p, DENSE)
-    state = _crossings(f, p, v, _grid(f, p, SAMPLES), FIRST_WIDTH)
+    state = _crossings(f, p, v, _grid(f, p, SAMPLES), FORCING)
     evals, iterations, converged = 1, 0, False
     while True:
         if state.settled:

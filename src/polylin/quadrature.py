@@ -16,12 +16,11 @@ samples of any one component change sign is cut at the crossing rather
 than bisected toward it: the crossing is narrowed to adjacent floats by
 ``polylin._roots``, the panel is split there, and the shared sample is
 stored as an exact 0, so each side has one sign and refines as a smooth
-panel does.  A sign change between a segment's end and its neighbouring
-sample is still bisected until it is resolved or the panel is negligibly
-narrow: an integrand may give a zero at a segment's end the sign of its
-side (``polylin.analysis`` does), and bisection is what finds the lobe
-between that end and the crossing.  The narrowing rounds call the
-integrand too, on a few points each.
+panel does.  An integrand may give a zero at a segment's end the sign of
+its side at a size too small to count (``polylin.analysis`` does); the
+root finder halves a bracket that starts on such a value, so the lobe
+between that end and the crossing is still found.  The narrowing rounds
+call the integrand too, on a few points each.
 
 A caller that tabulates a running integral can read the panels one call
 accepted, with their ends, contributions and samples
@@ -142,9 +141,7 @@ def integrate_segments(
     With ``absolute=True`` each component's |fun| is integrated.  A panel
     whose samples of a component change sign is cut at that component's
     crossing, located to adjacent floats, instead of bisected toward it;
-    both sides then hold one sign, and a 0 at their shared end.  A sign
-    change against a segment's end is bisected, as in a smooth panel's
-    refinement, down to the kink floor if need be.
+    both sides then hold one sign, and a 0 at their shared end.
 
     Returns an (nseg,) array, or (nseg, k) when k > 1.
     """
@@ -186,12 +183,6 @@ def integrate_segments(
     total_width = float((hi - lo).sum())
     kink_floor = total_width * 2.0**-40
     leftover = np.zeros(columns)
-    if absolute:
-        # Each segment's outer ends, where a sign change is bisected rather
-        # than cut (see crossing_cuts).
-        seg_lo, seg_hi = np.full(nseg, np.inf), np.full(nseg, -np.inf)
-        np.minimum.at(seg_lo, seg, lo)
-        np.maximum.at(seg_hi, seg, hi)
 
     def body(values):
         return np.abs(values) if absolute else values
@@ -242,12 +233,8 @@ def integrate_segments(
         bisect, (rows to cut, their crossings, the component that crosses)).
 
         A row is cut between its first pair of neighbouring samples of
-        opposite sign in a component whose sign change counts (``changes``),
-        unless one of the two lies on its segment's outer end: there the
-        integrand may give a zero the sign of its side (see
-        ``polylin.analysis``), and bisection keeps finding the lobe between
-        that end and the crossing.  The crossing is narrowed by ``roots`` to
-        adjacent floats.
+        opposite sign in a component whose sign change counts (``changes``).
+        The crossing is narrowed by ``roots`` to adjacent floats.
         """
         mixed = changes.take(rows, axis=0).any(axis=1).nonzero()[0]
         if mixed.size == 0:
@@ -255,14 +242,12 @@ def integrate_segments(
         panel = rows.take(mixed)
         s = sgn.take(panel, axis=1)
         opp = (s[:-1] * s[1:] < 0.0) & changes.take(panel, axis=0)
-        at = seg.take(panel)
-        opp[0] &= (ends[0].take(panel) != seg_lo.take(at))[:, None]
-        opp[-1] &= (ends[-1].take(panel) != seg_hi.take(at))[:, None]
         pairs = opp.any(axis=2)
         has = pairs.any(axis=0).nonzero()[0]
         if has.size == 0:
             return rows, None
-        cut, at = panel.take(has), at.take(has)
+        cut = panel.take(has)
+        at = seg.take(cut)
         j = pairs.take(has, axis=1).argmax(axis=0)
         comp = opp[j, has].argmax(axis=1)
         k = np.arange(cut.size)

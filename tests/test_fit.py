@@ -315,15 +315,27 @@ def test_partial_narrowing_adds_no_newton_steps():
 
 
 def test_coarse_trials_still_converge_on_the_exact_pass(monkeypatch):
-    # With every trial narrowed only to TRIAL_WIDTH, trials settle on their
-    # widened floor while the residual is still near 1e-3; the exact DENSE
-    # pass must send the fit on until the residual itself settles.
-    monkeypatch.setattr(fit, "FORCING", 1e3)
+    # With the first pass and every trial narrowed only to 1e-3 of a
+    # segment, trials settle on their widened floor while the residual is
+    # still near 1e-3; the exact DENSE pass must send the fit on until the
+    # residual itself settles.
+    crossings = fit._crossings
+    coarse = []
+
+    def wide(f, p, v, grid, width=0.0):
+        state = crossings(f, p, v, grid, 1e-3 if width > fit.EXACT_WIDTH else width)
+        if state.width == 1e-3 and state.settled:
+            coarse.append(float(np.max(state.residual)))
+        return state
+
+    monkeypatch.setattr(fit, "_crossings", wide)
     for f, n in ((gaussian((0.0, 4.0)), 63), (chirp((0.0, 1.0)), 31)):
         a, b = f.domain
+        coarse.clear()
         _g, report = best_l1_fit(f, uniform_partition(a, b, n))
         assert report.converged
         assert report.optimality_residual <= 1e-6
+        assert coarse and max(coarse) > 1e-6
 
 
 def _two_hidden_pairs(c_edge, c_mid, half):

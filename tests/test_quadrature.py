@@ -280,6 +280,18 @@ def test_absolute_value_cuts_a_crossing_at_its_root(batches):
     assert hi[left] == lo[right] and abs(hi[left][0] - 1.0 / 3.0) <= np.spacing(1.0 / 3.0)
 
 
+def test_absolute_value_cuts_a_crossing_beside_a_segment_end(batches):
+    # sin changes sign between the knot at pi (where it reads 1.2e-16) and
+    # the next sample.  Bisected toward the kink floor, as a sign change
+    # against a segment's end once was, it took 38 batches; cut, it takes
+    # what the smooth panels do.
+    def run():
+        return integrate_segments(lambda x, _s: np.sin(x), np.linspace(0.0, 2.0 * np.pi, 9), absolute=True)
+
+    assert batches(run) <= 8
+    assert abs(np.sum(run()) - 4.0) <= 1e-15
+
+
 def test_absolute_value_cuts_each_component_at_its_own_crossing(batches):
     # Both components cross inside the one panel.  The cut at 0.3 stores
     # only the first component's sample there as 0; the second is sampled

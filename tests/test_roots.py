@@ -1,9 +1,10 @@
-"""Bracketed root finding: the adjacent-float stop and the width stop."""
+"""Bracketed root finding: the adjacent-float stop, the width stop, and
+brackets that start on a sign alone."""
 
 import numpy as np
 import pytest
 
-from polylin._roots import roots
+from polylin._roots import TINY, roots
 
 EPS = float(np.finfo(float).eps)
 
@@ -42,6 +43,18 @@ def _fit_case(halved=False):
     return resid, s, x[s, k], x[s, k + 1], e[s, k], e[s, k + 1], noise
 
 
+def _sign_only_case(end=4, zero=False):
+    """The fit case with the e given at one end of every bracket (argument
+    ``end``: 4 the lower, 5 the upper) cut to its sign at size TINY, as a
+    knot's stand-in is, or to 0 on the brackets where it is positive (zero
+    counts as positive); the noise stays finite."""
+    args = list(_fit_case())
+    keep = args[end] > 0.0 if zero else np.ones(args[1].size, dtype=bool)
+    args[1:] = (a[keep] for a in args[1:])
+    args[end] = np.zeros(keep.sum()) if zero else np.sign(args[end]) * TINY
+    return args, keep
+
+
 # The roots these inputs had before brackets took a width.
 PINNED = {
     "scan": [
@@ -53,10 +66,15 @@ PINNED = {
     ],
     "fit": ["0x1.e57684f400320p-2", "0x1.98c91a771f460p-1", "0x1.110b0fa19f62cp+0", "0x1.ea88de29c402ep+0"],
 }
-CASES = {"scan": _scan_case, "fit": _fit_case, "halved": lambda: _fit_case(halved=True)}
+CASES = {
+    "scan": _scan_case,
+    "fit": _fit_case,
+    "halved": lambda: _fit_case(halved=True),
+    "sign_only": lambda: _sign_only_case()[0],
+}
 
 
-@pytest.mark.parametrize("name", ["scan", "fit", "halved"])
+@pytest.mark.parametrize("name", ["scan", "fit", "halved", "sign_only"])
 def test_width_zero_keeps_the_adjacent_float_roots(name):
     args = CASES[name]()
     pinned = [float.fromhex(z) for z in PINNED["scan" if name == "scan" else "fit"]]
@@ -64,7 +82,7 @@ def test_width_zero_keeps_the_adjacent_float_roots(name):
         assert root.tolist() == pinned
 
 
-@pytest.mark.parametrize("name", ["scan", "fit", "halved"])
+@pytest.mark.parametrize("name", ["scan", "fit", "halved", "sign_only"])
 def test_width_stops_each_bracket_within_its_width(name):
     resid, seg, lo, hi, e_lo, e_hi, noise = CASES[name]()
     calls = [0]
@@ -86,3 +104,23 @@ def test_width_stops_each_bracket_within_its_width(name):
         left = resid(np.maximum(root - w, lo), seg) >= 0.0
         right = resid(np.minimum(root + w, hi), seg) >= 0.0
         assert np.all(left != right)
+
+
+@pytest.mark.parametrize("end, zero", [(4, False), (5, False), (4, True), (5, True)])
+def test_a_bracket_that_starts_on_a_sign_alone_is_halved(end, zero):
+    # A step from an end given as TINY or 0 would land next to that end;
+    # the first point is the bracket's midpoint instead, and every bracket
+    # narrows as the halved case does, whatever its width.
+    args, keep = _sign_only_case(end, zero)
+    resid, seg, lo, hi = args[:4]
+    seen = []
+
+    def first(x, s):
+        seen.append(x.copy())
+        return resid(x, s)
+
+    roots(first, *args[1:])
+    assert np.all(np.abs(seen[0] - 0.5 * (lo + hi)) <= 2.0 * np.spacing(hi))
+    halved = [resid, *(a[keep] for a in _fit_case(halved=True)[1:])]
+    for width in (0.0, 1e-4, 1e-7):
+        assert roots(*args, width).tolist() == roots(*halved, width).tolist()
