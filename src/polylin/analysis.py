@@ -39,9 +39,7 @@ from .partition import (
     LinearTargetError,
     _check_interval,
     _check_segments,
-    _curvature_pass,
     _prepared,
-    _scan,
 )
 from .quadrature import integrate_segments
 
@@ -196,26 +194,23 @@ def curvature(
     """The curvature integrals of f over [a, b]: the one quadrature behind
     every bound and planned count.
 
-    Both integrals run in one pass, cut at the zeros of every f_j'' (see
-    ``polylin.partition``), so on each piece the summed |f_j''| is smooth
-    and the cube root's cusp is mapped away.  The same pass tabulates the
-    knot distribution, so for a distribution from ``build_distribution``
-    in place of f its integrals are read back, and nothing is integrated
-    again.  A line's f'' is 0, and so are both of its integrals; so are
-    those of a target whose f' is constant to rounding.  A kink between
-    the grid points raises ``ValueError`` as a non-finite f'' does (see
-    ``polylin.partition``).
+    Both integrals are read from f's knot distribution, which
+    ``build_distribution`` tabulates with one pass, cut at the zeros of
+    every f_j'' (see ``polylin.partition``), so on each piece the summed
+    |f_j''| is smooth and the cube root's cusp is mapped away.  For a
+    distribution from ``build_distribution`` in place of f, nothing is
+    integrated again.  A line's f'' is 0, and so are both of its
+    integrals; so are those of a target whose f' is constant to rounding
+    (``build_distribution`` raises ``LinearTargetError`` on both).  A kink
+    between the grid points raises ``ValueError`` as a non-finite f'' does
+    (see ``polylin.partition``).
     """
-    if isinstance(f, KnotDistribution):
+    try:
         sums = _prepared(f, a, b)._sums
-        if sums is None:
-            raise ValueError("this distribution was not built by build_distribution; pass its target")
-    else:
-        _check_interval(f, a, b)
-        part, zeros = _scan(f, a, b)
-        if part is None:
-            return Curvature(0.0, 0.0, (a, b))
-        sums = _curvature_pass(part, zeros, a, b)._sums
+    except LinearTargetError:
+        return Curvature(0.0, 0.0, (a, b))
+    if sums is None:
+        raise ValueError("this distribution was not built by build_distribution; pass its target")
     return Curvature(*sums, (a, b))
 
 

@@ -63,8 +63,8 @@ __all__ = [
 
 # Crossings of f - g are bracketed on SAMPLES equal subintervals per
 # segment.  A settled iterate is checked again on DENSE subintervals, where
-# the last trials of a fit also run; new crossings there resume the
-# iteration on that grid.
+# the last trials of a fit also run; a check that does not settle resumes
+# the iteration on that grid.
 SAMPLES = 32
 DENSE = 128
 # Settled once every |gradient_i| is within OPTIMALITY_TOL times the
@@ -202,10 +202,6 @@ class _Crossings:
     off: np.ndarray
     residual: np.ndarray  # |grad_i| / integral of phi_i
     settled: bool
-
-    @property
-    def n_roots(self) -> int:
-        return self.roots.size
 
 
 def _crossings(
@@ -451,12 +447,12 @@ def _line_search(f, p, v, step, state, dense):
 def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, FitReport]:
     """Least-absolute-deviation polygonal fit on a fixed partition.
 
-    Returns the fitted function and a report; ``converged`` means every
-    entry of the exact L1 gradient reached its rounding floor and denser
-    sampling found no further crossings within MAX_NEWTON_ITERS Newton
-    iterations.  That is judged on a DENSE pass that narrows every
-    crossing to EXACT_WIDTH, whatever the line search's trials did, and
-    the reported cost and residual come from it.  A settled trial that
+    Returns the fitted function and a report; ``converged`` means that
+    within MAX_NEWTON_ITERS Newton iterations a pass on the DENSE grid
+    that narrows every crossing to EXACT_WIDTH settled: every entry of the
+    exact L1 gradient it found reached its rounding floor.  That pass
+    judges convergence whatever the line search's trials did, and the
+    reported cost and residual come from it.  A settled trial that
     already ran as that pass is the check itself; any other settled state
     is checked by one more pass.  The first pass, from the least-squares
     start, narrows only to FORCING.  f is sampled once on each grid,
@@ -469,18 +465,12 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
     v = l2_projection(f, p).ordinates.copy()
     dense = _grid(f, p, DENSE)
     state = _crossings(f, p, v, _grid(f, p, SAMPLES), FORCING)
-    evals, iterations, converged = 1, 0, False
+    evals, iterations = 1, 0
     while True:
-        if state.settled:
-            exact = state.grid is dense and state.width == EXACT_WIDTH
-            check = state if exact else _crossings(f, p, v, dense, EXACT_WIDTH)
-            evals += check is not state
-            converged = check.settled and check.n_roots == state.n_roots
-            state = check
-            if converged:
-                break
-            continue
-        if iterations == MAX_NEWTON_ITERS:
+        if state.settled and state.width != EXACT_WIDTH:
+            state = _crossings(f, p, v, dense, EXACT_WIDTH)
+            evals += 1
+        if state.settled or iterations == MAX_NEWTON_ITERS:
             break
         try:
             step = thomas(state.off, state.diag * (1.0 + REG), state.off, -state.grad)
@@ -495,6 +485,7 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
             break
         v, state = v + alpha * step, trial
 
+    converged = state.settled
     try:
         cost = _cost(f, p, v, state)
     except QuadratureError:

@@ -4,19 +4,19 @@ One engine serves every integral in the package: panels are refined in
 lockstep across all segments, so the integrand is evaluated on one numpy
 array per refinement level.  Every panel is bisected MIN_LEVELS times before
 a tolerance test may accept it, so where those forced levels sample is known
-up front and the start takes two calls: one at the panels' left ends, which
-fixes the component count, and one at the other 16 abscissae of every
-panel.  Each later level takes one call for the panels still open.
+up front and the start takes one call at all 17 abscissae of every panel,
+whose output fixes the component count.  Each later level takes one call
+for the panels still open.
 
 Integrands may be vector valued (several components sharing the same
 sample points, as many as the integrand's output has columns), and
-absolute-value integrands get sign-aware refinement.  In absolute mode
-each component's |value| is integrated on its own, and a panel whose
-samples of any one component change sign is cut at the crossing rather
-than bisected toward it: the crossing is narrowed to adjacent floats by
-``polylin._roots``, the panel is split there, and the shared sample is
-stored as an exact 0, so each side has one sign and refines as a smooth
-panel does.  An integrand may give a zero at a segment's end the sign of
+absolute-value integrands get sign-aware refinement.  Absolute mode
+integrates the |value| of a single component, and a panel whose samples
+change sign is cut at the crossing rather than bisected toward it: the
+crossing is narrowed to adjacent floats by ``polylin._roots``, the panel
+is split there, and the children's shared end is given an exact 0 without
+being sampled, so each side has one sign and refines as a smooth panel
+does.  An integrand may give a zero at a segment's end the sign of
 its side at a size too small to count (``polylin.analysis`` does); the
 root finder halves a bracket that starts on such a value, so the lobe
 between that end and the crossing is still found.  The narrowing rounds
@@ -124,8 +124,9 @@ def integrate_segments(
     """Integrate ``fun`` over each segment, returning per-segment totals.
 
     fun(x, seg) -> (npts,) or (npts, k): one or k components, a count taken
-    from the first output and then required of every call.  ``seg`` carries
-    the segment index of every sample point so local quantities (barycentric
+    from the first call, which samples every abscissa of the forced
+    bisections, and then required of every later call.  ``seg`` carries the
+    segment index of every sample point so local quantities (barycentric
     coordinates, local ordinates) can be formed without searching.
 
     Segments come either from ``edges`` (array of N+1 finite breakpoints ->
@@ -138,10 +139,11 @@ def integrate_segments(
     recorded; residuals are totalled per component and checked against
     each component's own allowance at the end.
 
-    With ``absolute=True`` each component's |fun| is integrated.  A panel
-    whose samples of a component change sign is cut at that component's
-    crossing, located to adjacent floats, instead of bisected toward it;
-    both sides then hold one sign, and a 0 at their shared end.
+    With ``absolute=True``, |fun| is integrated, and fun must have one
+    component (``ValueError`` otherwise).  A panel whose samples change
+    sign is cut at the crossing, located to adjacent floats, instead of
+    bisected toward it; both sides then hold one sign, and an exact 0 at
+    their shared end, where fun is not sampled.
 
     Returns an (nseg,) array, or (nseg, k) when k > 1.
     """
@@ -174,15 +176,8 @@ def integrate_segments(
     # Zero-width panels contribute nothing; drop them up front.
     keep = hi > lo
     lo, hi, seg = lo[keep], hi[keep], seg[keep]
-    f_lo = _call(fun, lo, seg)
-    columns = f_lo.shape[1]
-    totals = np.zeros((nseg, columns))
-    if lo.size == 0:
-        return totals[:, 0] if columns == 1 else totals
-
     total_width = float((hi - lo).sum())
     kink_floor = total_width * 2.0**-40
-    leftover = np.zeros(columns)
 
     def body(values):
         return np.abs(values) if absolute else values
@@ -230,47 +225,45 @@ def integrate_segments(
     def crossing_cuts(rows, ends, samples, sgn, changes):
         """Split the rows to refine into those to bisect and those to cut at
         a crossing: (rows to bisect, None) when none is cut, else (rows to
-        bisect, (rows to cut, their crossings, the component that crosses)).
+        bisect, (rows to cut, their crossings)).
 
-        A row is cut between its first pair of neighbouring samples of
-        opposite sign in a component whose sign change counts (``changes``).
-        The crossing is narrowed by ``roots`` to adjacent floats.
+        A row whose sign change counts (``changes``) is cut between its
+        first pair of neighbouring samples of opposite sign.  The crossing
+        is narrowed by ``roots`` to adjacent floats.
         """
-        mixed = changes.take(rows, axis=0).any(axis=1).nonzero()[0]
+        mixed = changes.take(rows).nonzero()[0]
         if mixed.size == 0:
             return rows, None
-        panel = rows.take(mixed)
-        s = sgn.take(panel, axis=1)
-        opp = (s[:-1] * s[1:] < 0.0) & changes.take(panel, axis=0)
-        pairs = opp.any(axis=2)
-        has = pairs.any(axis=0).nonzero()[0]
+        s = sgn.take(rows.take(mixed), axis=1)
+        opp = s[:-1] * s[1:] < 0.0
+        has = opp.any(axis=0).nonzero()[0]
         if has.size == 0:
             return rows, None
-        cut = panel.take(has)
+        cut = rows.take(mixed.take(has))
         at = seg.take(cut)
-        j = pairs.take(has, axis=1).argmax(axis=0)
-        comp = opp[j, has].argmax(axis=1)
+        j = opp.take(has, axis=1).argmax(axis=0)
         k = np.arange(cut.size)
         xs = np.array([v.take(cut) for v in ends])
-        vs = np.array([v[cut, comp] for v in samples])
+        vs = np.array([v[cut, 0] for v in samples])
 
         def crossing(x, which):
-            return _call(fun, x, at.take(which), columns)[np.arange(x.size), comp.take(which)]
+            return _call(fun, x, at.take(which), 1)[:, 0]
 
         # The samples do not show the rounding of e, so none is assumed: each
         # point keeps one float spacing from the bracket's ends.
         r = roots(crossing, k, xs[j, k], xs[j + 1, k], vs[j, k], vs[j + 1, k], np.zeros(k.size))
         split = np.ones(rows.size, dtype=bool)
         split[mixed.take(has)] = False
-        return rows[split], (cut, r, comp)
+        return rows[split], (cut, r)
 
     # Every panel is bisected MIN_LEVELS times before a test may accept it,
     # so the abscissae of those levels are known before anything is sampled,
-    # and one call samples them all.  A panel too narrow to split at a
-    # forced level is accepted there with its residual recorded, and nothing
+    # and one call samples them all, the panels' ends included; its output
+    # fixes the component count.  A panel too narrow to split at a forced
+    # level is accepted there with its residual recorded, and nothing
     # inside it is sampled.
     mid = 0.5 * (lo + hi)
-    pts, segs = [mid, hi], [seg, seg]
+    pts, segs = [lo, mid, hi], [seg, seg, seg]
     tiers, splits = [], []
     for level in range(MIN_LEVELS + 1):
         _check_cap(lo.size)
@@ -284,11 +277,18 @@ def integrate_segments(
             splits.append((tight.nonzero()[0], split))
             lo, mid, hi = descend(split, lo, lm, mid, rm, hi)
             seg = children(split, seg, seg)
-    vals = _call(fun, np.concatenate(pts), np.concatenate(segs), columns)
+    vals = _call(fun, np.concatenate(pts), np.concatenate(segs))
+    columns = vals.shape[1]
+    if absolute and columns != 1:
+        raise ValueError(f"absolute=True integrates one component, not {columns}")
+    totals = np.zeros((nseg, columns))
+    if vals.shape[0] == 0:
+        return totals[:, 0] if columns == 1 else totals
+    leftover = np.zeros(columns)
     ends = list(itertools.accumulate(v.size for v in pts))
     forced = iter([vals[i:j] for i, j in zip([0, *ends], ends)])
 
-    f_mid, f_hi = next(forced), next(forced)
+    f_lo, f_mid, f_hi = next(forced), next(forced), next(forced)
     for (lo, lm, mid, rm, hi, seg), (stuck, split) in zip(tiers, splits):
         f_lm, f_rm = next(forced), next(forced)
         samples = (f_lo, f_lm, f_mid, f_rm, f_hi)
@@ -324,14 +324,14 @@ def integrate_segments(
         ok = (np.abs(err) <= limit).all(axis=1)
 
         if absolute:
-            sgn = np.sign(samples)
+            sgn = np.sign(samples)[..., 0]
             changes = (sgn.max(axis=0) > 0) & (sgn.min(axis=0) < 0)
             # A mixed panel whose whole sampled mass sits inside its own
             # budget cannot move the total by more than that budget, so the
             # crossing need not be located; near-zero residuals otherwise
             # drag the refinement into their rounding noise.
-            changes &= vmax * w[:, None] > thr
-            ok &= ~changes.any(axis=1) | (w <= kink_floor)
+            changes &= vmax[:, 0] * w > thr[:, 0]
+            ok &= ~changes | (w <= kink_floor)
 
         # A panel too narrow to split is accepted with the residual error
         # recorded per component.
@@ -354,7 +354,7 @@ def integrate_segments(
         rows, cuts = crossing_cuts(rows, ends, samples, sgn, changes) if absolute else (rows, None)
         if cuts is not None:
             # A cut row's children [lo, r] and [r, hi] meet at its crossing r.
-            cut, r, comp = cuts
+            cut, r = cuts
             c_lo, c_hi = np.concatenate([lo.take(cut), r]), np.concatenate([r, hi.take(cut)])
             c_seg = np.tile(seg.take(cut), 2)
             c_f = f_lo.take(cut, axis=0), f_hi.take(cut, axis=0)
@@ -367,20 +367,17 @@ def integrate_segments(
             vals = _call(fun, np.concatenate([lm, rm]), np.concatenate([seg, seg]), columns)
             f_lm, f_rm = vals[: lo.size], vals[lo.size :]
             continue
-        # The cut children are sampled at their own midpoints too, and every
-        # component at r, where the crossing one is stored as an exact 0:
-        # so each child has one sign there, and rounding at r starts no new
-        # cut.
+        # The cut children are sampled at their own midpoints too, but not
+        # at r, whose value is stored as an exact 0: so each child has one
+        # sign there, and rounding at r starts no new cut.
         c_mid = 0.5 * (c_lo + c_hi)
         lo, mid, hi, seg = (np.concatenate(v) for v in ((lo, c_lo), (mid, c_mid), (hi, c_hi), (seg, c_seg)))
         _check_cap(lo.size)
         lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        at = np.concatenate([seg, seg, c_seg, c_seg[: r.size]])
-        vals = _call(fun, np.concatenate([lm, rm, c_mid, r]), at, columns)
+        vals = _call(fun, np.concatenate([lm, rm, c_mid]), np.concatenate([seg, seg, c_seg]), columns)
         n = lo.size
-        f_lm, f_rm, f_r = vals[:n], vals[n : 2 * n], vals[2 * n + c_mid.size :]
-        f_r[np.arange(r.size), comp] = 0.0
-        f_mid = np.concatenate([f_mid, vals[2 * n : 2 * n + c_mid.size]])
+        f_lm, f_rm, f_r = vals[:n], vals[n : 2 * n], np.zeros((r.size, 1))
+        f_mid = np.concatenate([f_mid, vals[2 * n :]])
         f_lo = np.concatenate([f_lo, c_f[0], f_r])
         f_hi = np.concatenate([f_hi, f_r, c_f[1]])
 

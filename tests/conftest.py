@@ -174,8 +174,8 @@ def gaussian_sweep():
 def batches(monkeypatch):
     """batches(fn, *args): how many integrand batches fn(*args) evaluates.
 
-    A batch is one call of ``quadrature._call``: the panels' left ends,
-    then every sample of the forced bisections, then one per later
+    A batch is one call of ``quadrature._call``: one for every sample of
+    the forced bisections, the panels' ends included, then one per later
     refinement level, whatever the number of panels, and in absolute mode
     one per round of narrowing the crossings that panels are cut at.
     Per-level overhead dominates the small integrals, so the count is the

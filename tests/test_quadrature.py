@@ -32,14 +32,11 @@ def test_absolute_value_with_interior_kink():
 
 
 def test_absolute_value_sums_components_and_bisects_each_kink():
-    # |x - 0.3| and |0.6 - x| over [0, 1]: (0.09 + 0.49)/2 and (0.36 + 0.16)/2.
+    # Absolute mode integrates one component: a second column is refused,
+    # and a single column may come as a 1-D output or as one column.
     edges = np.linspace(0.0, 1.0, 4)
-    parts = integrate_segments(
-        lambda x, _s: np.stack([x - 0.3, 0.6 - x], axis=1), edges, absolute=True
-    )
-    assert parts.shape == (3, 2)
-    assert np.max(np.abs(np.sum(parts, axis=0) - [0.29, 0.26])) <= 1e-12
-    assert abs(np.sum(parts) - 0.55) <= 1e-12
+    with pytest.raises(ValueError, match="one component"):
+        integrate_segments(lambda x, _s: np.stack([x - 0.3, 0.6 - x], axis=1), edges, absolute=True)
     single = integrate_segments(lambda x, _s: x - 0.3, edges, absolute=True)
     stacked = integrate_segments(lambda x, _s: (x - 0.3)[:, None], edges, absolute=True)
     assert np.array_equal(single, stacked)
@@ -134,13 +131,16 @@ def test_nonfinite_integrand_raises():
 def test_wrong_shape_integrand_raises():
     # Malformed whatever the component count: wrong length, a scalar, a
     # third axis, no column, or a column count that changes between calls.
+    # sqrt needs refinement past the forced levels, so the last integrand
+    # gives one column on the start call (all 17 abscissae of the one
+    # panel) and two on the first refinement level after it.
     edges = np.array([0.0, 1.0])
     for fun in (
         lambda x, seg: np.ones(x.size + 1),
         lambda x, seg: 1.0,
         lambda x, seg: np.ones((x.size, 2, 1)),
         lambda x, seg: np.ones((x.size, 0)),
-        lambda x, seg: np.ones((x.size, 1 + (x[0] > 0.0))),
+        lambda x, seg: np.sqrt(x)[:, None].repeat(1 + (x.size != 17), axis=1),
     ):
         with pytest.raises(ValueError, match="shape"):
             integrate_segments(fun, edges)
@@ -168,9 +168,9 @@ def test_nonfinite_bounds_raise():
             )
 
 
-def test_smooth_integrand_is_called_twice():
-    # The left ends fix the component count; every other abscissa of the
-    # forced bisections goes in one more call, and a cubic passes the first
+def test_smooth_integrand_is_called_once():
+    # All 17 abscissae of the forced bisections of every panel go in one
+    # call, which fixes the component count, and a cubic passes the first
     # test on every panel.
     sizes = []
 
@@ -179,7 +179,7 @@ def test_smooth_integrand_is_called_twice():
         return x**3
 
     out = integrate_segments(cubic, np.linspace(0.0, 1.0, 9))
-    assert sizes == [8, 16 * 8]
+    assert sizes == [17 * 8]
     assert abs(np.sum(out) - 0.25) <= 1e-15
 
 
@@ -207,7 +207,15 @@ def test_panels_too_narrow_for_the_forced_levels():
 
     panels = (lo, hi, np.arange(6), 6)
     assert np.array_equal(integrate_segments(fun, panels=panels), recorded)
-    assert np.array_equal(integrate_segments(fun, panels=panels, absolute=True), np.abs(recorded))
+    # Absolute mode takes one component at a time; neither changes sign on
+    # any panel, so each run is the magnitude of its smooth one.
+    for c in range(2):
+
+        def column(x, _s, c=c):
+            return fun(x, _s)[:, c]
+
+        smooth = integrate_segments(column, panels=panels)
+        assert np.array_equal(integrate_segments(column, panels=panels, absolute=True), np.abs(smooth))
 
 
 def test_default_tolerance():
@@ -292,14 +300,19 @@ def test_absolute_value_cuts_a_crossing_beside_a_segment_end(batches):
     assert abs(np.sum(run()) - 4.0) <= 1e-15
 
 
-def test_absolute_value_cuts_each_component_at_its_own_crossing(batches):
-    # Both components cross inside the one panel.  The cut at 0.3 stores
-    # only the first component's sample there as 0; the second is sampled
-    # (-0.05) and cut at 0.35 a level later.
-    def run():
-        return integrate_segments(
-            lambda x, _s: np.stack([x - 0.3, x - 0.35], axis=1), np.array([0.0, 1.0]), absolute=True
-        )
+def test_a_cut_level_samples_no_point_at_its_crossing():
+    # |x - 1/3| on [0, 1]: the first tested level cuts [1/4, 1/2] at the
+    # crossing r, which only the narrowing rounds sample.  The level after
+    # samples the two children's midpoints and quarter points, six points;
+    # r's value is stored as an exact 0.
+    calls = []
 
-    assert batches(run) <= 10
-    assert np.max(np.abs(run()[0] - [0.29, 0.2725])) <= 1e-15
+    def fun(x, _s):
+        calls.append(x.copy())
+        return x - 1.0 / 3.0
+
+    with _accepted_panels() as accepted:
+        integrate_segments(fun, np.array([0.0, 1.0]), absolute=True)
+    _lo, hi, _seg, _contrib, samples = accepted
+    (r,) = hi[samples[:, 4, 0] == 0.0]
+    assert calls[-1].size == 6 and r not in calls[-1]
