@@ -1,15 +1,17 @@
 """Bracketed root finding, vectorized over many independent brackets.
 
-Used for the crossings of f - g in the best-L1 fit, for the zeros of f''
-that the curvature integrals are cut at, and for the sign changes at
-which the quadrature's absolute mode cuts a panel.
+Used for the crossings of f - g, in the best-L1 fit and in the L1
+distance; for the zeros of e' = f' - s (s a segment's slope) at which
+either looks for a pair of crossings; and for the zeros of f'' that the
+curvature integrals, and the L1 distance's pieces, are cut at.
 
 A value no larger in size than TINY, the smallest normal double, has a
-sign but no size: it is 0, or the stand-in that ``polylin.analysis``
-writes where e = f - g is 0 exactly at a knot.  A bracket that starts on
-such a value is halved, since a step from it would land next to that end,
-in the rounding of e, and miss a lobe between the end and the root.  This
-is the one place that reads the stand-in.
+sign but no size: it is 0, or the stand-in that ``polylin.fit`` and
+``polylin.analysis`` write where e = f - g is 0 exactly at a knot or a
+piece end.  A bracket that starts on such a value is halved, since a
+step from it would land next to that end, in the rounding of e, and miss
+a lobe between the end and the root.  This is the one place that reads
+the stand-in.
 """
 
 from __future__ import annotations

@@ -1,5 +1,10 @@
 """Error measurement, a-priori error bounds, and segment budgeting.
 
+The measured error, the L1 distance, is one sum of signed smooth
+integrals of e = f - g between crossings located on the pieces of each
+segment where f'' keeps its sign; a target the curvature scan of
+``polylin.partition`` cannot vouch for is measured, though not bounded.
+
 Bounds follow the small-segment expansion of the L1 interpolation error:
 per segment it behaves like h^3 |f''| / 12, which sums to
 
@@ -32,16 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import TINY
+from ._roots import TINY, roots
 from .core import PolygonalFunction, TargetFunction, VectorTargetFunction
 from .partition import (
     KnotDistribution,
     LinearTargetError,
     _check_interval,
     _check_segments,
+    _scanned,
     _prepared,
 )
-from .quadrature import integrate_segments
+from .quadrature import QuadratureError, integrate_segments
 
 __all__ = [
     "BEST_L1_FACTOR",
@@ -65,61 +71,152 @@ BOUND_KINDS = (
 )
 
 
-def _knot_signs(f: TargetFunction, knots: np.ndarray, h: np.ndarray, v: np.ndarray):
-    """The stand-ins for e = f - g where it is 0 exactly at a segment's
-    left or right knot, one pair of arrays over the segments: the sign of e
-    just inside the segment (of f' - s at the left knot and of s - f' at
-    the right one, s the segment's slope) at size TINY, which moves no sum
-    of samples, and which ``polylin._roots`` reads as a sign alone.  A zero
-    or non-finite f' - s gives 0."""
-    s = np.diff(v) / h
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d1 = np.asarray(f.first_derivative(knots), dtype=float)
-        left, right = d1[:-1] - s, s - d1[1:]
-    return tuple(np.where(np.isfinite(t), np.sign(t) * TINY, 0.0) for t in (left, right))
-
-
-def _residual(f: TargetFunction, g: PolygonalFunction):
-    knots = g.partition.knots
-    h = g.partition.widths
-    v = g.ordinates
-    # The quadrature's sign rule ignores zeros, so a sample where e = 0
-    # exactly at a knot takes the sign of e just inside the segment (see
-    # per_interval_errors).
-    left, right = _knot_signs(f, knots, h, v)
-
-    def fun(x, seg):
-        d = (x - knots.take(seg)) / h.take(seg)
-        e = np.asarray(f.eval(x), dtype=float) - ((1.0 - d) * v.take(seg) + d * v[1:].take(seg))
-        zero = (e == 0.0).nonzero()[0]
-        if zero.size:
-            z, dz = seg.take(zero), d.take(zero)
-            e[zero] = np.where(dz == 0.0, left.take(z), np.where(dz == 1.0, right.take(z), 0.0))
-        return e
-
-    return fun
+EPS = float(np.finfo(float).eps)
+# Each crossing is narrowed to this share of its bracket.  Off by delta, a
+# crossing moves the integral by at most |e'| delta^2 (e' = f' - g' next
+# to it): the rounding of the area of a lobe as wide as the bracket.
+CROSSING_WIDTH = math.sqrt(EPS)
 
 
 def per_interval_errors(f: TargetFunction, g: PolygonalFunction) -> np.ndarray:
-    """L1 error contributed by each segment of g's partition.
-
-    The quadrature's absolute mode cuts each crossing of e = f - g at its
-    root, so both sides integrate as smooth panels.  Where e is exactly 0
-    at a knot, as at every knot of an interpolant, the sign of f' - s there
-    (s the segment's slope) tells the quadrature which sign e takes just
-    inside the segment; the root finder halves a bracket that starts on
-    that sign, so a lobe between the knot and the nearest sample is still
-    located and integrated.
-    """
-    _check_interval(f, g.partition.a, g.partition.b)
-    return integrate_segments(_residual(f, g), g.partition.knots, absolute=True)
+    """L1 error contributed by each segment of g's partition: the signed
+    smooth integrals of e = f - g between its crossings (see
+    ``_crossings`` and ``_between_crossings``)."""
+    p = g.partition
+    _check_interval(f, p.a, p.b)
+    pieces, values = _between_crossings(f, p, g.ordinates, *_crossings(f, g))
+    return np.bincount(pieces, values, minlength=p.n_segments)
 
 
 def l1_distance(f: TargetFunction, g: PolygonalFunction) -> float:
-    """Integral of |f - g| over g's interval.  Where f - g is exactly 0 at
-    a knot, the sign of f' - s there stands in for it (see
-    ``per_interval_errors``)."""
+    """Integral of |f - g| over g's interval (see ``per_interval_errors``)."""
     return float(np.sum(per_interval_errors(f, g)))
+
+
+def _between_crossings(f: TargetFunction, p, v, segments, crossings, start):
+    """Each piece's segment and signed integral of e = f - g (g with
+    ordinates v on p), from one quadrature call.  e keeps one sign between
+    neighbouring crossings of a segment: start[k] just right of segment
+    k's left knot, flipped at each crossing (in no particular order, in
+    ``segments``); a segment whose start is 0 adds nothing."""
+    knots, h, n = p.knots, p.widths, p.n_segments
+    # Each piece starts at a segment's left knot or at a crossing.  Sorted
+    # by segment, then position (lexsort is stable, so a knot stays ahead of
+    # a crossing on it), each ends where the next one starts, the last at
+    # its segment's right knot.
+    seg = np.concatenate((np.arange(n), segments))
+    lo = np.concatenate((knots[:-1], crossings))
+    order = np.lexsort((lo, seg))
+    seg, lo = seg[order], lo[order]
+    last = np.concatenate((seg[1:] != seg[:-1], [True]))
+    hi = np.where(last, knots[seg + 1], np.concatenate((lo[1:], [0.0])))
+    rank = np.arange(seg.size) - np.searchsorted(seg, seg)
+    sign = start[seg] * np.where(rank % 2 == 0, 1.0, -1.0)
+
+    def signed(x, piece):
+        return sign.take(piece) * (np.asarray(f.eval(x), dtype=float) - _line(knots, h, v, x, seg.take(piece)))
+
+    return seg, integrate_segments(signed, panels=(lo, hi, np.arange(seg.size), seg.size))
+
+
+def _line(knots, h, v, x, seg):
+    """g at the points x of the segments seg, g with ordinates v on knots
+    whose widths are h."""
+    d = (x - knots.take(seg)) / h.take(seg)
+    return (1.0 - d) * v.take(seg) + d * v[1:].take(seg)
+
+
+def _crossings(f: TargetFunction, g: PolygonalFunction):
+    """The crossings of e = f - g: (the segment of each, the crossings,
+    the sign of e just right of each segment's left knot).
+
+    Segments are cut into pieces at the zeros of f'' and at the ends of
+    the scan cells ``polylin.partition`` cannot vouch for.  g is linear on
+    a segment, so e'' = f'': on a vouched piece e is convex or concave, so
+    ends of opposite sign bracket one crossing (the sign of e' stands in
+    for that of e just inside an end where e = 0), and a piece between two
+    zeros of e holds none.  A pair needs e to run toward zero at one end
+    and away at the other, and fits nowhere the tangent lines at the ends
+    meet on e's side of zero.  Other such pieces, brackets with an end
+    where e = 0, and unvouched cells are split where e has the sign their
+    ends' values lack: where those tangents meet if e does there, else at
+    the extremum of e (the zero of e', to adjacent floats).  Brackets are
+    narrowed to CROSSING_WIDTH of themselves.  Zeros of f'' closer than
+    the scan grid go unseen, and so can a pair there.
+    """
+    p, v = g.partition, g.ordinates
+    knots, h = p.knots, p.widths
+    s = np.diff(v) / h
+    ((_comp, zeros, cells),) = _scanned(f, p.a, p.b)
+    cuts = np.concatenate([() if zeros is None else zeros, cells.ravel()])
+    x = np.union1d(knots, cuts[(cuts > p.a) & (cuts < p.b)])
+
+    def resid(t, k):
+        return np.asarray(f.eval(t), dtype=float) - _line(knots, h, v, t, k)
+
+    def slope(t, k):
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.asarray(f.first_derivative(t), dtype=float) - s.take(k)
+
+    def pieces(x):
+        # Per piece [x[i], x[i+1]]: its segment, e and e' at its ends, the
+        # sign of e just inside them, and the rounding of e and of e'.
+        seg = np.searchsorted(knots, x[:-1], side="right") - 1
+        fx, gx = np.asarray(f.eval(x), dtype=float), np.interp(x, knots, v)
+        if not np.all(np.isfinite(fx)):
+            raise QuadratureError("non-finite integrand value")
+        with np.errstate(invalid="ignore", over="ignore"):
+            d1 = np.asarray(f.first_derivative(x), dtype=float)
+            d_lo, d_hi = d1[:-1] - s[seg], d1[1:] - s[seg]
+        e, size, d_size = fx - gx, np.abs(fx) + np.abs(gx), np.abs(d1)
+        s_lo = _sign(np.where(e[:-1] != 0.0, e[:-1], d_lo))
+        s_hi = _sign(np.where(e[1:] != 0.0, e[1:], -d_hi))
+        noise = EPS * np.maximum(size[:-1], size[1:])
+        d_noise = EPS * (np.maximum(d_size[:-1], d_size[1:]) + np.abs(s[seg]))
+        return seg, e[:-1], e[1:], d_lo, d_hi, s_lo, s_hi, noise, d_noise
+
+    seg, e_lo, e_hi, d_lo, d_hi, s_lo, s_hi, noise, d_noise = pieces(x)
+    lo, hi = x[:-1], x[1:]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        # Where the tangent lines at the ends meet, and e on them there.
+        z = (e_hi - e_lo + d_lo * lo - d_hi * hi) / (d_lo - d_hi)
+        meet = e_lo + d_lo * (z - lo)
+        turn = d_lo * d_hi < 0.0
+    pair = (s_lo == s_hi) & (s_lo * d_lo < 0.0) & ~(s_lo * meet > 0.0)
+    zero_end = (s_lo != s_hi) & ((e_lo == 0.0) | (e_hi == 0.0))
+    k = np.flatnonzero(turn & (pair | zero_end) & (z > lo) & (z < hi))
+    split = k[np.where(e_lo[k] == 0.0, s_hi[k], s_lo[k]) * resid(z[k], seg[k]) < 0.0]
+    # A piece inside an unvouched cell sits at an odd place among its ends.
+    free = np.searchsorted(cells.ravel(), 0.5 * (lo + hi)) % 2 == 1
+    need = turn & (pair | zero_end | free)
+    need[split] = False
+    k = np.flatnonzero(need)
+    if k.size + split.size:
+        # roots reads e' at the ends for its sign and its steps: an
+        # infinite f' there is given as the largest finite value.
+        big = np.finfo(float).max
+        ends = (np.clip(d.take(k), -big, big) for d in (d_lo, d_hi))
+        m = roots(slope, seg[k], lo[k], hi[k], *ends, d_noise[k]) if k.size else ()
+        x = np.union1d(x, np.concatenate([m, z[split]]))
+        seg, e_lo, e_hi, d_lo, d_hi, s_lo, s_hi, noise, _ = pieces(x)
+    # Where e and e' are both 0 at an end, the piece's other end tells.
+    s_lo, s_hi = np.where(s_lo == 0.0, s_hi, s_lo), np.where(s_hi == 0.0, s_lo, s_hi)
+    s_lo, s_hi = s_lo + (s_lo == 0.0), s_hi + (s_hi == 0.0)
+    k = np.flatnonzero(s_lo != s_hi)
+    # An end where e = 0 exactly is given as its sign alone (see _roots).
+    ends = (np.where(e[k] != 0.0, e[k], sg[k] * TINY) for e, sg in ((e_lo, s_lo), (e_hi, s_hi)))
+    width = CROSSING_WIDTH * (x[k + 1] - x[k])
+    r = roots(resid, seg[k], x[k], x[k + 1], *ends, noise[k], width) if k.size else x[k]
+    # A piece end inside a segment where e = 0 and the sign flips crosses.
+    same = seg[1:] == seg[:-1]
+    at = np.flatnonzero(same & (s_hi[:-1] != s_lo[1:]))
+    first = np.concatenate([[True], ~same])
+    return np.concatenate([seg[k], seg[at]]), np.concatenate([r, x[1:-1][at]]), s_lo[first]
+
+
+def _sign(a: np.ndarray) -> np.ndarray:
+    """The sign of a, 0 where a is 0 or NaN."""
+    return (a > 0.0) - (a < 0.0).astype(float)
 
 
 def _check_kind(kind: str) -> None:

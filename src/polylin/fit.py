@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import thomas
-from ._roots import roots
-from .analysis import _knot_signs
+from ._roots import TINY, roots
+from .analysis import _between_crossings
 from .core import Partition, PolygonalFunction, TargetFunction, from_samples
 from .partition import _check_interval
 from .quadrature import QuadratureError, integrate_segments
@@ -222,7 +222,7 @@ def _crossings(
     root off by delta moves a gradient entry by at most 2 delta, so the
     settle floor counts the half-width along with each root's rounding.
     Where e is 0 exactly at a knot, the sign of e just inside the segment
-    stands in for it, as in ``polylin.analysis``, and roots halves a
+    stands in for it (``_knot_signs``), and roots halves a
     bracket that starts on such a stand-in.  A segment whose samples of e
     all sit within rounding of its largest |f| + |g| counts as fitted: it
     adds nothing to the gradient or the Hessian.  (Rounding of each
@@ -242,7 +242,7 @@ def _crossings(
     x, rows, fx = grid.x, grid.rows, grid.fx
     e = (fx - line(grid.d, rows)).reshape(x.shape)
     # e = 0 exactly at a knot, as at every knot of an interpolant, stands
-    # in for the sign of e just inside the segment (see polylin.analysis),
+    # in for the sign of e just inside the segment (see _knot_signs),
     # so a lobe between the knot and the next sample is bracketed; roots
     # halves a bracket that starts on the stand-in, so the lobe is found.
     at_knot = e[:, [0, -1]] == 0.0
@@ -307,6 +307,20 @@ def _crossings(
     return _Crossings(grid, width, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
 
 
+def _knot_signs(f: TargetFunction, knots: np.ndarray, h: np.ndarray, v: np.ndarray):
+    """The stand-ins for e = f - g where it is 0 exactly at a segment's
+    left or right knot, one pair of arrays over the segments: the sign of e
+    just inside the segment (of f' - s at the left knot and of s - f' at
+    the right one, s the segment's slope) at size TINY, which
+    ``polylin._roots`` reads as a sign alone.  A zero or non-finite f' - s
+    gives 0."""
+    s = np.diff(v) / h
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d1 = np.asarray(f.first_derivative(knots), dtype=float)
+        left, right = d1[:-1] - s, s - d1[1:]
+    return tuple(np.where(np.isfinite(t), np.sign(t) * TINY, 0.0) for t in (left, right))
+
+
 def _hidden_pairs(f, resid, x, e, pos, live, s, width):
     """Crossing pairs closer together than the sample spacing.
 
@@ -368,34 +382,9 @@ def _hidden_pairs(f, resid, x, e, pos, live, s, width):
 
 
 def _cost(f, p, v, state):
-    """Integral of |f - g| from the crossings of ``state``, taken at v.
-
-    e = f - g keeps one sign between neighbouring crossings of a segment:
-    the sign at the left knot, flipped at each crossing.  The cost is the
-    sum of those signs times smooth integrals of e between the crossings;
-    a fitted segment (sign 0) adds nothing.
-    """
-    knots, h, n = p.knots, p.widths, p.n_segments
-    # Each piece starts at a segment's left knot or at a crossing.  Sorted
-    # by segment, then position (lexsort is stable, so a knot stays ahead of
-    # a crossing on it), each ends where the next one starts, the last at
-    # its segment's right knot.
-    seg = np.concatenate((np.arange(n), state.segments))
-    lo = np.concatenate((knots[:-1], state.roots))
-    order = np.lexsort((lo, seg))
-    seg, lo = seg[order], lo[order]
-    last = np.concatenate((seg[1:] != seg[:-1], [True]))
-    hi = np.where(last, knots[seg + 1], np.concatenate((lo[1:], [0.0])))
-    rank = np.arange(seg.size) - np.searchsorted(seg, seg)
-    sign = state.start[seg] * np.where(rank % 2 == 0, 1.0, -1.0)
-
-    def signed(x, piece):
-        s = seg.take(piece)
-        d = (x - knots.take(s)) / h.take(s)
-        e = np.asarray(f.eval(x), dtype=float) - ((1.0 - d) * v.take(s) + d * v[1:].take(s))
-        return sign.take(piece) * e
-
-    return float(np.sum(integrate_segments(signed, panels=(lo, hi, np.arange(seg.size), seg.size))))
+    """Integral of |f - g| at v between the crossings of ``state`` (see
+    ``polylin.analysis._between_crossings``)."""
+    return float(np.sum(_between_crossings(f, p, v, state.segments, state.roots, state.start)[1]))
 
 
 def _line_search(f, p, v, step, state, dense):

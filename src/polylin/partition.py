@@ -25,14 +25,15 @@ accuracy.  At a zero of f'' the density has a cube-root cusp and |f''| a
 kink.  The zeros of every f_j'' are located once, and the pass is cut at
 them; a piece that ends at one is integrated through a cubic change of
 variable t -> x that makes the integrand smooth there (see
-``_split_integral``), and its cells keep their quintics in t.  A second
-derivative that is not finite at a point of the scan grid (GRID_PANELS
-cells from a to b) raises ``ValueError``.  So does a kink between grid
-points, which every target's exact f' shows: f' jumps across the kink's
-cell by more than f'' integrates to there, and so does a pass that fails
-where |f''| grows without bound between grid points (see
-``_unbounded``).  A target whose f' is constant to rounding is a line,
-and its f'', rounding residue, is left out (see ``_scan``).
+``_split_integral``), and its cells keep their quintics in t.  The zeros
+come from a scan of f' and f'' on GRID_PANELS cells (``_scan``), which
+also returns the cells it cannot vouch for: a non-finite f' or f'', or a
+kink, where f' jumps across a cell by more than f'' integrates to there.
+``build_distribution`` raises ``ValueError`` on any such cell, and so
+does a pass that fails where |f''| grows without bound between grid
+points (see ``_unbounded``).  The L1 distance reads the same scan (see
+``polylin.analysis``).  A target whose f' is constant to rounding is a
+line, and its f'', rounding residue, is left out.
 
 A vector target places one partition for all its components by summing
 the component curvatures before the cube root.  A scalar target is the
@@ -124,85 +125,88 @@ def knot_density(f: TargetFunction | VectorTargetFunction, x):
     return np.cbrt(_curvature_sum(f, x))
 
 
-def _scan(
-    f: TargetFunction | VectorTargetFunction, a: float, b: float
-) -> tuple[TargetFunction | VectorTargetFunction | None, np.ndarray]:
-    """The curved part of f on [a, b] and the sorted zeros of its f_j'',
-    where the summed curvature has a kink and the knot density a cusp.
+def _scan(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> tuple:
+    """Per component of f on [a, b]: (the component, the sorted zeros of
+    its f'', the (lo, hi) rows of the scan cells it cannot vouch for), or
+    (the component, None, no cells) where f' is finite and constant to
+    rounding on the scan grid: a line, whose f'' is rounding residue.
 
-    Each component's f'' is sampled on the scan grid, both ends included,
-    so a non-finite f'' at any grid point raises here.  A sample within
-    rounding of zero (EPS times the component's largest |f''|) is a zero
-    where it borders a sample outside that band; a sign change between two
-    samples outside it is narrowed to adjacent floats.  Zeros closer
-    together than the grid spacing go unseen; integrals across them still
-    converge, only with more refinement.
-
-    Each component's f' is checked on the same grid first.  Where
-    f' is constant to rounding the component is a line, and its f'' is
-    rounding residue that no integral could resolve, so it is left out of
-    the curved part (None when no component is left).  Otherwise the
-    change of f' across each cell must match the integral of f'' over it
-    (Simpson's rule, then an adaptive integral where the rule disagrees),
-    to within KINK_REL of the total curvature plus the rounding of f'; a
-    kink between grid points breaks that, and raises as a non-finite f''.
+    A cell is not vouched for where f' or f'' is not finite at an end or
+    f'' at its midpoint, or where f' changes across it by more than f''
+    integrates to there (Simpson's rule, then an adaptive integral where
+    the rule disagrees) beyond KINK_REL of the total curvature plus the
+    rounding of f': a kink.  A finite sample within rounding of zero (EPS
+    times the largest finite |f''|) is a zero where it borders one outside
+    that band; a sign change between two outside it, in a vouched cell,
+    is narrowed to adjacent floats.  Zeros closer than the grid spacing go
+    unseen; integrals across them converge with more refinement.
     """
     x = np.linspace(a, b, GRID_PANELS + 1)
-    curved, found = [], [np.empty(0)]
+    h = np.diff(x)
+    rows = []
     for comp in _components(f):
-        (d2,) = _second_derivatives(comp, x)
-        if _is_line(comp, x, d2):
+        d2 = np.asarray(comp.d2(x), dtype=float)
+        d1 = np.asarray(comp.first_derivative(x), dtype=float)
+        finite = np.isfinite(d2) & np.isfinite(d1)
+        rounding = NOISE_EPS * np.max(np.abs(d1), where=finite, initial=0.0)
+        if finite.all() and np.max(np.abs(d1 - d1[0])) <= rounding:
+            rows.append((comp, None, np.empty((0, 2))))
             continue
-        curved.append(comp)
-        noise = EPS * np.max(np.abs(d2))
-        band = np.abs(d2) <= noise
-        inside = np.concatenate([[True], band[:-1]]) & np.concatenate([band[1:], [True]])
-        found.append(x[band & ~inside])
-        k = np.flatnonzero(~band[:-1] & ~band[1:] & ((d2[:-1] > 0.0) != (d2[1:] > 0.0)))
+        d2m = np.asarray(comp.d2(x[:-1] + 0.5 * h), dtype=float)
+        bad = ~(finite[:-1] & finite[1:] & np.isfinite(d2m))
+        # Sums over the cells already refused are not read.
+        with np.errstate(invalid="ignore", over="ignore"):
+            simpson = h / 6.0 * (d2[:-1] + 4.0 * d2m + d2[1:])
+            mass = h / 6.0 * (np.abs(d2[:-1]) + 4.0 * np.abs(d2m) + np.abs(d2[1:]))
+            allow = KINK_REL * np.sum(mass, where=~bad) + rounding
+            jump = np.diff(d1)
+            k = np.flatnonzero(~bad & (np.abs(jump - simpson) > allow))
         if k.size:
-            found.append(
+            try:
+                exact = integrate_segments(
+                    lambda t, _s: _second_derivatives(comp, t)[0],
+                    panels=(x[k], x[k + 1], np.arange(k.size), k.size),
+                    abs_tol=0.1 * allow,
+                )
+            except (QuadratureError, ValueError):
+                exact = np.full(k.size, np.nan)
+            bad[k] = ~(np.abs(jump[k] - exact) <= allow)
+        noise = EPS * np.max(np.abs(d2), where=finite, initial=0.0)
+        band = finite & (np.abs(d2) <= noise)
+        inside = np.concatenate([[True], band[:-1]]) & np.concatenate([band[1:], [True]])
+        zeros = [x[band & ~inside]]
+        k = np.flatnonzero(~bad & ~band[:-1] & ~band[1:] & ((d2[:-1] > 0.0) != (d2[1:] > 0.0)))
+        if k.size:
+            zeros.append(
                 roots(
                     lambda t, _s: _second_derivatives(comp, t)[0],
                     k, x[k], x[k + 1], d2[k], d2[k + 1], np.full(k.size, noise),
                 )
             )
-    if not curved:
-        part = None
-    elif len(curved) == len(_components(f)):
-        part = f
-    else:
-        part = VectorTargetFunction(tuple(curved))
-    return part, np.unique(np.concatenate(found))
+        k = np.flatnonzero(bad)
+        rows.append((comp, np.unique(np.concatenate(zeros)), np.stack([x[k], x[k + 1]], axis=1)))
+    return tuple(rows)
 
 
-def _is_line(comp: TargetFunction, x: np.ndarray, d2: np.ndarray) -> bool:
-    """Whether comp's f' is constant to rounding on the grid x (f'' there
-    is d2); if not, raise where f' jumps across a cell.  See ``_scan``."""
-    d1 = np.asarray(comp.first_derivative(x), dtype=float)
-    if not np.all(np.isfinite(d1)):
-        raise ValueError("second derivative is not finite on the interval")
-    rounding = NOISE_EPS * np.max(np.abs(d1))
-    if np.max(np.abs(d1 - d1[0])) <= rounding:
-        return True
-    h = np.diff(x)
-    (d2m,) = _second_derivatives(comp, x[:-1] + 0.5 * h)
-    simpson = h / 6.0 * (d2[:-1] + 4.0 * d2m + d2[1:])
-    mass = h / 6.0 * (np.abs(d2[:-1]) + 4.0 * np.abs(d2m) + np.abs(d2[1:]))
-    allow = KINK_REL * np.sum(mass) + rounding
-    jump = np.diff(d1)
-    k = np.flatnonzero(np.abs(jump - simpson) > allow)
-    if k.size:
-        try:
-            exact = integrate_segments(
-                lambda t, _s: _second_derivatives(comp, t)[0],
-                panels=(x[k], x[k + 1], np.arange(k.size), k.size),
-                abs_tol=0.1 * allow,
-            )
-        except QuadratureError:
-            exact = np.full(k.size, np.nan)
-        if not np.all(np.abs(jump[k] - exact) <= allow):
-            raise ValueError("second derivative is not finite on the interval")
-    return False
+# The last scan, (f, a, b, its rows): a command runs it once.
+_LAST_SCAN: list = [None]
+
+
+def _scanned(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> tuple:
+    """``_scan(f, a, b)``, read from the last scan where (f, a, b) is the
+    last target scanned, or (its row alone) one of that target's
+    components: a vector target's scan serves the L1 distances of its
+    components.  Targets are immutable, and compared by identity."""
+    last = _LAST_SCAN[0]
+    if last is not None and last[1] == a and last[2] == b:
+        if last[0] is f:
+            return last[3]
+        for row in last[3]:
+            if row[0] is f:
+                return (row,)
+    rows = _scan(f, a, b)
+    _LAST_SCAN[0] = (f, a, b, rows)
+    return rows
 
 
 def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
@@ -488,9 +492,14 @@ def build_distribution(
     """Tabulated cumulative integral of the knot density over [a, b], read
     from the curvature pass (see ``_curvature_pass``)."""
     _check_interval(f, a, b)
-    part, zeros = _scan(f, a, b)
-    if part is None:
+    rows = _scanned(f, a, b)
+    if any(cells.size for _comp, _zeros, cells in rows):
+        raise ValueError("second derivative is not finite on the interval")
+    curved = [comp for comp, zeros, _cells in rows if zeros is not None]
+    if not curved:
         raise LinearTargetError(LINEAR_MESSAGE)
+    part = f if len(curved) == len(rows) else VectorTargetFunction(tuple(curved))
+    zeros = np.unique(np.concatenate([z for _comp, z, _cells in rows if z is not None]))
     dist = _curvature_pass(part, zeros, a, b)
     if dist.normalizer <= 0.0:
         raise LinearTargetError(LINEAR_MESSAGE)

@@ -9,18 +9,9 @@ whose output fixes the component count.  Each later level takes one call
 for the panels still open.
 
 Integrands may be vector valued (several components sharing the same
-sample points, as many as the integrand's output has columns), and
-absolute-value integrands get sign-aware refinement.  Absolute mode
-integrates the |value| of a single component, and a panel whose samples
-change sign is cut at the crossing rather than bisected toward it: the
-crossing is narrowed to adjacent floats by ``polylin._roots``, the panel
-is split there, and the children's shared end is given an exact 0 without
-being sampled, so each side has one sign and refines as a smooth panel
-does.  An integrand may give a zero at a segment's end the sign of
-its side at a size too small to count (``polylin.analysis`` does); the
-root finder halves a bracket that starts on such a value, so the lobe
-between that end and the crossing is still found.  The narrowing rounds
-call the integrand too, on a few points each.
+sample points, as many as the integrand's output has columns), and are
+smooth: callers cut their panels at kinks and changes of sign, and a kink
+left inside a panel is refined down to the kink floor.
 
 A caller that tabulates a running integral can read the panels one call
 accepted, with their ends, contributions and samples
@@ -38,8 +29,6 @@ import functools
 import itertools
 
 import numpy as np
-
-from ._roots import roots
 
 __all__ = ["QuadratureError", "integrate_segments"]
 
@@ -73,8 +62,8 @@ def _accepted_panels():
     every accepted panel's ends ``lo`` and ``hi``, its destination index,
     its contribution to the totals (the Richardson-corrected Simpson sum,
     one column per component), and the five samples that sum weighs, at
-    lo, the quarter points and hi (shape (panels, 5, components); |fun|
-    with ``absolute=True``), in no particular order.  The panels tile the
+    lo, the quarter points and hi (shape (panels, 5, components)), in no
+    particular order.  The panels tile the
     call's segments, so summing the contributions by destination gives its
     results up to the order of the additions.  S2 + (S2 - S1)/15 is
     Boole's rule, (hi - lo)/90 * (7, 32, 12, 32, 7) on the samples, up to
@@ -112,15 +101,7 @@ def _check_cap(n):
         )
 
 
-def integrate_segments(
-    fun,
-    edges=None,
-    *,
-    panels=None,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 0.0,
-    absolute: bool = False,
-):
+def integrate_segments(fun, edges=None, *, panels=None, abs_tol: float = 1e-12, rel_tol: float = 0.0):
     """Integrate ``fun`` over each segment, returning per-segment totals.
 
     fun(x, seg) -> (npts,) or (npts, k): one or k components, a count taken
@@ -138,12 +119,6 @@ def integrate_segments(
     A panel too narrow to split further is accepted with its residual
     recorded; residuals are totalled per component and checked against
     each component's own allowance at the end.
-
-    With ``absolute=True``, |fun| is integrated, and fun must have one
-    component (``ValueError`` otherwise).  A panel whose samples change
-    sign is cut at the crossing, located to adjacent floats, instead of
-    bisected toward it; both sides then hold one sign, and an exact 0 at
-    their shared end, where fun is not sampled.
 
     Returns an (nseg,) array, or (nseg, k) when k > 1.
     """
@@ -179,22 +154,19 @@ def integrate_segments(
     total_width = float((hi - lo).sum())
     kink_floor = total_width * 2.0**-40
 
-    def body(values):
-        return np.abs(values) if absolute else values
-
     def simpson(w, va, vm, vb):
         return (w / 6.0)[:, None] * (va + 4.0 * vm + vb)
 
     def estimates(lo, mid, hi, samples):
         """Simpson's rule on both halves of each panel, summed, and its
         Richardson error against the rule on the whole panel."""
-        b_lo, b_lm, b_mid, b_rm, b_hi = (body(v) for v in samples)
+        y_lo, y_lm, y_mid, y_rm, y_hi = samples
         # Measure the halves from the rounded mid they were split at: on a
         # panel only thousands of ulps wide (far from the origin) half the
         # nominal width is off by 1e-4 relative or more, and Richardson's
         # estimate never settles.
-        halves = simpson(mid - lo, b_lo, b_lm, b_mid) + simpson(hi - mid, b_mid, b_rm, b_hi)
-        return halves, (halves - simpson(hi - lo, b_lo, b_mid, b_hi)) / 15.0
+        halves = simpson(mid - lo, y_lo, y_lm, y_mid) + simpson(hi - mid, y_mid, y_rm, y_hi)
+        return halves, (halves - simpson(hi - lo, y_lo, y_mid, y_hi)) / 15.0
 
     def narrow(lo, lm, rm, hi):
         # A panel too narrow to split (midpoint collides with an endpoint, or
@@ -217,44 +189,8 @@ def integrate_segments(
         for c in range(columns):
             totals[:, c] += np.bincount(idx, weights=contrib[:, c], minlength=nseg)
         if listener is not None:
-            weighed = np.empty((rows.size, 5, columns))
-            for k, v in enumerate(samples):
-                weighed[:, k] = body(v.take(rows, axis=0))
+            weighed = np.stack([v.take(rows, axis=0) for v in samples], axis=1)
             accepted.append((lo.take(rows), hi.take(rows), idx, contrib, weighed))
-
-    def crossing_cuts(rows, ends, samples, sgn, changes):
-        """Split the rows to refine into those to bisect and those to cut at
-        a crossing: (rows to bisect, None) when none is cut, else (rows to
-        bisect, (rows to cut, their crossings)).
-
-        A row whose sign change counts (``changes``) is cut between its
-        first pair of neighbouring samples of opposite sign.  The crossing
-        is narrowed by ``roots`` to adjacent floats.
-        """
-        mixed = changes.take(rows).nonzero()[0]
-        if mixed.size == 0:
-            return rows, None
-        s = sgn.take(rows.take(mixed), axis=1)
-        opp = s[:-1] * s[1:] < 0.0
-        has = opp.any(axis=0).nonzero()[0]
-        if has.size == 0:
-            return rows, None
-        cut = rows.take(mixed.take(has))
-        at = seg.take(cut)
-        j = opp.take(has, axis=1).argmax(axis=0)
-        k = np.arange(cut.size)
-        xs = np.array([v.take(cut) for v in ends])
-        vs = np.array([v[cut, 0] for v in samples])
-
-        def crossing(x, which):
-            return _call(fun, x, at.take(which), 1)[:, 0]
-
-        # The samples do not show the rounding of e, so none is assumed: each
-        # point keeps one float spacing from the bracket's ends.
-        r = roots(crossing, k, xs[j, k], xs[j + 1, k], vs[j, k], vs[j + 1, k], np.zeros(k.size))
-        split = np.ones(rows.size, dtype=bool)
-        split[mixed.take(has)] = False
-        return rows[split], (cut, r)
 
     # Every panel is bisected MIN_LEVELS times before a test may accept it,
     # so the abscissae of those levels are known before anything is sampled,
@@ -279,8 +215,6 @@ def integrate_segments(
             seg = children(split, seg, seg)
     vals = _call(fun, np.concatenate(pts), np.concatenate(segs))
     columns = vals.shape[1]
-    if absolute and columns != 1:
-        raise ValueError(f"absolute=True integrates one component, not {columns}")
     totals = np.zeros((nseg, columns))
     if vals.shape[0] == 0:
         return totals[:, 0] if columns == 1 else totals
@@ -323,16 +257,6 @@ def integrate_segments(
         limit = np.maximum(thr, NOISE_EPS * vmax * w[:, None])
         ok = (np.abs(err) <= limit).all(axis=1)
 
-        if absolute:
-            sgn = np.sign(samples)[..., 0]
-            changes = (sgn.max(axis=0) > 0) & (sgn.min(axis=0) < 0)
-            # A mixed panel whose whole sampled mass sits inside its own
-            # budget cannot move the total by more than that budget, so the
-            # crossing need not be located; near-zero residuals otherwise
-            # drag the refinement into their rounding noise.
-            changes &= vmax[:, 0] * w > thr[:, 0]
-            ok &= ~changes | (w <= kink_floor)
-
         # A panel too narrow to split is accepted with the residual error
         # recorded per component.
         degenerate = narrow(lo, lm, rm, hi)
@@ -350,36 +274,13 @@ def integrate_segments(
         rows = (~ok).nonzero()[0]
         if rows.size == 0:
             break
-        ends = (lo, lm, mid, rm, hi)
-        rows, cuts = crossing_cuts(rows, ends, samples, sgn, changes) if absolute else (rows, None)
-        if cuts is not None:
-            # A cut row's children [lo, r] and [r, hi] meet at its crossing r.
-            cut, r = cuts
-            c_lo, c_hi = np.concatenate([lo.take(cut), r]), np.concatenate([r, hi.take(cut)])
-            c_seg = np.tile(seg.take(cut), 2)
-            c_f = f_lo.take(cut, axis=0), f_hi.take(cut, axis=0)
-        lo, mid, hi = descend(rows, *ends)
+        lo, mid, hi = descend(rows, lo, lm, mid, rm, hi)
         f_lo, f_mid, f_hi = descend(rows, *samples)
         seg = children(rows, seg, seg)
-        if cuts is None:
-            _check_cap(lo.size)
-            lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-            vals = _call(fun, np.concatenate([lm, rm]), np.concatenate([seg, seg]), columns)
-            f_lm, f_rm = vals[: lo.size], vals[lo.size :]
-            continue
-        # The cut children are sampled at their own midpoints too, but not
-        # at r, whose value is stored as an exact 0: so each child has one
-        # sign there, and rounding at r starts no new cut.
-        c_mid = 0.5 * (c_lo + c_hi)
-        lo, mid, hi, seg = (np.concatenate(v) for v in ((lo, c_lo), (mid, c_mid), (hi, c_hi), (seg, c_seg)))
         _check_cap(lo.size)
         lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        vals = _call(fun, np.concatenate([lm, rm, c_mid]), np.concatenate([seg, seg, c_seg]), columns)
-        n = lo.size
-        f_lm, f_rm, f_r = vals[:n], vals[n : 2 * n], np.zeros((r.size, 1))
-        f_mid = np.concatenate([f_mid, vals[2 * n :]])
-        f_lo = np.concatenate([f_lo, c_f[0], f_r])
-        f_hi = np.concatenate([f_hi, f_r, c_f[1]])
+        vals = _call(fun, np.concatenate([lm, rm]), np.concatenate([seg, seg]), columns)
+        f_lm, f_rm = vals[: lo.size], vals[lo.size :]
 
     # Residuals are judged per component against that component's own
     # allowance.

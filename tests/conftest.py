@@ -176,8 +176,7 @@ def batches(monkeypatch):
 
     A batch is one call of ``quadrature._call``: one for every sample of
     the forced bisections, the panels' ends included, then one per later
-    refinement level, whatever the number of panels, and in absolute mode
-    one per round of narrowing the crossings that panels are cut at.
+    refinement level, whatever the number of panels.
     Per-level overhead dominates the small integrals, so the count is the
     host-independent measure of their cost.
     """

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cubic, linear, quadratic
+from test_fit import _gaussian_well, _two_hidden_pairs
 from polylin.analysis import (
     BEST_L1_FACTOR,
     BOUND_KINDS,
@@ -19,8 +20,8 @@ from polylin.analysis import (
     partition_gain,
     per_interval_errors,
 )
-from polylin import cli, fit, functions, partition, vector
-from polylin.core import Partition, PolygonalFunction, VectorTargetFunction
+from polylin import analysis, cli, fit, functions, partition, vector
+from polylin.core import Partition, PolygonalFunction, TargetFunction, VectorTargetFunction
 from polylin.fit import interpolant
 from polylin.functions import chirp, expression, gaussian, poly7
 from polylin.partition import (
@@ -65,6 +66,110 @@ def test_per_interval_errors_sum_and_equalize():
     assert abs(np.sum(errs) - l1_distance(f, interpolant(f, p))) <= 1e-12
 
 
+def _zero(p):
+    return PolygonalFunction(p, np.zeros(p.knots.size))
+
+
+def _sine(domain):
+    return TargetFunction(eval=np.sin, second_derivative=lambda x: -np.sin(x), domain=domain, first_derivative=np.cos)
+
+
+def test_per_interval_errors_of_absolute_values():
+    # |x - c| over [0, 1] is (c^2 + (1-c)^2) / 2, and |sin| over [0, 2 pi]
+    # is 4: the L1 distances of x - c and sin from g = 0, on 8 segments.
+    p = uniform_partition(0.0, 1.0, 8)
+    for c, exact in ((0.3, 0.29), (1.0 / 3.0, 5.0 / 18.0)):
+        f = linear(slope=1.0, intercept=-c)
+        assert abs(np.sum(per_interval_errors(f, _zero(p))) - exact) <= 1e-12
+    p = uniform_partition(0.0, 2.0 * np.pi, 8)
+    assert abs(np.sum(per_interval_errors(_sine((0.0, 2.0 * np.pi)), _zero(p))) - 4.0) <= 1e-11
+
+
+def test_per_interval_errors_integrate_a_line_on_both_sides_of_its_crossing(batches):
+    # |x - 1/3| on one segment: the crossing, narrowed to CROSSING_WIDTH of
+    # the segment, cuts it into two lines, which one integrand call
+    # settles.  Off by delta, the crossing moves the integral by delta^2.
+    f, p = linear(slope=1.0, intercept=-1.0 / 3.0), uniform_partition(0.0, 1.0, 1)
+    assert batches(per_interval_errors, f, _zero(p)) == 1
+    assert abs(per_interval_errors(f, _zero(p))[0] - 5.0 / 18.0) <= 1e-16
+    _seg, (r,), _start = analysis._crossings(f, _zero(p))
+    assert abs(r - 1.0 / 3.0) <= 0.5 * analysis.CROSSING_WIDTH
+
+
+def test_per_interval_errors_find_a_crossing_beside_a_segment_end(batches):
+    # sin changes sign between the knot at pi, where it reads 1.2e-16, and
+    # the next float: the segment to its right holds that crossing.
+    f, p = _sine((0.0, 2.0 * np.pi)), uniform_partition(0.0, 2.0 * np.pi, 8)
+    assert f.eval(p.knots[4]) > 0.0
+    assert batches(per_interval_errors, f, _zero(p)) <= 8
+    assert abs(np.sum(per_interval_errors(f, _zero(p))) - 4.0) <= 1e-15
+
+
+def test_piece_search_finds_pairs_hidden_between_any_samples():
+    # Against g = 0, each quartic has two pairs of crossings 2 half apart
+    # (one next to the knot x = 0) and the Gaussian well one pair; no
+    # sample of a grid need see them.  The tangent lines at a piece's ends
+    # bound e from below; a piece they do not clear is probed where they
+    # meet, and split at the minimum of e (the zero of e') where the probe
+    # does not show e < 0.  Each crossing is then narrowed to
+    # CROSSING_WIDTH of its bracket, which lies in a segment no wider than 1.
+    middle, near_end = (0.012, 0.5 + 0.4 / fit.SAMPLES), (0.0011, 0.5 + 0.97 / fit.SAMPLES)
+    cases = [(_two_hidden_pairs(*middle, 0.004), np.add.outer(middle, [-0.004, 0.004]))]
+    for c in (middle, near_end):
+        for half in (1e-6, 1e-9, 1e-12, 1e-13, 1e-14):
+            cases.append((_two_hidden_pairs(*c, half), np.add.outer(c, [-half, half])))
+    well = 0.5 + 0.3 / fit.SAMPLES
+    cases.append((_gaussian_well(well, 0.003), well + 0.003 * math.sqrt(math.log(2.0)) * np.array([-1.0, 1.0])))
+    for p in (Partition([0.0, 1.0]), uniform_partition(0.0, 1.0, 4)):
+        for case, (f, exact) in enumerate(cases):
+            _seg, roots, start = analysis._crossings(f, _zero(p))
+            assert roots.size == exact.size and np.all(start == 1.0), case
+            assert np.max(np.abs(np.sort(roots) - exact.ravel())) <= 0.5 * analysis.CROSSING_WIDTH, case
+
+
+def _lifted_pair(c, d, eps):
+    """((x - c)^2 + eps^2) ((x - d)^2 + eps^2) on [0, 1]: two dips whose
+    minima sit about eps^2 (c - d)^2 above zero."""
+
+    def val(x):
+        x = np.asarray(x, dtype=float)
+        return ((x - c) ** 2 + eps**2) * ((x - d) ** 2 + eps**2)
+
+    def d1(x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * (x - c) * ((x - d) ** 2 + eps**2) + 2.0 * (x - d) * ((x - c) ** 2 + eps**2)
+
+    def d2(x):
+        x = np.asarray(x, dtype=float)
+        return 2.0 * ((x - d) ** 2 + eps**2) + 2.0 * ((x - c) ** 2 + eps**2) + 8.0 * (x - c) * (x - d)
+
+    return TargetFunction(eval=val, second_derivative=d2, domain=(0.0, 1.0), first_derivative=d1)
+
+
+def test_piece_search_proves_a_dip_just_above_zero_holds_no_crossing():
+    for eps in (1e-4, 1e-7, 1e-9):
+        f = _lifted_pair(0.3, 0.8, eps)
+        for p in (Partition([0.0, 1.0]), uniform_partition(0.0, 1.0, 3)):
+            _seg, roots, start = analysis._crossings(f, _zero(p))
+            assert roots.size == 0 and np.all(start == 1.0), eps
+
+
+def test_per_interval_errors_match_an_mpmath_reference():
+    # Per segment of four, the integral of |f| for the quartic with
+    # half-width 0.004 and for the Gaussian well (mpmath 1.3.0, 40 digits,
+    # between the exact crossings c +- half and c +- width sqrt(ln 2)).
+    p = uniform_partition(0.0, 1.0, 4)
+    references = [
+        (
+            _two_hidden_pairs(0.012, 0.5 + 0.4 / fit.SAMPLES, 0.004),
+            [0.00047497512327479987, 0.00057060793591666633, 0.0020645528107748011, 0.027245701248416673],
+        ),
+        (_gaussian_well(0.5 + 0.3 / fit.SAMPLES, 0.003), [0.25, 0.24999994737548381, 0.24556004443818992, 0.25]),
+    ]
+    for f, reference in references:
+        assert np.max(np.abs(per_interval_errors(f, _zero(p)) - reference)) <= 1e-12
+
+
 def test_bounds_on_constant_curvature_are_exact():
     f = quadratic()
     assert abs(error_bound(f, 0.0, 1.0, 1, "uniform_interpolant") - 1.0 / 6.0) <= 1e-12
@@ -79,8 +184,9 @@ def test_bound_formulas_from_curvature_integrals():
     # Equalized layout: the cubed 1/3-norm of f'' over 12 N^2.
     f = gaussian()
     n = 31
+    # f'' keeps its sign on each segment: its one zero, x = 1, is an edge.
     edges = np.linspace(0.0, 4.0, 9)
-    mass = np.sum(integrate_segments(lambda x, _s: f.d2(x), edges, absolute=True))
+    mass = np.sum(np.abs(integrate_segments(lambda x, _s: f.d2(x), edges)))
     third = np.sum(integrate_segments(lambda x, _s: np.abs(f.d2(x)) ** (1.0 / 3.0), edges))
     uniform = error_bound(f, 0.0, 4.0, n, "uniform_interpolant")
     optimized = error_bound(f, 0.0, 4.0, n, "optimized_interpolant")
@@ -310,10 +416,11 @@ def _plan_verify_interpolants(monkeypatch, seed):
 def test_l1_distance_cuts_an_interior_crossing_at_its_root(batches):
     # f - g crosses zero once inside a segment, in segment 20 at 0.72 of
     # its width.  Bisected toward the kink floor that crossing took 26
-    # batches; cut there, both sides refine as smooth panels do.
+    # batches, and 9 where the quadrature cut its panels there; integrated
+    # between the located crossings, every piece is smooth and takes 3.
     f = gaussian()
     g = interpolant(f, optimized_partition(f, 0.0, 4.0, 61))
-    assert batches(l1_distance, f, g) <= 12
+    assert batches(l1_distance, f, g) <= 4
 
 
 def test_fit_crossings_find_the_lobe_beside_a_knot():
@@ -331,10 +438,10 @@ def test_fit_crossings_find_the_lobe_beside_a_knot():
 
 
 def test_l1_distance_agrees_with_the_fit_cost_between_crossings(monkeypatch):
-    # Two integrators of |f - g|: the engine's sign-aware refinement and the
-    # fit's signed integrals between located crossings.  On seed 2 the
-    # cubic at N = 150 once read 3.6e-11 apart (a lobe beside a knot where
-    # e = 0 exactly).
+    # One integral of |f - g| from two crossing searches: the pieces where
+    # f'' keeps its sign (l1_distance) and the fit's sample grid.  On seed
+    # 2 the cubic at N = 150 once read 3.6e-11 apart (a lobe beside a knot
+    # where e = 0 exactly).
     gaps = []
     for f, g in _plan_verify_interpolants(monkeypatch, 2):
         p, v = g.partition, g.ordinates

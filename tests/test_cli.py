@@ -608,6 +608,54 @@ def test_integrable_singularity_between_grid_points_exits_two(capsys):
         assert err == "polylin: second derivative is not finite on the interval\n"
 
 
+# Targets the curvature scan cannot vouch for on [0, 1]: an infinite f' or
+# f'' at 0, a kink, and an f'' that grows without bound between grid points.
+# Each L1 distance was computed with mpmath 1.3.0 (40 digits) from the
+# knots and ordinates the command writes: the integral of |f - g| between
+# the crossings, kinks and knots, which were located beforehand.
+UNVOUCHED_COSTS = {
+    ("sqrt(x)", "interpolant", 4): 0.023383620423920124,
+    ("sqrt(x)", "interpolant", 8): 0.0085364450422123368,
+    ("sqrt(x)", "l2", 4): 0.0062581466435212526,
+    ("sqrt(x)", "l2", 8): 0.0023162934402826223,
+    ("x^1.5", "interpolant", 4): 0.0070181108579006973,
+    ("x^1.5", "interpolant", 8): 0.0018124647999742382,
+    ("x^1.5", "l2", 4): 0.0026598855045615452,
+    ("x^1.5", "l2", 8): 0.00069036140950795294,
+    ("x^x", "interpolant", 4): 0.021604742098053489,
+    ("x^x", "interpolant", 8): 0.0064048840507746168,
+    ("x^x", "l2", 4): 0.0076628754203538604,
+    ("x^x", "l2", 8): 0.0023162031549979795,
+    ("((x-0.3)^2)^0.75", "interpolant", 4): 0.010667029944801076,
+    ("((x-0.3)^2)^0.75", "interpolant", 8): 0.0028619754419368156,
+    ("((x-0.3)^2)^0.75", "l2", 4): 0.0045998933504781328,
+    ("((x-0.3)^2)^0.75", "l2", 8): 0.001338304439988399,
+    ("sqrt((x-0.3)^2)", "interpolant", 4): 0.010000000000000005,
+    ("sqrt((x-0.3)^2)", "interpolant", 8): 0.0037500000000000101,
+    ("sqrt((x-0.3)^2)", "l2", 4): 0.010997611848409463,
+    ("sqrt((x-0.3)^2)", "l2", 8): 0.0047538566349198324,
+}
+
+
+@pytest.mark.parametrize("text, kind, n", list(UNVOUCHED_COSTS))
+def test_l1_distance_on_targets_the_scan_cannot_vouch_for(capsys, text, kind, n):
+    # The L1 distance takes a cell the scan cannot vouch for as a piece of
+    # unknown convexity, so it measures these targets; every command that
+    # needs their curvature still refuses them.
+    where = ("--function", "expr:" + text, "--interval", "0", "1")
+    code, out, err = run(capsys, "fit", *where, "--segments", str(n), "--fit", kind)
+    assert code == 0, err
+    assert abs(json.loads(out)["cost"] - UNVOUCHED_COSTS[text, kind, n]) <= 1e-12
+    for argv in (
+        ("plan", *where, "--tolerance", "1e-3"),
+        ("partition", *where, "--segments", str(n), "--partition", "optimized"),
+        ("error", *where, "--segments", str(n), "--fit", kind),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", (argv, err)
+        assert err == "polylin: second derivative is not finite on the interval\n"
+
+
 def test_rounding_residue_line_plans_one_segment(capsys):
     where = ("--function", "expr:1/(1/x)", "--interval", "1", "2")
     code, out, err = run(capsys, "plan", *where, "--tolerance", "1e-3")

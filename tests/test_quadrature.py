@@ -1,4 +1,4 @@
-"""Adaptive Simpson engine: closed forms, kinks, floors, failure paths."""
+"""Adaptive Simpson engine: closed forms, cusps, floors, failure paths."""
 
 import inspect
 
@@ -22,24 +22,6 @@ def test_polynomial_and_transcendental_closed_forms():
     c = 1.0 / 3.0
     cusp = integral(lambda x: np.sqrt(np.abs(x - c)), 0.0, 1.0)
     assert abs(cusp - (2.0 / 3.0) * (c**1.5 + (1.0 - c) ** 1.5)) <= 1e-11
-
-
-def test_absolute_value_with_interior_kink():
-    # integral of |x - c| over [0, 1] is (c^2 + (1-c)^2) / 2
-    assert abs(integral(lambda x: x - 0.3, 0.0, 1.0, absolute=True) - 0.29) <= 1e-12
-    assert abs(integral(lambda x: x - 1.0 / 3.0, 0.0, 1.0, absolute=True) - 5.0 / 18.0) <= 1e-12
-    assert abs(integral(np.sin, 0.0, 2.0 * np.pi, absolute=True) - 4.0) <= 1e-11
-
-
-def test_absolute_value_sums_components_and_bisects_each_kink():
-    # Absolute mode integrates one component: a second column is refused,
-    # and a single column may come as a 1-D output or as one column.
-    edges = np.linspace(0.0, 1.0, 4)
-    with pytest.raises(ValueError, match="one component"):
-        integrate_segments(lambda x, _s: np.stack([x - 0.3, 0.6 - x], axis=1), edges, absolute=True)
-    single = integrate_segments(lambda x, _s: x - 0.3, edges, absolute=True)
-    stacked = integrate_segments(lambda x, _s: (x - 0.3)[:, None], edges, absolute=True)
-    assert np.array_equal(single, stacked)
 
 
 def test_segment_totals_match_per_segment_antiderivative():
@@ -207,15 +189,6 @@ def test_panels_too_narrow_for_the_forced_levels():
 
     panels = (lo, hi, np.arange(6), 6)
     assert np.array_equal(integrate_segments(fun, panels=panels), recorded)
-    # Absolute mode takes one component at a time; neither changes sign on
-    # any panel, so each run is the magnitude of its smooth one.
-    for c in range(2):
-
-        def column(x, _s, c=c):
-            return fun(x, _s)[:, c]
-
-        smooth = integrate_segments(column, panels=panels)
-        assert np.array_equal(integrate_segments(column, panels=panels, absolute=True), np.abs(smooth))
 
 
 def test_default_tolerance():
@@ -269,50 +242,3 @@ def test_accepted_panels_tile_the_segments_and_sum_to_the_totals():
     split = np.abs((mid - lo) - (hi - mid)) / (hi - lo)
     assert np.all(np.abs(boole - values) <= (1e-14 + split[:, None]) * np.abs(values))
     assert np.count_nonzero(split == 0.0) >= lo.size // 2
-
-
-def test_absolute_value_cuts_a_crossing_at_its_root(batches):
-    # The kink of |x - 1/3| lies on no bisection point.  Bisected toward
-    # the kink floor it took 40 batches; cut at the crossing, the two sides
-    # meet at a sample stored as an exact 0, and each is a line.
-    def run():
-        return integrate_segments(lambda x, _s: x - 1.0 / 3.0, np.array([0.0, 1.0]), absolute=True)
-
-    assert batches(run) <= 8
-    with _accepted_panels() as accepted:
-        total = run()[0]
-    assert abs(total - 5.0 / 18.0) <= 1e-16
-    lo, hi, _seg, _contrib, samples = accepted
-    left, right = np.flatnonzero(samples[:, 4, 0] == 0.0), np.flatnonzero(samples[:, 0, 0] == 0.0)
-    assert left.size == right.size == 1
-    assert hi[left] == lo[right] and abs(hi[left][0] - 1.0 / 3.0) <= np.spacing(1.0 / 3.0)
-
-
-def test_absolute_value_cuts_a_crossing_beside_a_segment_end(batches):
-    # sin changes sign between the knot at pi (where it reads 1.2e-16) and
-    # the next sample.  Bisected toward the kink floor, as a sign change
-    # against a segment's end once was, it took 38 batches; cut, it takes
-    # what the smooth panels do.
-    def run():
-        return integrate_segments(lambda x, _s: np.sin(x), np.linspace(0.0, 2.0 * np.pi, 9), absolute=True)
-
-    assert batches(run) <= 8
-    assert abs(np.sum(run()) - 4.0) <= 1e-15
-
-
-def test_a_cut_level_samples_no_point_at_its_crossing():
-    # |x - 1/3| on [0, 1]: the first tested level cuts [1/4, 1/2] at the
-    # crossing r, which only the narrowing rounds sample.  The level after
-    # samples the two children's midpoints and quarter points, six points;
-    # r's value is stored as an exact 0.
-    calls = []
-
-    def fun(x, _s):
-        calls.append(x.copy())
-        return x - 1.0 / 3.0
-
-    with _accepted_panels() as accepted:
-        integrate_segments(fun, np.array([0.0, 1.0]), absolute=True)
-    _lo, hi, _seg, _contrib, samples = accepted
-    (r,) = hi[samples[:, 4, 0] == 0.0]
-    assert calls[-1].size == 6 and r not in calls[-1]

@@ -11,8 +11,9 @@ the records it moves:
 
     PYTHONPATH=src python tests/test_stdout_pinned.py --record NAME [NAME ...]
 
-Recording prints every line it changed as "NAME: old → new", so the list
-of moved cells can be copied from its output.
+Recording prints every line it changed as "NAME: old → new", followed
+by the largest relative change among the numbers of the line, so the list
+of moved cells, with the size of each move, can be copied from its output.
 
 The records pin outputs with numpy 2.4.6 (Python 3.11, x86-64 Linux).
 Another numpy build may round an elementary function differently in the
@@ -24,6 +25,7 @@ import argparse
 import contextlib
 import difflib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -82,6 +84,18 @@ def moved(old: str, new: str) -> list[str]:
     return out
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_change(old: str, new: str) -> float | None:
+    """The largest |new - old| / |old| over the numbers of two lines, taken
+    in order; None when the lines do not hold the same count of numbers."""
+    a, b = (list(map(float, NUMBER.findall(line))) for line in (old, new))
+    if len(a) != len(b):
+        return None
+    return max((abs(y - x) / abs(x) if x else abs(y) for x, y in zip(a, b) if x != y), default=0.0)
+
+
 def record(names) -> None:
     """Run the named commands, write their stdout over the records and
     print every line that moved."""
@@ -95,7 +109,9 @@ def record(names) -> None:
         before = path.read_text(encoding="utf-8") if path.exists() else ""
         path.write_text(out.getvalue(), encoding="utf-8")
         for line in moved(before, out.getvalue()):
-            print(f"{name}: {line}")
+            change = largest_change(*line.split(" → "))
+            size = "" if change is None else f"  (largest relative change {change:.2g})"
+            print(f"{name}: {line}{size}")
         print(f"recorded {name}", file=sys.stderr)
 
 
