@@ -1,9 +1,10 @@
 """CLI stdout pinned byte for byte on fast commands.
 
 ``plan``, ``partition`` and ``error`` on every built-in target, one
-``poly:`` target and one ``expr:`` target, one best-L1 ``fit`` (its
-ordinates and full report as JSON), and ``reproduce gain``, compared
-with the stdout recorded under ``tests/data/stdout/``.  Together they
+``poly:`` target and one ``expr:`` target, two best-L1 ``fit`` runs
+(their ordinates and full reports as JSON; the chirp's segments hold
+zeros of f''), and ``reproduce gain``, compared with the stdout recorded
+under ``tests/data/stdout/``.  Together they
 run every layer: curvature integrals, knot tables and their inversion,
 the L2 projection, the best-L1 fit and the L1 distance.  A change that
 moves a printed digit says why and records the files again, naming only
@@ -57,6 +58,7 @@ COMMANDS = {
     "error_poly_interpolant": ["error", *POLY, "--segments", "6", *OPTIMIZED, "--fit", "interpolant"],
     "error_expr_l2": ["error", *EXPR, "--segments", "6", *OPTIMIZED, "--fit", "l2"],
     "fit_gaussian_l1": ["fit", "--function", "gaussian", "--segments", "16", *OPTIMIZED, "--fit", "l1"],
+    "fit_chirp_l1": ["fit", "--function", "chirp", "--segments", "31", *OPTIMIZED, "--fit", "l1"],
     "reproduce_gain": ["reproduce", "gain"],
 }
 
