@@ -1,17 +1,17 @@
 """Bracketed root finding, vectorized over many independent brackets.
 
-Used for the crossings of f - g, in the best-L1 fit and in the L1
-distance; for the zeros of e' = f' - s (s a segment's slope) at which
-either looks for a pair of crossings; and for the zeros of f'' that the
-curvature integrals, and the L1 distance's pieces, are cut at.
+Used for the crossings of f - g, which the L1 distance and the best-L1
+fit find with one search (``polylin.analysis._crossings``); for the
+zeros of e' = f' - s (s a segment's slope) at which that search splits a
+piece that may hold a pair of crossings; and for the zeros of f'' that
+the curvature integrals, and the search's pieces, are cut at.
 
 A value no larger in size than TINY, the smallest normal double, has a
-sign but no size: it is 0, or the stand-in that ``polylin.fit`` and
-``polylin.analysis`` write where e = f - g is 0 exactly at a knot or a
-piece end.  A bracket that starts on such a value is halved, since a
-step from it would land next to that end, in the rounding of e, and miss
-a lobe between the end and the root.  This is the one place that reads
-the stand-in.
+sign but no size: it is 0, or the stand-in that the search writes where
+e = f - g is 0 exactly at a piece end.  A bracket that starts on such a
+value is halved, since a step from it would land next to that end, in
+the rounding of e, and miss a lobe between the end and the root.  This
+is the one place that reads the stand-in.
 """
 
 from __future__ import annotations

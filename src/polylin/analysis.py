@@ -82,9 +82,10 @@ def per_interval_errors(f: TargetFunction, g: PolygonalFunction) -> np.ndarray:
     """L1 error contributed by each segment of g's partition: the signed
     smooth integrals of e = f - g between its crossings (see
     ``_crossings`` and ``_between_crossings``)."""
-    p = g.partition
+    p, v = g.partition, g.ordinates
     _check_interval(f, p.a, p.b)
-    pieces, values = _between_crossings(f, p, g.ordinates, *_crossings(f, g))
+    found = _crossings(f, p, v, _ends(f, p.knots, 1))
+    pieces, values = _between_crossings(f, p, v, found.segments, found.roots, found.start)
     return np.bincount(pieces, values, minlength=p.n_segments)
 
 
@@ -126,30 +127,77 @@ def _line(knots, h, v, x, seg):
     return (1.0 - d) * v.take(seg) + d * v[1:].take(seg)
 
 
-def _crossings(f: TargetFunction, g: PolygonalFunction):
-    """The crossings of e = f - g: (the segment of each, the crossings,
-    the sign of e just right of each segment's left knot).
+@dataclass(frozen=True)
+class _Ends:
+    """The ends of the pieces a crossing search cuts a partition into, and
+    f and f' there (see ``_ends``).  They do not depend on g."""
 
-    Segments are cut into pieces at the zeros of f'' and at the ends of
-    the scan cells ``polylin.partition`` cannot vouch for.  g is linear on
-    a segment, so e'' = f'': on a vouched piece e is convex or concave, so
-    ends of opposite sign bracket one crossing (the sign of e' stands in
-    for that of e just inside an end where e = 0), and a piece between two
-    zeros of e holds none.  A pair needs e to run toward zero at one end
-    and away at the other, and fits nowhere the tangent lines at the ends
-    meet on e's side of zero.  Other such pieces, brackets with an end
-    where e = 0, and unvouched cells are split where e has the sign their
-    ends' values lack: where those tangents meet if e does there, else at
-    the extremum of e (the zero of e', to adjacent floats).  Brackets are
-    narrowed to CROSSING_WIDTH of themselves.  Zeros of f'' closer than
-    the scan grid go unseen, and so can a pair there.
+    x: np.ndarray  # sorted; the knots are among them
+    fx: np.ndarray  # f at x
+    d1: np.ndarray  # f' at x
+    seg: np.ndarray  # the segment of each piece [x[i], x[i + 1]]
+    free: np.ndarray  # whether each piece lies in a scan cell not vouched for
+
+
+def _ends(f: TargetFunction, knots: np.ndarray, steps: int) -> _Ends:
+    """``steps`` equal steps per segment of ``knots``, cut at the zeros of
+    f'' and at the ends of the scan cells ``polylin.partition`` cannot
+    vouch for, with f and f' there.  The L1 distance takes one step per
+    segment; the best-L1 fit takes more, once per fit, so that its
+    brackets start narrow."""
+    a, b = float(knots[0]), float(knots[-1])
+    ((_comp, zeros, cells),) = _scanned(f, a, b)
+    grid = knots[:-1, None] + np.diff(knots)[:, None] * (np.arange(steps) / steps)
+    cuts = np.concatenate([() if zeros is None else zeros, cells.ravel()])
+    x = np.union1d(np.append(grid, b), cuts[(cuts > a) & (cuts < b)])
+    seg = np.searchsorted(knots, x[:-1], side="right") - 1
+    # A piece inside an unvouched cell sits at an odd place among its ends.
+    free = np.searchsorted(cells.ravel(), 0.5 * (x[:-1] + x[1:])) % 2 == 1
+    return _Ends(x, *_at(f, x), seg, free)
+
+
+def _at(f: TargetFunction, x: np.ndarray):
+    """f and f' at x; a non-finite f raises QuadratureError."""
+    fx = np.asarray(f.eval(x), dtype=float)
+    if not np.all(np.isfinite(fx)):
+        raise QuadratureError("non-finite integrand value")
+    with np.errstate(invalid="ignore", over="ignore"):
+        return fx, np.asarray(f.first_derivative(x), dtype=float)
+
+
+@dataclass(frozen=True)
+class _Search:
+    """What ``_crossings`` found of e = f - g: its crossings, and per segment."""
+
+    segments: np.ndarray  # the segment of each crossing
+    roots: np.ndarray  # the crossings, in no particular order
+    before: np.ndarray  # the sign of e just left of each crossing
+    start: np.ndarray  # per segment, the sign of e just right of its left knot
+    bound: np.ndarray  # per segment, an upper bound on |e|
+    scale: np.ndarray  # per segment, the largest |f| + |g| at its piece ends
+
+
+def _crossings(f: TargetFunction, p, v, ends: _Ends, width: float | None = None) -> _Search:
+    """The crossings of e = f - g, g with ordinates v on p, on the pieces
+    between ``ends``.
+
+    g is linear on a segment, so e'' = f'': on a vouched piece e is convex
+    or concave, so ends of opposite sign bracket one crossing (the sign of
+    e' stands in for that of e just inside an end where e = 0), and a
+    piece between two zeros of e holds none.  A pair needs e to run toward
+    zero at one end and away at the other, and fits nowhere the tangent
+    lines at the ends meet on e's side of zero.  Other such pieces,
+    brackets with an end where e = 0, and unvouched cells are split where
+    e has the sign their ends' values lack: where those tangents meet if e
+    does there, else at the extremum of e (the zero of e', to adjacent
+    floats).  Brackets are narrowed to ``width`` times their segment, or
+    where width is None to CROSSING_WIDTH of themselves.  Zeros of f''
+    closer than the scan grid go unseen, and so can a pair there.  As e
+    lies between its chord and its tangents, |e| on a segment is bounded
+    by its piece ends and, on vouched pieces where e turns, where they meet.
     """
-    p, v = g.partition, g.ordinates
     knots, h = p.knots, p.widths
     s = np.diff(v) / h
-    ((_comp, zeros, cells),) = _scanned(f, p.a, p.b)
-    cuts = np.concatenate([() if zeros is None else zeros, cells.ravel()])
-    x = np.union1d(knots, cuts[(cuts > p.a) & (cuts < p.b)])
 
     def resid(t, k):
         return np.asarray(f.eval(t), dtype=float) - _line(knots, h, v, t, k)
@@ -158,60 +206,64 @@ def _crossings(f: TargetFunction, g: PolygonalFunction):
         with np.errstate(invalid="ignore", over="ignore"):
             return np.asarray(f.first_derivative(t), dtype=float) - s.take(k)
 
-    def pieces(x):
-        # Per piece [x[i], x[i+1]]: its segment, e and e' at its ends, the
-        # sign of e just inside them, and the rounding of e and of e'.
-        seg = np.searchsorted(knots, x[:-1], side="right") - 1
-        fx, gx = np.asarray(f.eval(x), dtype=float), np.interp(x, knots, v)
-        if not np.all(np.isfinite(fx)):
-            raise QuadratureError("non-finite integrand value")
+    def pieces(x, fx, d1, seg):
+        # Per piece [x[i], x[i+1]]: e and e' at its ends, the sign of e just
+        # inside them, their larger |f| + |g|; each segment's first piece.
+        gx = np.interp(x, knots, v)
         with np.errstate(invalid="ignore", over="ignore"):
-            d1 = np.asarray(f.first_derivative(x), dtype=float)
             d_lo, d_hi = d1[:-1] - s[seg], d1[1:] - s[seg]
-        e, size, d_size = fx - gx, np.abs(fx) + np.abs(gx), np.abs(d1)
+        e, size = fx - gx, np.abs(fx) + np.abs(gx)
         s_lo = _sign(np.where(e[:-1] != 0.0, e[:-1], d_lo))
         s_hi = _sign(np.where(e[1:] != 0.0, e[1:], -d_hi))
-        noise = EPS * np.maximum(size[:-1], size[1:])
-        d_noise = EPS * (np.maximum(d_size[:-1], d_size[1:]) + np.abs(s[seg]))
-        return seg, e[:-1], e[1:], d_lo, d_hi, s_lo, s_hi, noise, d_noise
+        first = np.flatnonzero(np.concatenate([[True], seg[1:] != seg[:-1]]))
+        return e[:-1], e[1:], d_lo, d_hi, s_lo, s_hi, np.maximum(size[:-1], size[1:]), first
 
-    seg, e_lo, e_hi, d_lo, d_hi, s_lo, s_hi, noise, d_noise = pieces(x)
-    lo, hi = x[:-1], x[1:]
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+    x, fx, d1, seg = ends.x, ends.fx, ends.d1, ends.seg
+    e_lo, e_hi, d_lo, d_hi, s_lo, s_hi, top, first = pieces(x, fx, d1, seg)
+    # Only a piece where e' changes sign can hold a pair, or take |e| past
+    # its ends' values: the rest are read on those alone.
+    t = np.flatnonzero(d_lo * d_hi < 0.0)
+    lo, hi, e0, e1, de0, de1, s0, s1 = (q[t] for q in (x[:-1], x[1:], e_lo, e_hi, d_lo, d_hi, s_lo, s_hi))
+    with np.errstate(invalid="ignore", over="ignore"):
         # Where the tangent lines at the ends meet, and e on them there.
-        z = (e_hi - e_lo + d_lo * lo - d_hi * hi) / (d_lo - d_hi)
-        meet = e_lo + d_lo * (z - lo)
-        turn = d_lo * d_hi < 0.0
-    pair = (s_lo == s_hi) & (s_lo * d_lo < 0.0) & ~(s_lo * meet > 0.0)
-    zero_end = (s_lo != s_hi) & ((e_lo == 0.0) | (e_hi == 0.0))
-    k = np.flatnonzero(turn & (pair | zero_end) & (z > lo) & (z < hi))
-    split = k[np.where(e_lo[k] == 0.0, s_hi[k], s_lo[k]) * resid(z[k], seg[k]) < 0.0]
-    # A piece inside an unvouched cell sits at an odd place among its ends.
-    free = np.searchsorted(cells.ravel(), 0.5 * (lo + hi)) % 2 == 1
-    need = turn & (pair | zero_end | free)
-    need[split] = False
-    k = np.flatnonzero(need)
+        z = (e1 - e0 + de0 * lo - de1 * hi) / (de0 - de1)
+        meet = e0 + de0 * (z - lo)
+    inside = (z > lo) & (z < hi)
+    tangent = np.zeros(first.size)
+    np.maximum.at(tangent, seg[t], np.where(inside & ~ends.free[t], np.abs(meet), 0.0))
+    pair = (s0 == s1) & (s0 * de0 < 0.0) & ~(s0 * meet > 0.0)
+    zero_end = (s0 != s1) & ((e0 == 0.0) | (e1 == 0.0))
+    j = np.flatnonzero(inside & (pair | zero_end))
+    hit = j[np.where(e0[j] == 0.0, s1[j], s0[j]) * resid(z[j], seg[t[j]]) < 0.0] if j.size else j
+    need = pair | zero_end | ends.free[t]
+    need[hit] = False
+    k, split = t[need], t[hit]
     if k.size + split.size:
         # roots reads e' at the ends for its sign and its steps: an
         # infinite f' there is given as the largest finite value.
         big = np.finfo(float).max
-        ends = (np.clip(d.take(k), -big, big) for d in (d_lo, d_hi))
-        m = roots(slope, seg[k], lo[k], hi[k], *ends, d_noise[k]) if k.size else ()
-        x = np.union1d(x, np.concatenate([m, z[split]]))
-        seg, e_lo, e_hi, d_lo, d_hi, s_lo, s_hi, noise, _ = pieces(x)
+        ends_d = (np.clip(d.take(k), -big, big) for d in (d_lo, d_hi))
+        d_noise = EPS * (np.maximum(np.abs(d1[k]), np.abs(d1[k + 1])) + np.abs(s[seg[k]]))
+        m = roots(slope, seg[k], x[k], x[k + 1], *ends_d, d_noise) if k.size else x[k]
+        # Each split point joins the ends in its piece's segment.
+        new = np.concatenate([m, z[hit]])
+        x, idx = np.unique(np.concatenate([x, new]), return_index=True)
+        fx, d1 = (np.concatenate(both)[idx] for both in zip((fx, d1), _at(f, new)))
+        seg = np.concatenate([seg, seg[-1:], seg[k], seg[split]])[idx[:-1]]
+        e_lo, e_hi, d_lo, d_hi, s_lo, s_hi, top, first = pieces(x, fx, d1, seg)
+    bound = np.maximum(tangent, np.maximum.reduceat(np.maximum(np.abs(e_lo), np.abs(e_hi)), first))
     # Where e and e' are both 0 at an end, the piece's other end tells.
     s_lo, s_hi = np.where(s_lo == 0.0, s_hi, s_lo), np.where(s_hi == 0.0, s_lo, s_hi)
     s_lo, s_hi = s_lo + (s_lo == 0.0), s_hi + (s_hi == 0.0)
     k = np.flatnonzero(s_lo != s_hi)
     # An end where e = 0 exactly is given as its sign alone (see _roots).
-    ends = (np.where(e[k] != 0.0, e[k], sg[k] * TINY) for e, sg in ((e_lo, s_lo), (e_hi, s_hi)))
-    width = CROSSING_WIDTH * (x[k + 1] - x[k])
-    r = roots(resid, seg[k], x[k], x[k + 1], *ends, noise[k], width) if k.size else x[k]
+    ends_e = (np.where(e[k] != 0.0, e[k], sg[k] * TINY) for e, sg in ((e_lo, s_lo), (e_hi, s_hi)))
+    narrow = CROSSING_WIDTH * (x[k + 1] - x[k]) if width is None else width * h[seg[k]]
+    r = roots(resid, seg[k], x[k], x[k + 1], *ends_e, EPS * top[k], narrow) if k.size else x[k]
     # A piece end inside a segment where e = 0 and the sign flips crosses.
-    same = seg[1:] == seg[:-1]
-    at = np.flatnonzero(same & (s_hi[:-1] != s_lo[1:]))
-    first = np.concatenate([[True], ~same])
-    return np.concatenate([seg[k], seg[at]]), np.concatenate([r, x[1:-1][at]]), s_lo[first]
+    at = np.flatnonzero((seg[1:] == seg[:-1]) & (s_hi[:-1] != s_lo[1:]))
+    found = (np.concatenate(both) for both in ((seg[k], seg[at]), (r, x[at + 1]), (s_lo[k], s_hi[at])))
+    return _Search(*found, s_lo[first], bound, np.maximum.reduceat(top, first))
 
 
 def _sign(a: np.ndarray) -> np.ndarray:

@@ -8,21 +8,24 @@ did not converge, quadrature failure, linear target).  Output is CSV
 significant digits so identical configurations produce byte-identical
 files.
 
-Endpoint policy: f'' must be finite on the whole closed interval, ends
-included.  It is sampled on a grid that contains both ends before any
-curvature integral, and a non-finite value anywhere on it exits 2 with
-"second derivative is not finite on the interval", even where the knot
-density would still be integrable: expr:x^1.5 and expr:sqrt(x) on [0, 1]
-have an infinite f'' at 0, and expr:x^x a NaN one (x^w with an exponent
-that depends on x is defined only for x > 0).  Between grid points an
-expr: target's f' must change across each cell by the integral of its
-f'', so a kink there (expr:sqrt((x-0.3)^2)) or a pole (expr:1/(x-0.3))
-exits 2 the same way.  An integrable singularity of f'' between grid
-points is not seen by the grid: where the curvature integrals fail across
-it because |f''| grows without bound (expr:((x-0.3)^2)^0.75), it exits 2
-the same way, and where they converge (expr:((x-0.3)^2)^0.9) it is
-integrated.  An expr: target whose f' is constant to rounding on that
-grid (expr:1/(1/x)) is a line: one segment meets any tolerance.
+Endpoint policy: f'' must be finite on the closed interval, ends
+included, for any curvature integral.  It is sampled on a grid that
+contains both ends, and a command that needs the curvature (plan,
+partition, error, and fit on an equalized partition) exits 2 on a
+non-finite value with "second derivative is not finite on the interval",
+even where the knot density would still be integrable: expr:x^1.5 and
+expr:sqrt(x) on [0, 1] have an infinite f'' at 0, and expr:x^x a NaN one
+(x^w with an exponent that depends on x is defined only for x > 0).
+Between grid points a kink (expr:sqrt((x-0.3)^2)) or a curvature pass
+that fails where |f''| grows without bound (expr:((x-0.3)^2)^0.75) exits
+2 the same way, as does a pole (expr:1/(x-0.3)); where the curvature
+integrals converge (expr:((x-0.3)^2)^0.9) the singularity is integrated.
+The fits need none, so on a uniform partition fit --fit interpolant and
+--fit l2 measure the first five of these targets on [0, 1], and --fit l1
+converges on four at N = 4 and 8 but exits 3 on expr:sqrt((x-0.3)^2), a
+line on every segment but one.  An expr: target whose f' is constant to
+rounding on the scan grid (expr:1/(1/x)) is a line: one segment meets
+any tolerance.
 """
 
 from __future__ import annotations

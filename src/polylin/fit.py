@@ -11,30 +11,27 @@ target's exact f'.  The fit runs Newton iterations on that pair, started
 from the least-squares projection, and stops once every gradient entry is
 at its rounding floor.
 
-The crossings come from samples of e = f - g at equal steps in each
-segment; f is sampled once per grid and fit, and every pass takes e from
-those samples.  A pair closer together than the step hides in a dip of
-|e| between samples of one sign, around an extremum of e of the other
-sign.  Where e runs down to one extremum and back up across the dip's
-two sample brackets, that extremum is the zero of e' = f' - s (s the
-segment's slope) in the bracket where e' turns e back.  The zero is
-narrowed on the target's exact f' as far as the crossings are (to
-adjacent floats on the pass that judges convergence), and e taken at
-both ends of what is left, so a pair is missed only where it is
-narrower than that, or lies within the span where rounding hides the
-sign of e'.  Where e has more than one extremum across the dip, a pair
-at another one can be missed.  Every sign change is then narrowed by
-Chandrupatla's bracketing method.  Its inverse quadratic steps give way
-to halving where they are not trusted, and where rounding leaves e
-nothing but its sign.  Each pass narrows its brackets only as far as
-its settle test reads them, and counts half that width in its rounding
-floor.  A line-search trial narrows to a width that shrinks with the
-square of the residual its step started from (an inexact Newton step);
-the first pass, from the least-squares start, to that width at the
-largest residual there can be.  Settling is judged on a pass on the
-dense grid at EXACT_WIDTH, a thousandth of the optimality tolerance; a
-trial whose own width would be finer runs as that pass, and settles the
-fit without another.  The reported cost is the sum of the smooth signed
+The crossings come from the L1 distance's search
+(``polylin.analysis._crossings``) on pieces of each segment: SAMPLES
+equal steps, cut at the zeros of f'' and at the scan cells that cannot
+be vouched for, with f and f' taken at their ends once per fit.  g is
+linear on a segment, so e'' = f'' and e is convex or concave on each
+piece: its ends and the tangent lines there bracket its at most two
+crossings or rule them out, or else the zero of e' = f' - g' splits it.
+The steps only make brackets start narrow.  Like the L1 distance, the
+fit inherits the scan's contract: zeros of f'' closer together than the
+scan grid go unseen, and a pair of crossings there can be missed.
+Every sign change is narrowed by Chandrupatla's bracketing method.  Its
+inverse quadratic steps give way to halving where they are not trusted,
+and where rounding leaves e nothing but its sign.  Each pass narrows its
+brackets only as far as its settle test reads them, and counts half that
+width in its rounding floor.  A line-search trial narrows to a width
+that shrinks with the square of the residual its step started from (an
+inexact Newton step); the first pass, from the least-squares start, to
+that width at the largest residual there can be.  Settling is judged on
+a pass at EXACT_WIDTH, a thousandth of the optimality tolerance; a trial
+whose own width would be finer runs as that pass, and settles the fit
+without another.  The reported cost is the sum of the smooth signed
 integrals of e between that pass's crossings at the last ordinates.  The
 fit has no tuning knobs: the stopping rule is that floor, and every
 integral it takes runs at the package's default quadrature budget.
@@ -47,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analysis
 from ._kernels import thomas
-from ._roots import TINY, roots
-from .analysis import _between_crossings
+from .analysis import _between_crossings, _Ends, _ends, _line
 from .core import Partition, PolygonalFunction, TargetFunction, from_samples
 from .partition import _check_interval
 from .quadrature import QuadratureError, integrate_segments
@@ -61,12 +58,9 @@ __all__ = [
     "best_l1_fit",
 ]
 
-# Crossings of f - g are bracketed on SAMPLES equal subintervals per
-# segment.  A settled iterate is checked again on DENSE subintervals, where
-# the last trials of a fit also run; a check that does not settle resumes
-# the iteration on that grid.
+# Brackets of the crossings of f - g start from SAMPLES equal steps per
+# segment, cut at the zeros of f'' (see polylin.analysis._ends).
 SAMPLES = 32
-DENSE = 128
 # Settled once every |gradient_i| is within OPTIMALITY_TOL times the
 # integral of phi_i plus its rounding floor: a crossing r is known to
 # ROOT_ULPS ulps of f and of the ordinates over |e'(r)|, and an error delta
@@ -99,8 +93,8 @@ class FitReport:
 
     ``optimality_residual`` is max_i |integral of sign(f - g) phi_i| /
     integral of phi_i at the returned ordinates, from the located
-    crossings (on a converged fit, those of the DENSE pass that narrows
-    each to EXACT_WIDTH of its segment); it is 0 at the exact minimizer.
+    crossings (on a converged fit, those of the pass that narrows each to
+    EXACT_WIDTH of its segment); it is 0 at the exact minimizer.
     ``converged`` means that each of those gradient entries is within
     OPTIMALITY_TOL of its hat's integral, plus the amount by which
     rounding could move it: a crossing r is known only to ROOT_ULPS ulps
@@ -163,33 +157,11 @@ def _to_knots(left, right):
 
 
 @dataclass(frozen=True)
-class _Grid:
-    """samples + 1 equally spaced points per segment, ends on its knots, and
-    f there: what every crossing pass on this grid starts from."""
-
-    samples: int
-    x: np.ndarray  # one row of abscissae per segment
-    rows: np.ndarray  # the segment of each point of x.ravel()
-    d: np.ndarray  # (x - left knot) / width, per point of x.ravel()
-    fx: np.ndarray  # f at x.ravel()
-
-
-def _grid(f: TargetFunction, p: Partition, samples: int) -> _Grid:
-    knots, h, n = p.knots, p.widths, p.n_segments
-    x = knots[:-1, None] + h[:, None] * (np.arange(samples + 1) / samples)
-    x[:, -1] = knots[1:]
-    rows = np.arange(n).repeat(samples + 1)
-    flat = x.ravel()
-    d = (flat - knots.take(rows)) / h.take(rows)
-    return _Grid(samples, x, rows, d, np.asarray(f.eval(flat), dtype=float))
-
-
-@dataclass(frozen=True)
 class _Crossings:
     """The exact L1 gradient and generalized Hessian at some ordinates, and
     the crossings of f - g they come from."""
 
-    grid: _Grid
+    ends: _Ends  # the piece ends every pass of a fit searches
     # Each crossing's bracket width, relative to its segment: FORCING on
     # the first pass, a trial's forcing width or EXACT_WIDTH in a fit; 0:
     # adjacent floats.
@@ -205,76 +177,35 @@ class _Crossings:
 
 
 def _crossings(
-    f: TargetFunction, p: Partition, v: np.ndarray, grid: _Grid | int, width: float = 0.0
+    f: TargetFunction, p: Partition, v: np.ndarray, ends: _Ends | int, width: float = 0.0
 ) -> _Crossings:
-    """Locate the sign changes of e = f - g and assemble the Newton pieces.
+    """Assemble the Newton pieces from the crossings of e = f - g.
 
-    e is taken on ``grid`` (or on a grid of that many samples per segment,
-    sampled here) from the f values already there.  Every sign change
-    between neighbouring samples, and every pair of them hidden between
-    samples of one sign (found from the exact f'; see _hidden_pairs for
-    which can escape), is narrowed by roots, starting from the e values
-    already known at its ends, to a bracket no wider than
-    ``width`` times its segment, or to adjacent floats where width is 0.
-    The zeros of e' that locate hidden pairs are narrowed to the same
-    width, except on a pass at EXACT_WIDTH or finer, where they go to
-    adjacent floats.  A root is then off by up to half its bracket, and a
-    root off by delta moves a gradient entry by at most 2 delta, so the
-    settle floor counts the half-width along with each root's rounding.
-    Where e is 0 exactly at a knot, the sign of e just inside the segment
-    stands in for it (``_knot_signs``), and roots halves a
-    bracket that starts on such a stand-in.  A segment whose samples of e
-    all sit within rounding of its largest |f| + |g| counts as fitted: it
-    adds nothing to the gradient or the Hessian.  (Rounding of each
-    sample's own |f| + |g| would vanish where f crosses zero, and a line's
-    noise there would read as crossings.)
+    The crossings come from the L1 distance's search
+    (``polylin.analysis._crossings``) on the pieces between ``ends`` (built
+    here from a count of steps per segment, see ``polylin.analysis._ends``),
+    each narrowed to a bracket no wider than ``width`` times its segment,
+    or to adjacent floats where width is 0.  A root is then off by up to
+    half its bracket, and a root off by delta moves a gradient entry by at
+    most 2 delta, so the settle floor counts the half-width along with
+    each root's rounding.  A segment whose bound on |e| sits within
+    rounding of its largest |f| + |g| counts as fitted: it adds nothing to
+    the gradient or the Hessian.  (Rounding of each end's own |f| + |g|
+    would vanish where f crosses zero, and a line's noise there would read
+    as crossings.)
     """
     knots, h, n = p.knots, p.widths, p.n_segments
-    if not isinstance(grid, _Grid):
-        grid = _grid(f, p, grid)
-
-    def line(d, seg, w=v):
-        return (1.0 - d) * w.take(seg) + d * w[1:].take(seg)
-
-    def resid(x, seg):
-        return np.asarray(f.eval(x), dtype=float) - line((x - knots.take(seg)) / h.take(seg), seg)
-
-    x, rows, fx = grid.x, grid.rows, grid.fx
-    e = (fx - line(grid.d, rows)).reshape(x.shape)
-    # e = 0 exactly at a knot, as at every knot of an interpolant, stands
-    # in for the sign of e just inside the segment (see _knot_signs),
-    # so a lobe between the knot and the next sample is bracketed; roots
-    # halves a bracket that starts on the stand-in, so the lobe is found.
-    at_knot = e[:, [0, -1]] == 0.0
-    if at_knot.any():
-        for col, signs in zip((0, -1), _knot_signs(f, knots, h, v)):
-            e[:, col] = np.where(at_knot[:, col], signs, e[:, col])
-    scale = (np.abs(fx) + line(grid.d, rows, np.abs(v))).reshape(x.shape)
-    emax = np.abs(e).max(axis=1)
-    top = scale.max(axis=1)
-    live = emax > ROOT_ULPS * EPS * top
-    pos = e >= 0.0
-
-    cs, ck = (live[:, None] & (pos[:, :-1] != pos[:, 1:])).nonzero()
-    s = np.diff(v) / h
-    hidden = width if width > EXACT_WIDTH else 0.0
-    ds, dl, dm, de, dr = _hidden_pairs(f, resid, x, e, pos, live, s, hidden * h)
-    seg = np.concatenate([cs, ds, ds])
-    e_lo = np.concatenate([e[cs, ck], e[ds, dl], de])
-    root = roots(
-        resid,
-        seg,
-        np.concatenate([x[cs, ck], x[ds, dl], dm]),
-        np.concatenate([x[cs, ck + 1], dm, x[ds, dr]]),
-        e_lo,
-        np.concatenate([e[cs, ck + 1], de, e[ds, dr]]),
-        EPS * top[seg],
-        width * h[seg],
-    )
+    if not isinstance(ends, _Ends):
+        ends = _ends(f, knots, ends)
+    found = analysis._crossings(f, p, v, ends, width)
+    live = found.bound > ROOT_ULPS * EPS * found.scale
+    keep = live[found.segments]
+    seg, root = found.segments[keep], found.roots[keep]
     r = (root - knots[seg]) / h[seg]
 
     # |e'| at each crossing from the exact f' and the line's slope s, down
     # to the rounding of their difference.
+    s = np.diff(v) / h
     fr = np.asarray(f.eval(root), dtype=float)
     d1 = np.asarray(f.first_derivative(root), dtype=float)
     slope = np.maximum(np.abs(d1 - s[seg]), EPS * (np.abs(d1) + np.abs(s[seg])))
@@ -284,101 +215,28 @@ def _crossings(
 
     # sign(e) on a segment is its sign at the left knot, flipped at each
     # crossing; integrate it against both hats between the crossings.
-    sign = np.where(live, np.where(pos[:, 0], 1.0, -1.0), 0.0)
+    sign = np.where(live, found.start, 0.0)
     start = 0.5 * sign * h
-    flip = np.where(e_lo >= 0.0, -1.0, 1.0) * h[seg]
+    flip = -found.before[keep] * h[seg]
     grad = -_to_knots(start, start) - at_roots(flip * (1.0 - r) ** 2, flip * (1.0 - r * r))
     w = 2.0 / slope
     diag = at_roots(w * (1.0 - r) ** 2, w * r * r)
     off = np.bincount(seg, w * r * (1.0 - r), minlength=n)
-    delta = ROOT_ULPS * EPS * (np.abs(fr) + line(r, seg, np.abs(v))) / slope + 2.0 * EPS * np.abs(root)
+    rounding = ROOT_ULPS * EPS * (np.abs(fr) + _line(knots, h, np.abs(v), root, seg))
+    delta = rounding / slope + 2.0 * EPS * np.abs(root)
     delta += 0.5 * width * h[seg]
     floor = at_roots(2.0 * (1.0 - r) * delta, 2.0 * r * delta)
     mass = _to_knots(0.5 * h, 0.5 * h)
 
-    # An ordinate moved by more than the largest residual on its hat flips
+    # An ordinate moved by more than the largest |e| on its hat flips
     # every sign there.  This diagonal floor keeps a row whose crossings sit
     # at its hat's edges, or that has none, from taking such a step; it
     # fades with the gradient, so the local rate is kept.
-    reach = np.maximum(np.concatenate((emax, [0.0])), np.concatenate(([0.0], emax)))
+    reach = np.maximum(np.concatenate((found.bound, [0.0])), np.concatenate(([0.0], found.bound)))
     diag = np.maximum(diag, np.divide(np.abs(grad), reach, out=np.zeros(n + 1), where=reach > 0.0))
     diag[diag == 0.0] = 1.0
     settled = bool((np.abs(grad) <= OPTIMALITY_TOL * mass + floor).all())
-    return _Crossings(grid, width, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
-
-
-def _knot_signs(f: TargetFunction, knots: np.ndarray, h: np.ndarray, v: np.ndarray):
-    """The stand-ins for e = f - g where it is 0 exactly at a segment's
-    left or right knot, one pair of arrays over the segments: the sign of e
-    just inside the segment (of f' - s at the left knot and of s - f' at
-    the right one, s the segment's slope) at size TINY, which
-    ``polylin._roots`` reads as a sign alone.  A zero or non-finite f' - s
-    gives 0."""
-    s = np.diff(v) / h
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d1 = np.asarray(f.first_derivative(knots), dtype=float)
-        left, right = d1[:-1] - s, s - d1[1:]
-    return tuple(np.where(np.isfinite(t), np.sign(t) * TINY, 0.0) for t in (left, right))
-
-
-def _hidden_pairs(f, resid, x, e, pos, live, s, width):
-    """Crossing pairs closer together than the sample spacing.
-
-    Such a pair hides in a dip of |e|: a sample whose neighbours have its
-    sign and larger |e|.  Between its two crossings e has an extremum of
-    the other sign, at a zero of e' = f' - s (s the segment's slope, f'
-    the target's exact derivative).  f' is taken in one batch at every
-    dip's sample and its two neighbours (the one inside the segment, at
-    its ends), and the bracket next to the dip's sample across which e'
-    turns e back toward the dip's sign is kept.  Where e runs down to a
-    single extremum and back up across the dip's two brackets, as it does
-    around a pair, that extremum is the one zero of e' in the kept
-    bracket.  roots narrows that zero to ``width`` (per segment: the
-    pass's own crossing width, or 0, adjacent floats, on a pass at
-    EXACT_WIDTH or finer; see _crossings), and e is taken in one
-    batch at both ends of what is left; a value of the other sign starts
-    the pair's two brackets.  A pair holding the extremum but neither end
-    lies between them, so it escapes only where it is narrower than the
-    width, or lies within the span where rounding hides the sign of e'.
-    A pair at a second extremum of e across the dip can escape: the
-    samples and f' there do not tell that such an extremum exists.
-    Returns, per pair: segment, sample index left of it, a point of the
-    other sign, e there, sample index right of it.
-    """
-    mag = np.abs(e)
-    dip = live[:, None].repeat(e.shape[1], axis=1)
-    dip[:, 1:] &= (pos[:, 1:] == pos[:, :-1]) & (mag[:, 1:] < mag[:, :-1])
-    dip[:, :-1] &= (pos[:, :-1] == pos[:, 1:]) & (mag[:, :-1] <= mag[:, 1:])
-    seg, k = dip.nonzero()
-    none = np.empty(0, dtype=np.intp)
-    empty = none, none, np.empty(0), np.empty(0), none
-    if seg.size == 0:
-        return empty
-    near = np.stack((np.maximum(k - 1, 0), k, np.minimum(k + 1, e.shape[1] - 1)), axis=1)
-    toward = np.where(pos[seg, k], 1.0, -1.0)
-    at = x[seg[:, None], near]
-    d1 = np.asarray(f.first_derivative(at.ravel()), dtype=float).reshape(at.shape)
-    # toward * e' runs from negative to not across the bracket that holds
-    # the extremum; at an end sample the clipped bracket is empty.
-    turn = toward[:, None] * (d1 - s[seg, None])
-    up = (turn[:, :-1] < 0.0) & (turn[:, 1:] >= 0.0)
-    j, i = up.nonzero()
-    seg, toward, lo, hi = seg[j], toward[j], near[j, i], near[j, i + 1]
-    if seg.size == 0:
-        return empty
-
-    def turn_at(u, b):
-        return toward.take(b) * (np.asarray(f.first_derivative(u), dtype=float) - s.take(seg.take(b)))
-
-    noise = EPS * (np.maximum(np.abs(d1[j, i]), np.abs(d1[j, i + 1])) + np.abs(s[seg]))
-    w = width.take(seg)
-    mid = roots(turn_at, np.arange(seg.size), x[seg, lo], x[seg, hi], turn[j, i], turn[j, i + 1], noise, w)
-    ends = np.clip(mid[:, None] + 0.5 * w[:, None] * [-1.0, 1.0], x[seg, lo, None], x[seg, hi, None])
-    vals = resid(ends.ravel(), seg.repeat(2)).reshape(ends.shape)
-    pick = (toward[:, None] * vals).argmin(axis=1)[:, None]
-    point, value = np.take_along_axis(ends, pick, 1)[:, 0], np.take_along_axis(vals, pick, 1)[:, 0]
-    found = toward * value < 0.0
-    return seg[found], lo[found], point[found], value[found], hi[found]
+    return _Crossings(ends, width, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
 
 
 def _cost(f, p, v, state):
@@ -387,7 +245,7 @@ def _cost(f, p, v, state):
     return float(np.sum(_between_crossings(f, p, v, state.segments, state.roots, state.start)[1]))
 
 
-def _line_search(f, p, v, step, state, dense):
+def _line_search(f, p, v, step, state):
     """Step length along a Newton direction, from gradients alone.
 
     The cost is convex along the line, so its slope grad(v + alpha s) . s
@@ -403,19 +261,17 @@ def _line_search(f, p, v, step, state, dense):
     1982).  A crossing off by w of its segment moves a residual entry by at
     most about w, so each trial narrows its crossings to FORCING r^2 of
     their segment, with r the largest residual of ``state``; its settle
-    floor grows to match (see _crossings).  Trials take e on the grid of
-    ``state``, but where that width is no wider than EXACT_WIDTH, they run
-    as the pass that judges convergence: on the ``dense`` grid at
-    EXACT_WIDTH (see best_l1_fit).
+    floor grows to match (see _crossings).  Trials take e at the piece
+    ends of ``state``; where that width is no wider than EXACT_WIDTH, they
+    run as the pass that judges convergence, at EXACT_WIDTH (see
+    best_l1_fit).
     """
     d0 = float(np.dot(state.grad, step))
     merit = float(np.linalg.norm(state.residual))
-    grid, width = state.grid, FORCING * float(np.max(state.residual)) ** 2
-    if width <= EXACT_WIDTH:
-        grid, width = dense, EXACT_WIDTH
+    width = max(FORCING * float(np.max(state.residual)) ** 2, EXACT_WIDTH)
     lo, d_lo, hi, d_hi, alpha = 0.0, d0, 1.0, 0.0, 1.0
     for used in range(1, MAX_LINE_STEPS + 1):
-        trial = _crossings(f, p, v + alpha * step, grid, width)
+        trial = _crossings(f, p, v + alpha * step, state.ends, width)
         slope = float(np.dot(trial.grad, step))
         if (
             trial.settled
@@ -437,27 +293,26 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
     """Least-absolute-deviation polygonal fit on a fixed partition.
 
     Returns the fitted function and a report; ``converged`` means that
-    within MAX_NEWTON_ITERS Newton iterations a pass on the DENSE grid
-    that narrows every crossing to EXACT_WIDTH settled: every entry of the
+    within MAX_NEWTON_ITERS Newton iterations a pass that narrows every
+    crossing to EXACT_WIDTH of its segment settled: every entry of the
     exact L1 gradient it found reached its rounding floor.  That pass
     judges convergence whatever the line search's trials did, and the
     reported cost and residual come from it.  A settled trial that
     already ran as that pass is the check itself; any other settled state
     is checked by one more pass.  The first pass, from the least-squares
-    start, narrows only to FORCING.  f is sampled once on each grid,
-    SAMPLES and DENSE, and every pass takes e from those samples.
+    start, narrows only to FORCING.  f and f' are taken once at the piece
+    ends (see _crossings), and every pass takes e there.
     Divergence does not raise: the last iterate is returned with
     converged=False, and with final_cost NaN when the quadrature cannot
     integrate its error.  A converged fit whose cost quadrature fails
     raises QuadratureError.
     """
     v = l2_projection(f, p).ordinates.copy()
-    dense = _grid(f, p, DENSE)
-    state = _crossings(f, p, v, _grid(f, p, SAMPLES), FORCING)
+    state = _crossings(f, p, v, _ends(f, p.knots, SAMPLES), FORCING)
     evals, iterations = 1, 0
     while True:
         if state.settled and state.width != EXACT_WIDTH:
-            state = _crossings(f, p, v, dense, EXACT_WIDTH)
+            state = _crossings(f, p, v, state.ends, EXACT_WIDTH)
             evals += 1
         if state.settled or iterations == MAX_NEWTON_ITERS:
             break
@@ -468,7 +323,7 @@ def best_l1_fit(f: TargetFunction, p: Partition) -> tuple[PolygonalFunction, Fit
         if not np.all(np.isfinite(step)):
             break
         iterations += 1
-        trial, alpha, used = _line_search(f, p, v, step, state, dense)
+        trial, alpha, used = _line_search(f, p, v, step, state)
         evals += used
         if trial is None:
             break

@@ -70,6 +70,12 @@ def _zero(p):
     return PolygonalFunction(p, np.zeros(p.knots.size))
 
 
+def _search(f, g):
+    """The L1 distance's crossing search on f - g: one step per segment."""
+    p = g.partition
+    return analysis._crossings(f, p, g.ordinates, analysis._ends(f, p.knots, 1))
+
+
 def _sine(domain):
     return TargetFunction(eval=np.sin, second_derivative=lambda x: -np.sin(x), domain=domain, first_derivative=np.cos)
 
@@ -92,7 +98,7 @@ def test_per_interval_errors_integrate_a_line_on_both_sides_of_its_crossing(batc
     f, p = linear(slope=1.0, intercept=-1.0 / 3.0), uniform_partition(0.0, 1.0, 1)
     assert batches(per_interval_errors, f, _zero(p)) == 1
     assert abs(per_interval_errors(f, _zero(p))[0] - 5.0 / 18.0) <= 1e-16
-    _seg, (r,), _start = analysis._crossings(f, _zero(p))
+    (r,) = _search(f, _zero(p)).roots
     assert abs(r - 1.0 / 3.0) <= 0.5 * analysis.CROSSING_WIDTH
 
 
@@ -122,9 +128,9 @@ def test_piece_search_finds_pairs_hidden_between_any_samples():
     cases.append((_gaussian_well(well, 0.003), well + 0.003 * math.sqrt(math.log(2.0)) * np.array([-1.0, 1.0])))
     for p in (Partition([0.0, 1.0]), uniform_partition(0.0, 1.0, 4)):
         for case, (f, exact) in enumerate(cases):
-            _seg, roots, start = analysis._crossings(f, _zero(p))
-            assert roots.size == exact.size and np.all(start == 1.0), case
-            assert np.max(np.abs(np.sort(roots) - exact.ravel())) <= 0.5 * analysis.CROSSING_WIDTH, case
+            found = _search(f, _zero(p))
+            assert found.roots.size == exact.size and np.all(found.start == 1.0), case
+            assert np.max(np.abs(np.sort(found.roots) - exact.ravel())) <= 0.5 * analysis.CROSSING_WIDTH, case
 
 
 def _lifted_pair(c, d, eps):
@@ -150,8 +156,8 @@ def test_piece_search_proves_a_dip_just_above_zero_holds_no_crossing():
     for eps in (1e-4, 1e-7, 1e-9):
         f = _lifted_pair(0.3, 0.8, eps)
         for p in (Partition([0.0, 1.0]), uniform_partition(0.0, 1.0, 3)):
-            _seg, roots, start = analysis._crossings(f, _zero(p))
-            assert roots.size == 0 and np.all(start == 1.0), eps
+            found = _search(f, _zero(p))
+            assert found.roots.size == 0 and np.all(found.start == 1.0), eps
 
 
 def test_per_interval_errors_match_an_mpmath_reference():
@@ -438,8 +444,8 @@ def test_fit_crossings_find_the_lobe_beside_a_knot():
 
 
 def test_l1_distance_agrees_with_the_fit_cost_between_crossings(monkeypatch):
-    # One integral of |f - g| from two crossing searches: the pieces where
-    # f'' keeps its sign (l1_distance) and the fit's sample grid.  On seed
+    # One integral of |f - g| from one crossing search on two sets of piece
+    # ends: one step per segment (l1_distance) and the fit's SAMPLES.  On seed
     # 2 the cubic at N = 150 once read 3.6e-11 apart (a lobe beside a knot
     # where e = 0 exactly).
     gaps = []

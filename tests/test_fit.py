@@ -289,10 +289,11 @@ def test_experiment_fit_cost_matches_l1_distance(name, interval, n):
 @pytest.mark.parametrize("name, interval, n", EXPERIMENT_FITS)
 def test_experiment_fit_reports_come_from_an_exact_dense_pass(name, interval, n):
     # Line-search trials narrow their crossings only partway; the reported
-    # residual and cost are those of a DENSE pass to EXACT_WIDTH.
+    # residual and cost are those of a pass to EXACT_WIDTH on the fit's
+    # piece ends.
     for layout in ("uniform", "optimized"):
         f, g, report = _experiment_fit(name, interval, n, layout)
-        state = fit._crossings(f, g.partition, g.ordinates, fit.DENSE, fit.EXACT_WIDTH)
+        state = fit._crossings(f, g.partition, g.ordinates, fit.SAMPLES, fit.EXACT_WIDTH)
         assert state.settled, layout
         assert report.optimality_residual == float(np.max(state.residual)), layout
         assert report.final_cost == fit._cost(f, g.partition, g.ordinates, state), layout
@@ -315,7 +316,7 @@ def test_partial_narrowing_adds_no_newton_steps():
 def test_coarse_trials_still_converge_on_the_exact_pass(monkeypatch):
     # With the first pass and every trial narrowed only to 1e-3 of a
     # segment, trials settle on their widened floor while the residual is
-    # still near 1e-3; the exact DENSE pass must send the fit on until the
+    # still near 1e-3; the exact pass must send the fit on until the
     # residual itself settles.
     crossings = fit._crossings
     coarse = []
@@ -381,12 +382,14 @@ def test_crossings_find_pairs_hidden_between_samples():
     # its neighbour (an edge dip); the other inside a run of positive
     # samples, off the middle of [15/32, 17/32], or near the end of that
     # bracket.  Against g = 0 every sample of e = f is positive.  Each pair
-    # is found from the zero of e' between its crossings, however narrow
-    # the pair: down to half-widths of 1e-14, e there is still far above
-    # its rounding.  The Gaussian well's pair, 0.005 wide, lies 3.1 widths
-    # right of the sample 1/2, where e = 0.9999 but |e'| times the sample
-    # spacing is only 0.0075.  e is not convex there, so the pair is found
-    # only where the zero of e' is narrowed whatever e is at the sample.
+    # lies on a piece where e is convex, which the tangents at its ends do
+    # not clear, so the piece is split where e < 0: where they meet, or at
+    # the zero of e' between the crossings, however narrow the pair (down
+    # to half-widths of 1e-14, e there is still far above its rounding).
+    # The Gaussian well's pair, 0.005 wide, lies 3.1 widths right of the
+    # sample 1/2, where e = 0.9999 but |e'| times the sample spacing is
+    # only 0.0075; e < 0 at the zeros of f'' between its crossings, so each
+    # crossing has a bracket of its own.
     middle, near_end = (0.012, 0.5 + 0.4 / fit.SAMPLES), (0.0011, 0.5 + 0.97 / fit.SAMPLES)
     halves = (1e-6, 1e-9, 1e-12, 1e-13, 1e-14)
     cases = [(_two_hidden_pairs(*middle, 0.004), 4)]
@@ -462,7 +465,8 @@ def test_crossing_search_takes_few_target_batches(monkeypatch):
     # f and f' the crossing passes send to the target (host-independent).
     # The bisection and 45-step golden search it replaced sent 87 per pass.
     # When every exact pass narrowed to adjacent floats and each pass
-    # sampled f itself, the six sent 980 in all.
+    # sampled f itself, the six sent 980 in all; with two sample grids and
+    # a search for pairs between samples, 613; on the pieces, 459.
     fits = _counted_reproduce_fits(monkeypatch)
     n_passes = sum(len(passes) for _p, _r, passes, _b in fits)
     inside = sum(inner for *_fit, batches in fits for _kind, _size, inner in batches)
@@ -471,20 +475,24 @@ def test_crossing_search_takes_few_target_batches(monkeypatch):
 
 
 def test_each_fit_samples_each_grid_once(monkeypatch):
-    # Every pass takes e from one set of samples of f per grid.
-    for p, _report, _passes, batches in _counted_reproduce_fits(monkeypatch):
-        sizes = [size for kind, size, _inner in batches if kind == "f"]
-        assert sizes.count(p.n_segments * (fit.SAMPLES + 1)) == 1
-        assert sizes.count(p.n_segments * (fit.DENSE + 1)) == 1
+    # f and f' are taken once per fit at its piece ends, SAMPLES steps per
+    # segment cut at the zeros of f'', and every pass reads e there.
+    for p, _report, passes, batches in _counted_reproduce_fits(monkeypatch):
+        size = passes[0].ends.x.size
+        assert size > p.n_segments * fit.SAMPLES
+        assert all(state.ends is passes[0].ends for state in passes)
+        for kind in ("f", "d1"):
+            assert [inner for k, n, inner in batches if (k, n) == (kind, size)] == [False], kind
 
 
 def test_converged_fit_ends_on_an_exact_dense_pass(monkeypatch):
-    # The pass that judges convergence is the last one, and the report
-    # comes from it.  On these fits it is the last line-search trial: the
-    # pass before it did not settle, so no second pass checked it.
+    # The pass that judges convergence is the last one, narrowed to
+    # EXACT_WIDTH, and the report comes from it.  On these fits it is the
+    # last line-search trial: the pass before it did not settle, so no
+    # second pass checked it.
     for _p, report, passes, _batches in _counted_reproduce_fits(monkeypatch):
         last = passes[-1]
-        assert (last.grid.samples, last.width) == (fit.DENSE, fit.EXACT_WIDTH)
+        assert last.width == fit.EXACT_WIDTH
         assert last.settled and not passes[-2].settled
         assert report.optimality_residual == float(np.max(last.residual))
         assert report.function_evals == len(passes)
@@ -492,18 +500,33 @@ def test_converged_fit_ends_on_an_exact_dense_pass(monkeypatch):
 
 def test_exact_pass_finds_the_narrowest_hidden_pairs():
     # A pair 2e-14 wide is far narrower than EXACT_WIDTH; the exact pass
-    # still finds it, as it narrows the zeros of e' to adjacent floats.
+    # still finds it, as it narrows the zeros of e' to adjacent floats,
+    # even on pieces 128 steps to a segment that all miss it.
     p = Partition([0.0, 1.0])
     for centres in ((0.012, 0.5 + 0.4 / fit.SAMPLES), (0.0011, 0.5 + 0.97 / fit.SAMPLES)):
         f = _two_hidden_pairs(*centres, 1e-14)
-        assert np.all(f.eval(np.arange(fit.DENSE + 1) / fit.DENSE) > 0.0)
-        state = fit._crossings(f, p, np.zeros(2), fit.DENSE, fit.EXACT_WIDTH)
+        assert np.all(f.eval(np.arange(129) / 128) > 0.0)
+        state = fit._crossings(f, p, np.zeros(2), 128, fit.EXACT_WIDTH)
         assert state.roots.size == 4, centres
 
 
+def test_exact_pass_finds_two_pairs_between_neighbouring_steps():
+    # Both pairs lie between x = 1/2 and the next step of a 128-step grid.
+    # A search that looked for one extremum of e between two samples of one
+    # sign found only one of them; a zero of f'' lies between the pairs,
+    # so each has a convex piece of its own.
+    p = Partition([0.0, 1.0])
+    for half in (1e-5, 1e-9, 1e-13):
+        f = _two_hidden_pairs(0.5 + 0.2 / 128, 0.5 + 0.7 / 128, half)
+        assert np.all(f.eval(np.arange(129) / 128) > 0.0)
+        state = fit._crossings(f, p, np.zeros(2), fit.SAMPLES, fit.EXACT_WIDTH)
+        assert state.roots.size == 4, half
+
+
 def test_dips_far_from_the_origin_close(monkeypatch):
-    # On [1e6, 1e6 + 4] the float spacing is about 1e-10, so the zeros of
-    # e' that locate hidden pairs are narrowed where few floats are left.
+    # On [1e6, 1e6 + 4] the float spacing is about 1e-10, so crossings, and
+    # any zero of e' that splits a piece, are narrowed where few floats are
+    # left.
     # Both fits converge in the same Newton steps as before (each one's last
     # trial is now its exact check, so each takes one pass fewer than it
     # did), and the search costs fewer target batches per pass than on

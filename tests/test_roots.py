@@ -25,8 +25,9 @@ def _scan_case():
 
 def _fit_case(halved=False):
     """Crossings of a gaussian and a polygon on four segments, bracketed on
-    32 samples per segment (as ``fit._crossings`` calls roots).  ``halved``
-    gives every bracket an infinite noise, which sends it to bisection."""
+    32 steps per segment, as the best-L1 fit's crossing search calls roots
+    (it also cuts them at the zeros of f'').  ``halved`` gives every
+    bracket an infinite noise, which sends it to bisection."""
     knots = np.linspace(0.0, 2.0, 5)
     h = np.diff(knots)
     v = np.exp(-knots * knots) - np.array([0.02, -0.01, 0.015, -0.005, 0.01])
