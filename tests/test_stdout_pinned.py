@@ -57,6 +57,9 @@ COMMANDS = {
     "error_poly7_l2": ["error", "--function", "poly7", "--segments", "8", "--fit", "l2"],
     "error_poly_interpolant": ["error", *POLY, "--segments", "6", *OPTIMIZED, "--fit", "interpolant"],
     "error_expr_l2": ["error", *EXPR, "--segments", "6", *OPTIMIZED, "--fit", "l2"],
+    "error_line_interpolant": [
+        "error", "--function", "poly:0.3,501", "--interval", "-3", "5", "--segments", "1", "--fit", "interpolant",
+    ],
     "fit_gaussian_l1": ["fit", "--function", "gaussian", "--segments", "16", *OPTIMIZED, "--fit", "l1"],
     "fit_chirp_l1": ["fit", "--function", "chirp", "--segments", "31", *OPTIMIZED, "--fit", "l1"],
     "reproduce_gain": ["reproduce", "gain"],
