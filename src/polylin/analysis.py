@@ -76,12 +76,17 @@ EPS = float(np.finfo(float).eps)
 # crossing moves the integral by at most |e'| delta^2 (e' = f' - g' next
 # to it): the rounding of the area of a lobe as wide as the bracket.
 CROSSING_WIDTH = math.sqrt(EPS)
+# Rounding of f and of g, in ulps of |f| + |g|: a segment whose bound on
+# |e| is no larger is fitted (see _crossings), and a crossing is known
+# only to this many ulps over |e'| there (see polylin.fit).
+ROOT_ULPS = 8.0
 
 
 def per_interval_errors(f: TargetFunction, g: PolygonalFunction) -> np.ndarray:
     """L1 error contributed by each segment of g's partition: the signed
     smooth integrals of e = f - g between its crossings (see
-    ``_crossings`` and ``_between_crossings``)."""
+    ``_crossings`` and ``_between_crossings``).  A segment fitted to
+    rounding holds no crossing and adds 0."""
     p, v = g.partition, g.ordinates
     _check_interval(f, p.a, p.b)
     found = _crossings(f, p, v, _ends(f, p.knots, 1))
@@ -174,7 +179,6 @@ class _Search:
     before: np.ndarray  # the sign of e just left of each crossing
     start: np.ndarray  # per segment, the sign of e just right of its left knot
     bound: np.ndarray  # per segment, an upper bound on |e|
-    scale: np.ndarray  # per segment, the largest |f| + |g| at its piece ends
 
 
 def _crossings(f: TargetFunction, p, v, ends: _Ends, width: float | None = None) -> _Search:
@@ -195,6 +199,12 @@ def _crossings(f: TargetFunction, p, v, ends: _Ends, width: float | None = None)
     closer than the scan grid go unseen, and so can a pair there.  As e
     lies between its chord and its tangents, |e| on a segment is bounded
     by its piece ends and, on vouched pieces where e turns, where they meet.
+
+    A segment whose bound on |e| sits within ROOT_ULPS ulps of its largest
+    |f| + |g| is fitted: it holds no crossing and its start sign is 0, so
+    nothing is narrowed there.  (Rounding of each end's own |f| + |g|
+    would vanish where f crosses zero, and a line's noise there would read
+    as crossings.)
     """
     knots, h = p.knots, p.widths
     s = np.diff(v) / h
@@ -222,7 +232,7 @@ def _crossings(f: TargetFunction, p, v, ends: _Ends, width: float | None = None)
     e_lo, e_hi, d_lo, d_hi, s_lo, s_hi, top, first = pieces(x, fx, d1, seg)
     # Only a piece where e' changes sign can hold a pair, or take |e| past
     # its ends' values: the rest are read on those alone.
-    t = np.flatnonzero(d_lo * d_hi < 0.0)
+    t = np.flatnonzero(_sign(d_lo) * _sign(d_hi) < 0.0)
     lo, hi, e0, e1, de0, de1, s0, s1 = (q[t] for q in (x[:-1], x[1:], e_lo, e_hi, d_lo, d_hi, s_lo, s_hi))
     with np.errstate(invalid="ignore", over="ignore"):
         # Where the tangent lines at the ends meet, and e on them there.
@@ -252,18 +262,19 @@ def _crossings(f: TargetFunction, p, v, ends: _Ends, width: float | None = None)
         seg = np.concatenate([seg, seg[-1:], seg[k], seg[split]])[idx[:-1]]
         e_lo, e_hi, d_lo, d_hi, s_lo, s_hi, top, first = pieces(x, fx, d1, seg)
     bound = np.maximum(tangent, np.maximum.reduceat(np.maximum(np.abs(e_lo), np.abs(e_hi)), first))
+    live = (bound > ROOT_ULPS * EPS * np.maximum.reduceat(top, first))[seg]
     # Where e and e' are both 0 at an end, the piece's other end tells.
     s_lo, s_hi = np.where(s_lo == 0.0, s_hi, s_lo), np.where(s_hi == 0.0, s_lo, s_hi)
     s_lo, s_hi = s_lo + (s_lo == 0.0), s_hi + (s_hi == 0.0)
-    k = np.flatnonzero(s_lo != s_hi)
+    k = np.flatnonzero((s_lo != s_hi) & live)
     # An end where e = 0 exactly is given as its sign alone (see _roots).
     ends_e = (np.where(e[k] != 0.0, e[k], sg[k] * TINY) for e, sg in ((e_lo, s_lo), (e_hi, s_hi)))
     narrow = CROSSING_WIDTH * (x[k + 1] - x[k]) if width is None else width * h[seg[k]]
     r = roots(resid, seg[k], x[k], x[k + 1], *ends_e, EPS * top[k], narrow) if k.size else x[k]
     # A piece end inside a segment where e = 0 and the sign flips crosses.
-    at = np.flatnonzero((seg[1:] == seg[:-1]) & (s_hi[:-1] != s_lo[1:]))
+    at = np.flatnonzero((seg[1:] == seg[:-1]) & (s_hi[:-1] != s_lo[1:]) & live[1:])
     found = (np.concatenate(both) for both in ((seg[k], seg[at]), (r, x[at + 1]), (s_lo[k], s_hi[at])))
-    return _Search(*found, s_lo[first], bound, np.maximum.reduceat(top, first))
+    return _Search(*found, np.where(live[first], s_lo[first], 0.0), bound)
 
 
 def _sign(a: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import analysis
 from ._kernels import thomas
-from .analysis import _between_crossings, _Ends, _ends, _line
+from .analysis import ROOT_ULPS, _between_crossings, _Ends, _ends, _line
 from .core import Partition, PolygonalFunction, TargetFunction, from_samples
 from .partition import _check_interval
 from .quadrature import QuadratureError, integrate_segments
@@ -66,7 +66,6 @@ SAMPLES = 32
 # ROOT_ULPS ulps of f and of the ordinates over |e'(r)|, and an error delta
 # there moves gradient_i by 2 phi_i(r) delta.
 OPTIMALITY_TOL = 1e-9
-ROOT_ULPS = 8.0
 REG = 1e-12  # Hessian regularization, relative to each row's own diagonal
 MAX_LINE_STEPS = 30  # trial step lengths per Newton step (see _line_search)
 CURVATURE = 0.9
@@ -141,7 +140,7 @@ def l2_projection(f: TargetFunction, p: Partition) -> PolygonalFunction:
         return out
 
     try:
-        parts = integrate_segments(load, knots)
+        parts = integrate_segments(load, (knots[:-1], knots[1:], np.arange(p.n_segments), p.n_segments))
     except QuadratureError as exc:
         raise QuadratureError(f"load-vector quadrature failed: {exc}") from exc
     c = thomas(off, diag, off, _to_knots(parts[:, 0], parts[:, 1]))
@@ -188,19 +187,14 @@ def _crossings(
     or to adjacent floats where width is 0.  A root is then off by up to
     half its bracket, and a root off by delta moves a gradient entry by at
     most 2 delta, so the settle floor counts the half-width along with
-    each root's rounding.  A segment whose bound on |e| sits within
-    rounding of its largest |f| + |g| counts as fitted: it adds nothing to
-    the gradient or the Hessian.  (Rounding of each end's own |f| + |g|
-    would vanish where f crosses zero, and a line's noise there would read
-    as crossings.)
+    each root's rounding.  A segment the search finds fitted (start sign 0,
+    no crossing) adds nothing to the gradient or the Hessian.
     """
     knots, h, n = p.knots, p.widths, p.n_segments
     if not isinstance(ends, _Ends):
         ends = _ends(f, knots, ends)
     found = analysis._crossings(f, p, v, ends, width)
-    live = found.bound > ROOT_ULPS * EPS * found.scale
-    keep = live[found.segments]
-    seg, root = found.segments[keep], found.roots[keep]
+    seg, root = found.segments, found.roots
     r = (root - knots[seg]) / h[seg]
 
     # |e'| at each crossing from the exact f' and the line's slope s, down
@@ -215,9 +209,8 @@ def _crossings(
 
     # sign(e) on a segment is its sign at the left knot, flipped at each
     # crossing; integrate it against both hats between the crossings.
-    sign = np.where(live, found.start, 0.0)
-    start = 0.5 * sign * h
-    flip = -found.before[keep] * h[seg]
+    start = 0.5 * found.start * h
+    flip = -found.before * h[seg]
     grad = -_to_knots(start, start) - at_roots(flip * (1.0 - r) ** 2, flip * (1.0 - r * r))
     w = 2.0 / slope
     diag = at_roots(w * (1.0 - r) ** 2, w * r * r)
@@ -236,7 +229,7 @@ def _crossings(
     diag = np.maximum(diag, np.divide(np.abs(grad), reach, out=np.zeros(n + 1), where=reach > 0.0))
     diag[diag == 0.0] = 1.0
     settled = bool((np.abs(grad) <= OPTIMALITY_TOL * mass + floor).all())
-    return _Crossings(ends, width, root, seg, sign, grad, diag, off, np.abs(grad) / mass, settled)
+    return _Crossings(ends, width, root, seg, found.start, grad, diag, off, np.abs(grad) / mass, settled)
 
 
 def _cost(f, p, v, state):

@@ -209,41 +209,34 @@ def _scanned(f: TargetFunction | VectorTargetFunction, a: float, b: float) -> tu
     return rows
 
 
-def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
-    """Integrals of the components of fun(x) over panels (lo, hi, seg), cut
-    at ``zeros``.
+def _split_integral(fun, zeros, edges, **quadrature):
+    """Integrals of the components of fun(x) over the panels between
+    consecutive ``edges``, cut at ``zeros``.
 
-    Returns per-destination totals, one column per component, as
-    ``integrate_segments`` does with ``panels=(lo, hi, seg, nseg)``.  A
-    piece that ends at a zero r is integrated in t over the piece's own
-    interval, with x = r +- L u^3, u = |t - r| / L and Jacobian 3 u^2 (L
-    the piece's width): a kink c|x - r| becomes ~u^5 and a cusp
-    |x - r|^(1/3) ~u^3, both smooth.  A piece with a zero at both ends is
-    halved first.  Pieces keep their widths, so the engine's
-    width-proportional budget is unchanged.
+    Returns per-panel totals, one column per component.  The pieces run
+    between consecutive points of edges and zeros together.  A piece that
+    ends at a zero r is integrated in t over the piece's own interval, with
+    x = r +- L u^3, u = |t - r| / L and Jacobian 3 u^2 (L the piece's
+    width): a kink c|x - r| becomes ~u^5 and a cusp |x - r|^(1/3) ~u^3,
+    both smooth.  A piece with a zero at both ends is halved first.
+    Pieces keep their widths, so the engine's width-proportional budget is
+    unchanged.
 
     It also returns the panels the quadrature accepted, one row per panel:
     their left ends in x and in t, their piece's map as (anchor, reach)
     (see ``_cubic_map``), their contributions, and the five samples of the
     integrand in t that each contribution weighs (see ``_accepted_panels``).
     """
-    z = np.concatenate([[-np.inf], zeros, [np.inf]])
-    first = np.searchsorted(z, lo, side="right")  # first zero above lo
-    last = np.searchsorted(z, hi, side="left")  # first zero at or above hi
-    counts = np.maximum(last - first, 0) + 1
-    owner = np.repeat(np.arange(lo.size), counts)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    k = first[owner] + j
-    head, tail = j == 0, j == counts[owner] - 1
-    start = np.where(head, lo[owner], z[k - 1])
-    end = np.where(tail, hi[owner], z[k])
-    from_lo = ~head | (z[first - 1] == lo)[owner]
-    to_hi = ~tail | (z[last] == hi)[owner]
+    cuts = np.union1d(edges, zeros)
+    start, end = cuts[:-1], cuts[1:]
+    on_zero = np.isin(cuts, zeros)
+    from_lo, to_hi = on_zero[:-1], on_zero[1:]
     both = from_lo & to_hi
     mid = 0.5 * (start + end)
     p_lo = np.concatenate([start, mid[both]])
     p_hi = np.concatenate([np.where(both, mid, end), end[both]])
-    dest = np.concatenate([seg[owner], seg[owner][both]])
+    panel = np.searchsorted(edges, start, side="right") - 1
+    dest = np.concatenate([panel, panel[both]])
     side = np.concatenate([np.where(from_lo, 1.0, np.where(to_hi, -1.0, 0.0)), -np.ones(np.count_nonzero(both))])
     anchor = np.where(side < 0.0, p_hi, p_lo)
     reach = side * (p_hi - p_lo)
@@ -263,7 +256,7 @@ def _split_integral(fun, zeros, lo, hi, seg, nseg, **quadrature):
 
     with _accepted_panels() as accepted:
         pieces = integrate_segments(mapped, panels=(p_lo, p_hi, np.arange(p_lo.size), p_lo.size), **quadrature)
-    totals = np.stack([np.bincount(dest, col, minlength=nseg) for col in pieces.T], axis=1)
+    totals = np.stack([np.bincount(dest, col, minlength=edges.size - 1) for col in pieces.T], axis=1)
     t, _hi, piece, values, samples = accepted
     # A piece's own left end is exact; every other panel end maps to x.
     x = np.minimum(np.maximum(_cubic_map(t, anchor[piece], reach[piece])[1], p_lo[piece]), p_hi[piece])
@@ -330,10 +323,7 @@ def _curvature_pass(part, zeros, a: float, b: float) -> KnotDistribution:
         parts, (x, t, anchor, reach, values, samples) = _split_integral(
             pair,
             zeros,
-            edges[:-1],
-            edges[1:],
-            np.arange(PASS_PANELS),
-            PASS_PANELS,
+            edges,
             abs_tol=1e-300,
             rel_tol=CUMULATIVE_REL_TOL,
         )

@@ -1,17 +1,20 @@
-"""Batched adaptive Simpson quadrature over segmented intervals.
+"""Batched adaptive Simpson quadrature over tagged panels.
 
-One engine serves every integral in the package: panels are refined in
-lockstep across all segments, so the integrand is evaluated on one numpy
-array per refinement level.  Every panel is bisected MIN_LEVELS times before
-a tolerance test may accept it, so where those forced levels sample is known
-up front and the start takes one call at all 17 abscissae of every panel,
-whose output fixes the component count.  Each later level takes one call
-for the panels still open.
+One engine serves every integral in the package: panels, each tagged with
+the total it adds to, are refined in lockstep, so the integrand is
+evaluated on one numpy array per refinement level.  Every panel is
+bisected MIN_LEVELS times before a tolerance test may accept it, so where
+those forced levels sample is known up front and the start takes one call
+at all 17 abscissae of every panel, whose output fixes the component
+count.  Each later level takes one call for the panels still open.
 
 Integrands may be vector valued (several components sharing the same
 sample points, as many as the integrand's output has columns), and are
 smooth: callers cut their panels at kinks and changes of sign, and a kink
-left inside a panel is refined down to the kink floor.
+left inside a panel is refined down to the kink floor.  Refinement ends
+on its own: a panel splits only while its quarter points are distinct
+floats and it is wider than the kink floor, 2^-40 of the call's total
+width, so no panel is bisected much more than 40 times.
 
 A caller that tabulates a running integral can read the panels one call
 accepted, with their ends, contributions and samples
@@ -44,9 +47,8 @@ NOISE_EPS = 2e-13
 # Refinement abort: fail loudly rather than exhaust memory.
 PANEL_CAP = 4_000_000
 # Every panel is bisected at least MIN_LEVELS times before it may be
-# accepted; MAX_LEVELS bisections reach the resolution of a double.
+# accepted.
 MIN_LEVELS = 2
-MAX_LEVELS = 52
 
 # Where the next integrate_segments call hands its accepted panels; see
 # ``_accepted_panels``.
@@ -101,20 +103,20 @@ def _check_cap(n):
         )
 
 
-def integrate_segments(fun, edges=None, *, panels=None, abs_tol: float = 1e-12, rel_tol: float = 0.0):
-    """Integrate ``fun`` over each segment, returning per-segment totals.
+def integrate_segments(fun, panels, *, abs_tol: float = 1e-12, rel_tol: float = 0.0):
+    """Integrate ``fun`` over panels, returning per-destination totals.
+
+    ``panels`` = (lo, hi, seg, nseg): panels with finite ends, each tagged
+    with its destination index in range(nseg); segments [x[k], x[k+1]]
+    are (x[:-1], x[1:], arange(N), N).  The absolute error is budgeted
+    across panels in proportion to width, so the summed error of each
+    component is below max(abs_tol, rel_tol * |its total|).
 
     fun(x, seg) -> (npts,) or (npts, k): one or k components, a count taken
     from the first call, which samples every abscissa of the forced
     bisections, and then required of every later call.  ``seg`` carries the
-    segment index of every sample point so local quantities (barycentric
+    destination of every sample point so local quantities (barycentric
     coordinates, local ordinates) can be formed without searching.
-
-    Segments come either from ``edges`` (array of N+1 finite breakpoints ->
-    N segments) or from ``panels`` = (lo, hi, seg, nseg) for scattered
-    panels with finite ends, tagged with destination indices.  The absolute
-    error is budgeted across panels in proportion to width, so the summed
-    error of each component is below max(abs_tol, rel_tol * |its total|).
 
     A panel too narrow to split further is accepted with its residual
     recorded; residuals are totalled per component and checked against
@@ -122,27 +124,14 @@ def integrate_segments(fun, edges=None, *, panels=None, abs_tol: float = 1e-12, 
 
     Returns an (nseg,) array, or (nseg, k) when k > 1.
     """
-    if edges is not None:
-        edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be strictly increasing")
-        if not np.all(np.isfinite(edges)):
-            raise ValueError("edges must be finite")
-        lo = edges[:-1].copy()
-        hi = edges[1:].copy()
-        seg = np.arange(edges.size - 1)
-        nseg = edges.size - 1
-    elif panels is not None:
-        lo, hi, seg, nseg = panels
-        lo = np.asarray(lo, dtype=float).copy()
-        hi = np.asarray(hi, dtype=float).copy()
-        seg = np.asarray(seg, dtype=np.intp).copy()
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("panel ends must be finite")
-        if np.any(hi < lo):
-            raise ValueError("panel with hi < lo")
-    else:
-        raise ValueError("pass edges or panels")
+    lo, hi, seg, nseg = panels
+    lo = np.asarray(lo, dtype=float).copy()
+    hi = np.asarray(hi, dtype=float).copy()
+    seg = np.asarray(seg, dtype=np.intp).copy()
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("panel ends must be finite")
+    if np.any(hi < lo):
+        raise ValueError("panel with hi < lo")
     listener = _LISTENER.get()
     if listener is not None:
         _LISTENER.set(None)  # an integrand's own quadrature is not recorded
@@ -169,7 +158,7 @@ def integrate_segments(fun, edges=None, *, panels=None, abs_tol: float = 1e-12, 
         return halves, (halves - simpson(hi - lo, y_lo, y_mid, y_hi)) / 15.0
 
     def narrow(lo, lm, rm, hi):
-        # A panel too narrow to split (midpoint collides with an endpoint, or
+        # A panel too narrow to split (a quarter point collides with an end, or
         # width below the kink floor, where refinement only chases rounding
         # jitter) cannot improve.
         return (lm <= lo) | (rm >= hi) | (hi - lo <= kink_floor)
@@ -237,7 +226,7 @@ def integrate_segments(fun, edges=None, *, panels=None, abs_tol: float = 1e-12, 
     lo, lm, mid, rm, hi, seg = tiers[MIN_LEVELS]
     f_lm, f_rm = next(forced), next(forced)
 
-    for level in range(MIN_LEVELS, MAX_LEVELS + 1):
+    while True:
         samples = (f_lo, f_lm, f_mid, f_rm, f_hi)
         S2, err = estimates(lo, mid, hi, samples)
 
@@ -260,8 +249,6 @@ def integrate_segments(fun, edges=None, *, panels=None, abs_tol: float = 1e-12, 
         # A panel too narrow to split is accepted with the residual error
         # recorded per component.
         degenerate = narrow(lo, lm, rm, hi)
-        if level == MAX_LEVELS:
-            degenerate |= True
         stuck = degenerate & ~ok
         if stuck.any():
             leftover += np.abs(err[stuck]).sum(axis=0)

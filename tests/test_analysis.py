@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import cubic, linear, quadratic
-from test_fit import _gaussian_well, _two_hidden_pairs
+from test_fit import _gaussian_well, _lines, _two_hidden_pairs
+from test_quadrature import segments
 from polylin.analysis import (
     BEST_L1_FACTOR,
     BOUND_KINDS,
@@ -22,7 +23,7 @@ from polylin.analysis import (
 )
 from polylin import analysis, cli, fit, functions, partition, vector
 from polylin.core import Partition, PolygonalFunction, TargetFunction, VectorTargetFunction
-from polylin.fit import interpolant
+from polylin.fit import interpolant, l2_projection
 from polylin.functions import chirp, expression, gaussian, poly7
 from polylin.partition import (
     KnotDistribution,
@@ -54,6 +55,33 @@ def test_l1_distance_of_exact_polygonal_is_zero():
     f = linear()
     g = _line(0.0, 1.0, f.eval(0.0), f.eval(1.0))
     assert l1_distance(f, g) <= 1e-12
+
+
+def test_segments_fitted_to_rounding_add_nothing():
+    # The interpolant and the L2 projection of a line fit every segment to
+    # rounding, and each segment adds exactly 0: the noise of f - g is no
+    # crossing, and no signed integral of it is summed.
+    for f, p in _lines():
+        for g in (interpolant(f, p), l2_projection(f, p)):
+            assert np.all(per_interval_errors(f, g) == 0.0), (f.domain, p.n_segments)
+    # |x - 1/2| at uniform N = 31 is straight on every segment but the one
+    # holding the kink, whose error is (1/62)^2.
+    f = expression("sqrt((x-0.5)^2)", (0.0, 1.0))
+    errs = per_interval_errors(f, interpolant(f, uniform_partition(0.0, 1.0, 31)))
+    assert np.flatnonzero(errs).tolist() == [15]
+    assert abs(errs[15] - 1.0 / 3844.0) <= 1e-15
+
+
+def test_tiny_slopes_of_opposite_sign_bound_a_segment():
+    # exp(-1/x^2) on [0.01, 1], interpolant at uniform N = 31: on segment 0,
+    # e' runs from -3.5e-246 to 3.0e-243, and their product underflows to
+    # -0.0.  Their signs still show e turning, so the tangents bound |e|
+    # above 0 and the segment's error (1.7e-249) is measured, not taken
+    # as fitted.
+    f = expression("exp(-1/x^2)", (0.01, 1.0))
+    g = interpolant(f, uniform_partition(0.01, 1.0, 31))
+    assert _search(f, g).bound[0] > 0.0
+    assert per_interval_errors(f, g)[0] > 0.0
 
 
 def test_per_interval_errors_sum_and_equalize():
@@ -192,8 +220,8 @@ def test_bound_formulas_from_curvature_integrals():
     n = 31
     # f'' keeps its sign on each segment: its one zero, x = 1, is an edge.
     edges = np.linspace(0.0, 4.0, 9)
-    mass = np.sum(np.abs(integrate_segments(lambda x, _s: f.d2(x), edges)))
-    third = np.sum(integrate_segments(lambda x, _s: np.abs(f.d2(x)) ** (1.0 / 3.0), edges))
+    mass = np.sum(np.abs(integrate_segments(lambda x, _s: f.d2(x), segments(edges))))
+    third = np.sum(integrate_segments(lambda x, _s: np.abs(f.d2(x)) ** (1.0 / 3.0), segments(edges)))
     uniform = error_bound(f, 0.0, 4.0, n, "uniform_interpolant")
     optimized = error_bound(f, 0.0, 4.0, n, "optimized_interpolant")
     assert abs(uniform - 16.0 * mass / (12.0 * n**2)) <= 1e-12

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import as_target, hat_basis, linear, quadratic
-from polylin import fit
+from test_quadrature import segments
+from polylin import analysis, fit
 from polylin._kernels import thomas
 from polylin.analysis import l1_distance
 from polylin.core import Partition, PolygonalFunction, TargetFunction, from_samples
 from polylin.fit import best_l1_fit, interpolant, l2_projection
-from polylin.functions import chirp, expression, gaussian
+from polylin.functions import chirp, expression, gaussian, polynomial
 from polylin.partition import optimized_partition, uniform_partition
 from polylin.quadrature import QuadratureError, integrate_segments
 
@@ -53,7 +54,7 @@ def test_l2_projection_solves_the_normal_equations():
             np.sum(
                 integrate_segments(
                     lambda x, _s, i=i: np.asarray(f.eval(x), dtype=float) * hat_basis(p, i, x),
-                    np.linspace(p.knots[max(i - 1, 0)], p.knots[min(i + 1, n)], 9),
+                    segments(np.linspace(p.knots[max(i - 1, 0)], p.knots[min(i + 1, n)], 9)),
                 )
             )
             for i in range(n + 1)
@@ -116,6 +117,34 @@ def test_fit_of_a_line_is_the_line():
         y = f.eval(g.partition.knots)
         assert report.converged, (slope, intercept, n)
         assert np.max(np.abs(g.ordinates - y)) <= 1e-15 * np.max(np.abs(y))
+
+
+def _lines():
+    """0.3 + s x for s = 1, 501, -7 and 0.5 on [0, 1] and [-3, 5], each on
+    uniform partitions of N = 1, 2, 3, 4, 8, 16, 24 and 31 segments."""
+    for s in (1.0, 501.0, -7.0, 0.5):
+        for a, b in ((0.0, 1.0), (-3.0, 5.0)):
+            f = polynomial((0.3, s), (a, b))
+            for n in (1, 2, 3, 4, 8, 16, 24, 31):
+                yield f, uniform_partition(a, b, n)
+
+
+def test_fit_of_a_line_finds_no_crossing(monkeypatch):
+    # Every segment of a line is fitted to rounding, so the crossing search
+    # returns none there: no noise crossing is narrowed and then dropped.
+    found = []
+    search = analysis._crossings
+
+    def recorded(*args, **kwargs):
+        out = search(*args, **kwargs)
+        found.append(out.roots.size)
+        return out
+
+    monkeypatch.setattr(analysis, "_crossings", recorded)
+    for f, p in _lines():
+        _g, report = best_l1_fit(f, p)
+        assert report.converged and report.final_cost == 0.0
+    assert len(found) >= 64 and not any(found)
 
 
 def test_near_line_settles_within_rounding():
