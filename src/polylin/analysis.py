@@ -177,7 +177,7 @@ class _Search:
     segments: np.ndarray  # the segment of each crossing
     roots: np.ndarray  # the crossings, in no particular order
     before: np.ndarray  # the sign of e just left of each crossing
-    start: np.ndarray  # per segment, the sign of e just right of its left knot
+    start: np.ndarray  # per segment, the sign of e just right of its left knot; 0 if fitted
     bound: np.ndarray  # per segment, an upper bound on |e|
 
 

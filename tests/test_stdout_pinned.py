@@ -1,7 +1,8 @@
 """CLI stdout pinned byte for byte on fast commands.
 
 ``plan``, ``partition`` and ``error`` on every built-in target, one
-``poly:`` target and one ``expr:`` target, two best-L1 ``fit`` runs
+``poly:`` target and one ``expr:`` target, ``error`` on a line (whose
+interpolant fits it to rounding, so it reads 0), two best-L1 ``fit`` runs
 (their ordinates and full reports as JSON; the chirp's segments hold
 zeros of f''), and ``reproduce gain``, compared with the stdout recorded
 under ``tests/data/stdout/``.  Together they
